@@ -194,7 +194,7 @@ def cmd_solve(args, lines: list, guards: Guards) -> int:
         lines.append("certificate:")
         lines.extend(_indented(strategy_to_text(outcome.certificate)))
     elif args.dump:
-        lines.append(f"refuted_branches: {len(outcome.transcript)}")
+        lines.append(f"refuted_branches: {outcome.refuted}")
         for branch_id, assignment in outcome.transcript:
             lines.append(f"  branch {branch_id} defeated-by {_ints(assignment)}")
         if outcome.transcript_truncated:

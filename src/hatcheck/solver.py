@@ -28,8 +28,28 @@ Before searching at all, one solved special case is dispatched exactly:
 if every vertex sees all others (each choice covers exactly one
 assignment), covering is a bipartite matching between assignments and
 table slots, and a deterministic augmenting-path matching settles the
-players side outright.  Matching failure falls through to the search,
-which then produces the refutation transcript.
+players side outright.  The matching is tried only when the table slots
+are at least as many as the assignments (Hall's condition for the whole
+assignment side); with fewer slots none exists.  Matching failure falls
+through to the search, which then produces the refutation transcript.
+
+The search state is kept incremental, so a step costs what it changes
+rather than the size of the game:
+
+* assignments are bits of Python ints: the uncovered set, and per vertex
+  the assignments whose entry there is saturated.  In lexicographic
+  order the assignments of one entry (and of one entry and own color)
+  are a per-vertex bit pattern shifted by the entry's lowest member, so
+  a choice covers ``uncovered & (pattern << shift)`` and undo restores
+  that int;
+* the residual bound is a running sum of cached per-entry contributions;
+  a choice or undo marks the entries whose residuals or free slots
+  changed, and only those are recomputed;
+* outside tight states an assignment's options are its unsaturated
+  entries, so the assignments with k options are counted bitwise from
+  the saturated sets and the scan visits only the fewest-option ones.
+  The scan order, and with it every branch, forced move, conflict and
+  certificate, is that of a plain ascending scan of the assignments.
 
 The first explored branch covers the all-zero assignment at the least
 vertex, so the first table entry ever fixed guesses color 0; with
@@ -68,7 +88,9 @@ class SolveOutcome:
     Players: certificate is a winning strategy.  Adversary: transcript
     holds (branch id, assignment) pairs, one per refuted search branch;
     the assignment is the uncovered witness that killed the branch (for
-    capacity prunes, the first assignment still uncovered there).
+    capacity prunes, the first assignment still uncovered there).  The
+    transcript keeps at most max_transcript entries; refuted counts
+    every refuted branch.
     """
 
     graph: Graph
@@ -78,6 +100,7 @@ class SolveOutcome:
     certificate: Optional[Strategy] = None
     transcript: tuple = ()
     transcript_truncated: bool = False
+    refuted: int = 0
 
 
 def outcome_to_text(outcome: SolveOutcome) -> str:
@@ -207,19 +230,6 @@ def players_win(
             row.append(offsets[v] + idx)
         cells_of.append(row)
 
-    # reverse maps: which assignments touch a cell, grouped by own color
-    cell_members = [[] for _ in range(ncells)]
-    cell_color_members = [None] * ncells
-    for c in range(ncells):
-        cell_color_members[c] = [[] for _ in range(qs[cell_owner[c]])]
-    for a in range(a_count):
-        row = cells_of[a]
-        colors = assigns[a]
-        for v in range(n):
-            c = row[v]
-            cell_members[c].append(a)
-            cell_color_members[c][colors[v]].append(a)
-
     def finish_with_tables(picks_by_cell):
         tables = []
         for v in range(n):
@@ -231,7 +241,9 @@ def players_win(
         certificate = Strategy(g, budget, guess_count, tuple(tables))
         return SolveOutcome(g, budget, guess_count, PLAYERS, certificate=certificate)
 
-    if all(w == 1 for w in weight):
+    # Hall pre-check: with fewer table slots than assignments no
+    # saturating matching exists, so skip straight to the search
+    if all(w == 1 for w in weight) and sum(capacity) >= a_count:
         occupants = _saturating_matching(a_count, n, cells_of, capacity, ncells)
         if occupants is not None:
             picks = [
@@ -240,78 +252,106 @@ def players_win(
             return finish_with_tables(picks)
         # no matching means adversary; fall through for the transcript
 
-    # search state; res[c][col] = uncovered assignments that (c, col)
-    # would newly cover
-    chosen = [[] for _ in range(ncells)]
+    # search state.  Assignment a is bit a of the masks.  In
+    # lexicographic order the members of a cell are its lowest member
+    # plus the assignments with all of the owner's neighbors at color 0,
+    # so each cover set is a per-vertex pattern shifted by one index.
+    stride = [0] * n
+    step = 1
+    for v in reversed(range(n)):
+        stride[v] = step
+        step *= qs[v]
+    cell_pattern = [0] * n  # members of the vertex's first cell
+    color_pattern = [0] * n  # those of them with own color 0
+    lowest = [-1] * ncells  # lowest member of each cell
+    for a in range(a_count):
+        row = cells_of[a]
+        for v in range(n):
+            c = row[v]
+            if lowest[c] < 0:
+                lowest[c] = a
+            if c == offsets[v]:
+                cell_pattern[v] |= 1 << a
+                if assigns[a][v] == 0:
+                    color_pattern[v] |= 1 << a
+
     cap_left = capacity[:]
-    cover_cnt = [0] * a_count
-    viable_cnt = [n] * a_count
-    uncovered = a_count
-    res = [[len(m) for m in cell_color_members[c]] for c in range(ncells)]
-    thr = [0] * ncells
+    used = [0] * ncells  # capacity - cap_left, the entry's engagement
+    unc = (1 << a_count) - 1  # uncovered assignments
+    # saturated[v]: assignments whose cell at v has no slot left
+    saturated = [0] * n
+    # res[c][col] = uncovered assignments that (c, col) would newly cover
+    res = [[weight[c]] * qs[cell_owner[c]] for c in range(ncells)]
+    # trail entries: (cell, color, the assignments the choice covered)
     trail = []
 
+    # The bound is a running sum of cached per-entry contributions: an
+    # entry contributes its cap_left largest color residuals, and thr is
+    # the smallest contributing residual, the viability cut in tight
+    # states.  apply/undo_to mark the entries whose residuals or cap_left
+    # changed and only those are recomputed.  At the start every color
+    # residual of an entry equals its weight.
+    contrib = [capacity[c] * weight[c] for c in range(ncells)]
+    thr = weight[:]
+    bound = sum(contrib)
+    dirty = set()
+
     def apply(cell: int, color: int) -> None:
-        nonlocal uncovered
-        chosen[cell].append(color)
+        nonlocal unc
+        v = cell_owner[cell]
         cap_left[cell] -= 1
+        used[cell] += 1
+        dirty.add(cell)
         if cap_left[cell] == 0:
-            for a in cell_members[cell]:
-                viable_cnt[a] -= 1
-        for a in cell_color_members[cell][color]:
-            cover_cnt[a] += 1
-            if cover_cnt[a] == 1:
-                uncovered -= 1
-                row = cells_of[a]
-                colors = assigns[a]
-                for u in range(n):
-                    res[row[u]][colors[u]] -= 1
-        trail.append((cell, color))
+            saturated[v] |= cell_pattern[v] << lowest[cell]
+        covered = unc & (color_pattern[v] << (lowest[cell] + color * stride[v]))
+        unc ^= covered
+        trail.append((cell, color, covered))
+        while covered:
+            low = covered & -covered
+            covered ^= low
+            a = low.bit_length() - 1
+            row = cells_of[a]
+            for c, col in zip(row, assigns[a]):
+                res[c][col] -= 1
+            dirty.update(row)
 
     def undo_to(mark: int) -> None:
-        nonlocal uncovered
+        nonlocal unc
         while len(trail) > mark:
-            cell, color = trail.pop()
-            for a in cell_color_members[cell][color]:
-                cover_cnt[a] -= 1
-                if cover_cnt[a] == 0:
-                    uncovered += 1
-                    row = cells_of[a]
-                    colors = assigns[a]
-                    for u in range(n):
-                        res[row[u]][colors[u]] += 1
+            cell, color, covered = trail.pop()
+            unc |= covered
+            while covered:
+                low = covered & -covered
+                covered ^= low
+                a = low.bit_length() - 1
+                row = cells_of[a]
+                for c, col in zip(row, assigns[a]):
+                    res[c][col] += 1
+                dirty.update(row)
             if cap_left[cell] == 0:
-                for a in cell_members[cell]:
-                    viable_cnt[a] += 1
+                v = cell_owner[cell]
+                saturated[v] ^= cell_pattern[v] << lowest[cell]
             cap_left[cell] += 1
-            chosen[cell].pop()
+            used[cell] -= 1
+            dirty.add(cell)
 
     def residual_bound():
-        """Upper bound on how many uncovered assignments remain coverable.
-
-        Each entry contributes its cap_left largest color residuals;
-        thr[cell] is set to the smallest contributing residual, the
-        viability threshold in tight states.
-        """
-        bound = 0
-        for c in range(ncells):
+        """Upper bound on how many uncovered assignments remain coverable."""
+        nonlocal bound
+        for c in dirty:
             cl = cap_left[c]
             if cl == 0:
-                continue
-            m1 = 0
-            m2 = 0
-            for r in res[c]:
-                if r > m1:
-                    m2 = m1
-                    m1 = r
-                elif r > m2:
-                    m2 = r
-            if cl == 1:
-                thr[c] = m1
-                bound += m1
+                part = 0
+            elif cl == 1:
+                part = thr[c] = max(res[c])
             else:
-                thr[c] = m2
-                bound += m1 + m2
+                top = sorted(res[c])
+                thr[c] = top[-2]
+                part = top[-1] + top[-2]
+            bound += part - contrib[c]
+            contrib[c] = part
+        dirty.clear()
         return bound
 
     def viable_options(a, tight):
@@ -333,56 +373,106 @@ def players_win(
             opts.append((cell, col))
         return opts
 
+    def at_most_one_free():
+        """(uncovered with no unsaturated cell, with at most one)."""
+        suffix = [unc]
+        for sat in reversed(saturated):
+            suffix.append(suffix[-1] & sat)
+        suffix.reverse()
+        prefix = unc
+        one = 0
+        for v, sat in enumerate(saturated):
+            one |= prefix & suffix[v + 1]
+            prefix &= sat
+        return prefix, one
+
+    def by_free_count():
+        """levels[k]: uncovered assignments with k unsaturated cells."""
+        levels = [unc]
+        for sat in saturated:
+            if not sat:
+                levels.insert(0, 0)
+                continue
+            free = ~sat
+            levels = (
+                [levels[0] & sat]
+                + [hi & sat | lo & free for lo, hi in zip(levels, levels[1:])]
+                + [levels[-1] & free]
+            )
+        return levels
+
     def propagate():
         """Apply forced covers until a fixpoint.
 
         Returns (conflict, branch assignment, branch options).  A
         conflict is an uncovered assignment with no usable choice, or
         the residual count falling short (reported through the first
-        uncovered assignment).
+        uncovered assignment).  Uncovered assignments are scanned in
+        ascending order: the first with no option is a conflict, the
+        first with one is forced.  Otherwise the branch assignment has
+        the fewest options, then the most engagement with already-used
+        entries, so related choices cluster, then the least index.
         """
         while True:
-            if uncovered == 0:
+            if not unc:
                 return None, None, None
+            uncovered = unc.bit_count()
             bound = residual_bound()
             if bound < uncovered:
-                for a in range(a_count):
-                    if cover_cnt[a] == 0:
+                return (unc & -unc).bit_length() - 1, None, None
+            if bound > uncovered:
+                # the options are the unsaturated cells
+                none, low = at_most_one_free()
+                if low:
+                    a = (low & -low).bit_length() - 1
+                    if none >> a & 1:
                         return a, None, None
-            tight = bound == uncovered
+                    apply(*viable_options(a, False)[0])
+                    continue
+                levels = by_free_count()
+                k = 2
+                while not levels[k]:
+                    k += 1
+                candidates = levels[k]
+                tight = False
+            else:
+                candidates = unc
+                tight = True
             forced = None
             best_a = -1
-            best_opts = None
-            best_key = None
-            for a in range(a_count):
-                if cover_cnt[a]:
+            best_len = n + 1
+            best_eng = None
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                a = low.bit_length() - 1
+                if tight:
+                    # options at or above their entry's threshold
+                    count = 0
+                    for c, col in zip(cells_of[a], assigns[a]):
+                        if cap_left[c] and res[c][col] >= thr[c]:
+                            count += 1
+                    if count == 0:
+                        return a, None, None
+                    if count == 1:
+                        forced = a
+                        break
+                else:
+                    count = k
+                if count < best_len:
+                    best_a, best_len, best_eng = a, count, None
                     continue
-                if viable_cnt[a] == 0:
-                    return a, None, None
-                if (
-                    best_opts is not None
-                    and not tight
-                    and viable_cnt[a] > len(best_opts)
-                ):
+                if count > best_len:
                     continue
-                opts = viable_options(a, tight)
-                if not opts:
-                    return a, None, None
-                if len(opts) == 1:
-                    forced = opts[0]
-                    break
-                # fewest options first, then the assignment most engaged
-                # with already-used entries, so related choices cluster
-                engagement = sum(capacity[c] - cap_left[c] for c in cells_of[a])
-                key = (len(opts), -engagement)
-                if best_key is None or key < best_key:
-                    best_a = a
-                    best_opts = opts
-                    best_key = key
+                if best_eng is None:
+                    best_eng = sum(map(used.__getitem__, cells_of[best_a]))
+                eng = sum(map(used.__getitem__, cells_of[a]))
+                if eng > best_eng:
+                    best_a, best_eng = a, eng
             if forced is not None:
-                apply(*forced)
+                apply(*viable_options(forced, True)[0])
                 continue
-            return None, best_a, best_opts
+            return None, best_a, viable_options(best_a, tight)
 
     transcript = []
     truncated = False
@@ -401,7 +491,10 @@ def players_win(
     while True:
         conflict, branch_a, branch_opts = propagate()
         if conflict is None and branch_a is None:
-            return finish_with_tables(chosen)
+            picks = [[] for _ in range(ncells)]
+            for cell, color, _ in trail:
+                picks[cell].append(color)
+            return finish_with_tables(picks)
         if conflict is None:
             # try the freshest-covering option first; the sort is stable
             # so equal residuals keep vertex order
@@ -425,6 +518,7 @@ def players_win(
                 ADVERSARY,
                 transcript=tuple(transcript),
                 transcript_truncated=truncated,
+                refuted=branch_counter,
             )
 
 

@@ -82,6 +82,15 @@ def test_solve_adversary_with_dump(capsys):
     assert "refuted_branches:" in out
 
 
+def test_solve_dump_counts_every_refuted_branch(capsys):
+    # the transcript is capped at 1000 entries; the count is not
+    code, out = run(capsys, "solve", graph_path("p4"), "--budget", "3", "--dump")
+    assert code == 0
+    assert "refuted_branches: 8977" in out
+    assert "  transcript truncated" in out
+    assert sum(1 for line in out.splitlines() if "defeated-by" in line) == 1000
+
+
 def test_solve_per_vertex_budget(capsys):
     code, out = run(capsys, "solve", graph_path("p3"), "--budget", "2,3,2")
     assert code == 0

@@ -1,8 +1,10 @@
 """Exact game solving: players_win, hg_exact, hg2_exact, refutation."""
 
+import hashlib
+
 import pytest
 
-from conftest import complete, cycle, diamond, path, paw, star, winkler_strategy
+from conftest import complete, cycle, diamond, graph, path, paw, star, winkler_strategy
 from hatcheck.errors import GuardExceededError
 from hatcheck.game import (
     ColorBudget,
@@ -229,3 +231,35 @@ def test_table_size_accounting():
     b = ColorBudget((3, 2, 2))
     assert table_size(g, b, 0) == 4  # sees both leaves
     assert table_size(g, b, 1) == 3  # sees the center
+
+
+# ---------------------------------------------------------------------------
+# pinned search: kernel changes must keep the branch order, forced moves and
+# conflicts, so winners, certificates and full transcripts stay identical
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "g, q, guesses, winner, refuted, digest",
+    [
+        (graph(4, (0, 1), (1, 2), (2, 3)), 3, 1, ADVERSARY, 8977,
+         "0ad3a712a8659afe507c1517dbb47aef6b1834382f3c28e2128ced365e196001"),
+        (graph(4, (0, 2), (0, 3), (1, 2)), 3, 1, ADVERSARY, 15053,
+         "c70a87d65d65a014a410f7aab3cd2c59312f538662d9d2e71d8fc77a0666e239"),
+        (graph(4, (0, 1), (0, 2), (0, 3)), 3, 1, ADVERSARY, 7045,
+         "c04d4819a55abd9bea8bd0873b15ef18582cbab0295abb18f4815817988389df"),
+        (graph(3, (0, 1), (0, 2)), 5, 2, PLAYERS, 0,
+         "b7f0310a9e06b46004babe3c8c092c8f4556c290bce3f40d8e80a7ff0907ecbb"),
+        (complete(4), 9, 2, ADVERSARY, 1,
+         "7638dc6b9af68b343e32bc5f61719400163245698ed4b65ea427c5d581988d93"),
+    ],
+    ids=["p4", "p4-relabelled", "star", "p3-two-guess", "k4-two-guess"],
+)
+def test_pinned_search(g, q, guesses, winner, refuted, digest):
+    out = players_win(g, ColorBudget.uniform(g.vertex_count, q), guesses, max_transcript=10**9)
+    assert out.winner == winner
+    assert len(out.transcript) == refuted
+    assert hashlib.sha256(outcome_to_text(out).encode()).hexdigest() == digest
+    if g == complete(4):
+        # no saturating matching exists (2916 cells x 2 slots < 6561
+        # assignments), and the search refutes at the root
+        assert out.transcript == ((0, (0, 0, 0, 0)),)
