@@ -8,20 +8,10 @@ climb to 7 on three vertices.
 """
 
 import argparse
-import itertools
 import time
 
-from hatcheck.graphs import Graph, is_connected
+from hatcheck.graphs import connected_graphs
 from hatcheck.solver import hg2_exact, hg_exact
-
-
-def connected_graphs(n: int):
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
-        g = Graph.from_edges(n, edges)
-        if is_connected(g):
-            yield g
 
 
 def main() -> int:

@@ -273,7 +273,7 @@ def _derive_is(g: Graph, args, guards: Guards, lines: list):
     rest_graph, _ = induced_subgraph(g, rest)
     sub = oracle_exhaustive(rest_graph, ColorBudget.uniform(len(rest), ell), 1, guards)
     orc = oracle_lemma_is(g, u_set, r, ell, sub, guards)
-    return orc.defeat, orc.budget, 1, orc, ()
+    return orc, ()
 
 
 def _derive_two(g: Graph, args, guards: Guards, lines: list):
@@ -291,9 +291,7 @@ def _derive_two(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"two_colors: {_ints(pair)}")
     lines.append(f"ell: {ell}")
     sub2 = oracle_exhaustive(h_graph, ColorBudget.uniform(len(rest), ell + 1), 2, guards)
-    defeat = oracle_lemma_two_at_v(g, v, pair, ell, sub2, guards)
-    budget = ColorBudget(tuple(2 if u == v else ell + 1 for u in g.vertices()))
-    return defeat, budget, 1, None, ()
+    return oracle_lemma_two_at_v(g, v, pair, ell, sub2, guards), ()
 
 
 def _derive_rus(g: Graph, args, guards: Guards, lines: list):
@@ -324,7 +322,7 @@ def _derive_rus(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"part2: {_ints(part2)}")
     lines.append(f"ell: {ell}")
     orc = oracle_lemma_rus(g, v, part1, part2, ell, guards)
-    return orc.defeat, orc.budget, 1, orc, ()
+    return orc, ()
 
 
 def _derive_blocks(g: Graph, args, guards: Guards, lines: list):
@@ -338,7 +336,7 @@ def _derive_blocks(g: Graph, args, guards: Guards, lines: list):
             ell = max(ell, hg2_exact(blk_graph, guards))
     lines.append(f"ell: {ell}")
     orc = oracle_lemma_blocks(g, ell, guards)
-    return orc.defeat, orc.budget, 1, orc, ()
+    return orc, ()
 
 
 def _derive_closure(g: Graph, args, guards: Guards, lines: list):
@@ -346,7 +344,16 @@ def _derive_closure(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"tree_parents: {format_tree(tree)}")
     orc = oracle_closure(tree, 2, guards)
     lines.append(f"heights: {_ints(tree.heights)}")
-    return orc.defeat, orc.budget, 2, orc, ()
+    return orc, ()
+
+
+def _pipeline_result(orc, bound: BigBound, what: str, guards: Guards, lines: list):
+    """(oracle, bound lines) of a pipeline; a guard refusal when it built none."""
+    bound_lines = _bound_lines("bound", bound)
+    if orc is None:
+        lines.extend(bound_lines)
+        raise GuardExceededError("assignment", what, guards.assignment)
+    return orc, tuple(bound_lines)
 
 
 def _derive_circ(g: Graph, args, guards: Guards, lines: list):
@@ -370,11 +377,7 @@ def _derive_circ(g: Graph, args, guards: Guards, lines: list):
         if orc is None:
             raise last_err or ValueError("no workable budget found")
     lines.append(f"ell: {ell}")
-    bound_lines = _bound_lines("bound", bound)
-    if orc is None:
-        lines.extend(bound_lines)
-        raise GuardExceededError("assignment", "circumference-pipeline budget", guards.assignment)
-    return orc.defeat, orc.budget, 1, orc, tuple(bound_lines)
+    return _pipeline_result(orc, bound, "circumference-pipeline budget", guards, lines)
 
 
 def _derive_tary(g: Graph, args, guards: Guards, lines: list):
@@ -384,11 +387,7 @@ def _derive_tary(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"branching: {t}")
     lines.append(f"height: {h}")
     orc, bound = oracle_theorem_tary(g, t, h, guards)
-    bound_lines = _bound_lines("bound", bound)
-    if orc is None:
-        lines.extend(bound_lines)
-        raise GuardExceededError("assignment", "subtree-pipeline budget", guards.assignment)
-    return orc.defeat, orc.budget, 1, orc, tuple(bound_lines)
+    return _pipeline_result(orc, bound, "subtree-pipeline budget", guards, lines)
 
 
 _DERIVERS = {
@@ -409,15 +408,13 @@ def cmd_verify(args, lines: list, guards: Guards) -> int:
     lines.append(f"lemma: {args.lemma}")
     lines.append(f"seed: {args.seed}")
     lines.append(f"trials: {trials}")
-    defeat, budget, guess_count, oracle, bound_lines = _DERIVERS[args.lemma](
-        g, args, guards, lines
-    )
+    oracle, bound_lines = _DERIVERS[args.lemma](g, args, guards, lines)
     # strategies live on the oracle's graph (the closure adversary plays
     # on cl(T), not on the input tree itself)
-    space = oracle.graph if oracle is not None else g
+    space, budget, guess_count = oracle.graph, oracle.budget, oracle.guess_count
     lines.append(f"budget: {_budget_line(budget)}")
     lines.extend(bound_lines)
-    if args.dump and oracle is not None:
+    if args.dump:
         lines.append("construction:")
         lines.extend("  " + ln for ln in oracle.construction)
 
@@ -434,11 +431,10 @@ def cmd_verify(args, lines: list, guards: Guards) -> int:
     count = 0
     first_trace = None
     for strategy in strategies:
-        if args.dump and first_trace is None and oracle is not None:
-            assignment, trace = oracle.defeat_traced(strategy)
-            first_trace = trace
+        if args.dump and first_trace is None:
+            assignment, first_trace = oracle.defeat_traced(strategy)
         else:
-            assignment = defeat(strategy)
+            assignment = oracle.defeat(strategy)
         if not budget.contains(assignment) or not is_defeating(strategy, assignment):
             raise VerificationFailureError(
                 "claimed defeat does not check out",

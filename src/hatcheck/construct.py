@@ -1,7 +1,7 @@
 """Constructive adversary engines, one per bounding argument.
 
 Each builder packages one argument as an AdversaryOracle: given any
-player strategy in scope, its defeat function produces an assignment,
+player strategy in scope, its engine produces an assignment,
 within the oracle's stated color budget, on which every player guesses
 wrong.  Oracles compose the way the arguments do: peeling an
 independent set delegates to an oracle for the remainder, the cut-vertex
@@ -17,12 +17,15 @@ winning strategy for X, or a subgraph embedding).
 Every dodge step picks the smallest available color, every enumeration
 runs in lexicographic order, and terminal blocks and leaves are chosen
 by smallest index, so all defeats are deterministic.  Oracles are
-immutable after construction and their defeat functions are pure.
+immutable after construction and their engines are pure.  Every
+engine reads the subgame it delegates to through game.reindex, with the
+subgraph and vertex map fixed when the oracle is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations, product
 from typing import Callable, Optional
 
@@ -33,12 +36,9 @@ from .game import (
     Strategy,
     enumerate_assignments,
     guesses_at,
-    induce_strategy_after_fixing,
     is_defeating,
-    lift_to_supergraph,
     merge_two_guess,
-    restrict_strategy_to_vertices,
-    restrict_to_budget,
+    reindex,
 )
 from .graphs import (
     Graph,
@@ -60,33 +60,28 @@ from .guards import DEFAULT_GUARDS, Guards
 class AdversaryOracle:
     """A constructive win for the adversary at a fixed budget.
 
-    defeat maps a strategy in scope (same graph, same guess count,
-    budget equal to the oracle's) to a defeating assignment within
-    budget.  defeat_traced returns the same assignment plus the log of
-    per-step color choices.  construction describes the argument tree
-    the oracle was assembled from.
+    engine(strategy, log) maps a strategy in scope (same graph, same
+    guess count, budget equal to the oracle's) to a defeating assignment
+    within budget; when log is a list it also appends one line per color
+    choice.  defeat and defeat_traced are the two ways to call it.
+    construction describes the argument tree the oracle was assembled
+    from.
     """
 
     graph: Graph
     budget: ColorBudget
     guess_count: int
-    defeat: Callable
     construction: tuple
-    defeat_traced: Callable
+    engine: Callable
 
+    def defeat(self, strategy: Strategy) -> tuple:
+        return self.engine(strategy, None)
 
-def _make_oracle(graph, budget, guess_count, construction, engine) -> AdversaryOracle:
-    def defeat(strategy):
-        return engine(strategy, None)
-
-    def defeat_traced(strategy):
+    def defeat_traced(self, strategy: Strategy):
+        """The defeat plus the log of per-step color choices."""
         log = []
-        out = engine(strategy, log)
+        out = self.engine(strategy, log)
         return out, tuple(log)
-
-    return AdversaryOracle(
-        graph, budget, guess_count, defeat, tuple(construction), defeat_traced
-    )
 
 
 def _note(log, line: str) -> None:
@@ -160,7 +155,7 @@ def oracle_exhaustive(
             witness=strategy,
         )
 
-    return _make_oracle(g, budget, guess_count, construction, engine)
+    return AdversaryOracle(g, budget, guess_count, construction, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +221,24 @@ def oracle_lemma_is(
                 guessed.update(strategy.tables[u][idx])
             fixed[u] = _smallest_missing(guessed)
             _note(log, f"dodge u={u} color={fixed[u]} (saw {len(guessed)} guesses)")
-        induced, kept = induce_strategy_after_fixing(strategy, fixed)
-        shrunk = restrict_to_budget(induced, ColorBudget.uniform(len(kept), ell))
-        tail = _sub_defeat(sub, shrunk, log)
+        view = reindex(strategy, sub.graph, sub.budget, rest, fixed)
+        tail = _sub_defeat(sub, view, log)
         out = [0] * g.vertex_count
         for u, c in fixed.items():
             out[u] = c
-        for i, v in enumerate(kept):
+        for i, v in enumerate(rest):
             out[v] = tail[i]
         return tuple(out)
 
-    return _make_oracle(g, budget, 1, construction, engine)
+    return AdversaryOracle(g, budget, 1, construction, engine)
 
 
 # ---------------------------------------------------------------------------
 # two colors at one vertex
 # ---------------------------------------------------------------------------
 
-def _two_at_v_engine(g, v, pair, ell, sub2, guards):
-    """Shared core of the two-color argument at v.
+def _two_at_v_engine(g, v, ell, sub2):
+    """Shared core of the two-color argument at v: engine(strategy, log, pair).
 
     The incoming strategy plays one guess on g; the adversary commits to
     one of two colors at v, so every other vertex effectively guesses
@@ -261,14 +255,14 @@ def _two_at_v_engine(g, v, pair, ell, sub2, guards):
     if sub2.budget != ColorBudget.uniform(len(rest), ell + 1):
         raise ValueError("sub-oracle budget must be uniform ell+1")
 
-    def engine(strategy, log):
+    def engine(strategy, log, pair):
         if strategy.graph != g or strategy.guess_count != 1:
             raise ValueError("expected a one-guess strategy on the split graph")
         if any(strategy.budget[u] != ell + 1 for u in rest):
             raise ValueError("strategy budget off v must be uniform ell+1")
         if strategy.budget[v] <= max(pair):
             raise ValueError("strategy budget at v must cover both committed colors")
-        branches = [induce_strategy_after_fixing(strategy, {v: c})[0] for c in pair]
+        branches = [reindex(strategy, sub2.graph, sub2.budget, rest, {v: c}) for c in pair]
         merged = merge_two_guess(branches[0], branches[1])
         tail = _sub_defeat(sub2, merged, log)
         out = [0] * g.vertex_count
@@ -292,13 +286,14 @@ def oracle_lemma_two_at_v(
     ell: int,
     sub2: AdversaryOracle,
     guards: Guards = DEFAULT_GUARDS,
-):
-    """Defeat function for one-guess strategies on g with two colors at v.
+) -> AdversaryOracle:
+    """One-guess adversary on g that colors v from a two-color set.
 
-    Returns a bare defeat function rather than an oracle because the
-    scope at v is a two-color set, not a 0..q-1 range: strategies must
-    carry uniform budget ell + 1 off v and at least max(two_colors) + 1
-    at v; the output always colors v within two_colors.
+    The oracle's budget is max(two_colors) + 1 at v and ell + 1
+    elsewhere.  Its scope is wider at v: any budget there that covers
+    both colors is accepted, and the output always colors v within
+    two_colors.  sub2 is a two-guess adversary for g minus v at uniform
+    ell + 1.
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError("v out of range")
@@ -307,12 +302,12 @@ def oracle_lemma_two_at_v(
         raise ValueError("need two distinct colors at v")
     if ell < 1:
         raise ValueError("need ell >= 1")
-    engine = _two_at_v_engine(g, v, pair, ell, sub2, guards)
-
-    def defeat(strategy):
-        return engine(strategy, None)
-
-    return defeat
+    engine = partial(_two_at_v_engine(g, v, ell, sub2), pair=pair)
+    budget = ColorBudget(tuple(pair[1] + 1 if u == v else ell + 1 for u in g.vertices()))
+    construction = (
+        f"two-colors v={v} colors={pair} ell={ell}",
+    ) + _indent(sub2.construction)
+    return AdversaryOracle(g, budget, 1, construction, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +370,16 @@ def oracle_lemma_rus(
     h2_graph, _ = induced_subgraph(g, h2_vertices)
     premise_factory = premise2 or _exhaustive_premise(ell, guards)
     sub2 = premise_factory(h2_graph)
-    if sub2.graph != h2_graph or sub2.guess_count != 2 or sub2.budget != ColorBudget.uniform(
-        len(h2_vertices), ell + 1
-    ):
-        raise ValueError("part-2 premise oracle has the wrong shape")
+    v2 = kept2.index(v)
+    # checks the part-2 premise oracle's shape
+    play2 = _two_at_v_engine(g2_graph, v2, ell, sub2)
 
     others1 = tuple(u for u in part1 if u != v)
     nv1 = tuple(u for u in g.neighbors(v) if u in s1)
     pos1 = {u: i for i, u in enumerate(part1)}
     vpos = pos1[v]
-    v2 = kept2.index(v)
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
+    budget2 = budget.restrict(kept2)
     construction = (
         f"cut-split v={v} part1={part1} part2={part2} ell={ell}",
     ) + _indent(sub2.construction)
@@ -451,13 +445,9 @@ def oracle_lemma_rus(
         phis = [groups[star][c] for c in gammas]
         _note(log, f"cut-split view {star} at {v} extends to colors {tuple(gammas)}")
         fixed = {u: phis[0][pos1[u]] for u in others1}
-        induced2, kept_check = induce_strategy_after_fixing(strategy, fixed)
-        assert kept_check == kept2
-        two_engine = _two_at_v_engine(
-            g2_graph, v2, tuple(gammas), ell, sub2, guards
-        )
+        induced2 = reindex(strategy, g2_graph, budget2, kept2, fixed)
         try:
-            psi = two_engine(induced2, log)
+            psi = play2(induced2, log, tuple(gammas))
         except PremiseViolationError as exc:
             raise PremiseViolationError(
                 f"adversary wins the two-guess game on part 2 minus the cut vertex at {ell + 1} colors",
@@ -472,7 +462,7 @@ def oracle_lemma_rus(
         assert out[v] == gammas[pick]
         return tuple(out)
 
-    return _make_oracle(g, budget, 1, construction, engine)
+    return AdversaryOracle(g, budget, 1, construction, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +496,6 @@ def oracle_lemma_blocks(
             inner = oracle_exhaustive(
                 comp_graph, ColorBudget.uniform(1, ell + 1), 1, guards
             )
-
-            def engine_c(strategy, log, inner=inner):
-                return _sub_defeat(inner, strategy, log)
-
             lines.append(f"  component {comp}: isolated vertex")
         else:
             bd = block_decomposition(comp_graph)
@@ -521,14 +507,6 @@ def oracle_lemma_blocks(
                     or inner.budget != ColorBudget.uniform(len(comp), ell + 1)
                 ):
                     raise ValueError("block premise oracle has the wrong shape")
-
-                def engine_c(strategy, log, inner=inner):
-                    # a one-guess table is a two-guess table of singletons
-                    widened = Strategy(
-                        strategy.graph, strategy.budget, 2, strategy.tables
-                    )
-                    return _sub_defeat(inner, widened, log)
-
                 lines.append(f"  component {comp}: single block")
                 lines.extend("  " + ln for ln in _indent(inner.construction))
             else:
@@ -552,42 +530,31 @@ def oracle_lemma_blocks(
                     guards,
                     premise2=premise_factory,
                 )
-
-                def engine_c(strategy, log, inner=inner):
-                    return _sub_defeat(inner, strategy, log)
-
                 lines.append(
                     f"  component {comp}: peel block {bd.blocks[terminal]} at cut {cut}"
                 )
                 lines.extend("  " + ln for ln in _indent(inner.construction))
-        plans.append((comp, engine_c))
+        plans.append((comp, inner))
 
     def engine(strategy, log):
         _check_scope(strategy, g, budget, 1)
         out = [0] * g.vertex_count
-        for comp, engine_c in plans:
-            part, _ = restrict_strategy_to_vertices(strategy, comp)
-            colors = engine_c(part, log)
+        for comp, inner in plans:
+            part = reindex(strategy, inner.graph, inner.budget, comp)
+            if inner.guess_count == 2:
+                # a one-guess table is a two-guess table of singletons
+                part = Strategy._unchecked(part.graph, part.budget, 2, part.tables)
+            colors = _sub_defeat(inner, part, log)
             for i, u in enumerate(comp):
                 out[u] = colors[i]
         return tuple(out)
 
-    return _make_oracle(g, budget, 1, construction=tuple(lines), engine=engine)
+    return AdversaryOracle(g, budget, 1, tuple(lines), engine)
 
 
 # ---------------------------------------------------------------------------
 # tree closures, two guesses
 # ---------------------------------------------------------------------------
-
-def _doubling_seq_ints(n: int) -> tuple:
-    """First n+1 terms of a(0)=1, a(k+1) = 1 + 2*prod(a(0..k)), as ints."""
-    vals = [1]
-    running = 1
-    for _ in range(n):
-        vals.append(1 + 2 * running)
-        running *= vals[-1]
-    return tuple(vals)
-
 
 def oracle_closure(
     tree: RootedTree, guess_count: int = 2, guards: Guards = DEFAULT_GUARDS
@@ -604,53 +571,46 @@ def oracle_closure(
     """
     if guess_count != 2:
         raise ValueError("the closure adversary is a two-guess construction")
-    seq = _doubling_seq_ints(tree.height + 1)
-    budget = ColorBudget(tuple(seq[tree.height_of(v) + 1] for v in range(tree.vertex_count)))
+    top = two_guess_seq(tree.height + 1)
+    if not top.is_exact:
+        raise GuardExceededError("assignment", top.to_text(), guards.assignment)
+    budget = ColorBudget(tuple(int(two_guess_seq(k + 1).exact) for k in tree.heights))
     guards.check("assignment", budget.product())
     cl_graph = closure(tree)
     construction = (
         f"tree-closure n={tree.vertex_count} heights={tree.heights} budget={_budget_brief(budget)}",
     )
+    # the peel order does not depend on the strategy: fix it, and each
+    # remaining game, once
+    steps = []
+    cur_tree, orig = tree, list(range(tree.vertex_count))
+    while cur_tree.vertex_count > 1:
+        leaf = min(cur_tree.leaves())
+        label = orig[leaf]
+        cur_tree, kept = cur_tree.remove_leaf(leaf)
+        orig = [orig[i] for i in kept]
+        steps.append((leaf, label, induced_subgraph(cl_graph, orig)[0], budget.restrict(orig), kept))
+    root = orig[0]
 
     def engine(strategy, log):
         _check_scope(strategy, cl_graph, budget, 2)
-        cur_tree, cur_strategy = tree, strategy
-        orig = list(range(tree.vertex_count))
         out = [0] * tree.vertex_count
-        while True:
-            if cur_tree.vertex_count == 1:
-                root_guesses = cur_strategy.tables[0][0]
-                gamma = _smallest_missing(root_guesses)
-                out[orig[0]] = gamma
-                _note(log, f"closure root {orig[0]}: assign {gamma}")
-                break
-            leaf = min(cur_tree.leaves())
-            nbrs = cur_strategy.graph.neighbors(leaf)
-            b = cur_strategy.budget
-            total = 1
-            for u in nbrs:
-                total *= b[u]
-            guards.check("enumeration", total)
-            guessed = set()
-            for sigma in product(*[range(b[u]) for u in nbrs]):
-                idx = 0
-                for u, c in zip(nbrs, sigma):
-                    idx = idx * b[u] + c
-                guessed.update(cur_strategy.tables[leaf][idx])
-            gamma = _smallest_missing(guessed)
-            assert gamma < b[leaf], "budget a(k+1) = 1 + 2P always leaves a color"
-            out[orig[leaf]] = gamma
-            _note(
-                log,
-                f"closure leaf {orig[leaf]} height={cur_tree.height_of(leaf)}: assign {gamma}",
-            )
-            cur_strategy, kept = induce_strategy_after_fixing(cur_strategy, {leaf: gamma})
-            cur_tree, kept_t = cur_tree.remove_leaf(leaf)
-            assert kept == kept_t
-            orig = [orig[i] for i in kept]
+        cur = strategy
+        for leaf, label, sub_graph, sub_budget, kept in steps:
+            # a leaf sees only its ancestors, so its table lists every view
+            table = cur.tables[leaf]
+            guards.check("enumeration", len(table))
+            gamma = _smallest_missing(set().union(*table))
+            assert gamma < cur.budget[leaf], "budget a(k+1) = 1 + 2P always leaves a color"
+            out[label] = gamma
+            _note(log, f"closure leaf {label} height={tree.height_of(label)}: assign {gamma}")
+            cur = reindex(cur, sub_graph, sub_budget, kept, {leaf: gamma})
+        gamma = _smallest_missing(cur.tables[0][0])
+        out[root] = gamma
+        _note(log, f"closure root {root}: assign {gamma}")
         return tuple(out)
 
-    return _make_oracle(cl_graph, budget, 2, construction, engine)
+    return AdversaryOracle(cl_graph, budget, 2, construction, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -684,24 +644,23 @@ def oracle_theorem_circ(
 
     def closure_premise(sub_g: Graph) -> AdversaryOracle:
         cert = dfs_treedepth_certificate(sub_g)
-        need = _doubling_seq_ints(cert.depth)[cert.depth]
-        if need > ell_val + 1:
+        need = two_guess_seq(cert.depth)
+        if not need.is_exact or need.exact > ell_val + 1:
             raise ValueError(
-                f"budget {ell_val + 1} cannot host a depth-{cert.depth} certificate (needs {need})"
+                f"budget {ell_val + 1} cannot host a depth-{cert.depth} certificate (needs {need.to_text()})"
             )
         inner = oracle_closure(cert.tree, 2, guards)
         target = ColorBudget.uniform(sub_g.vertex_count, ell_val + 1)
 
         def engine(strategy, log):
             _check_scope(strategy, sub_g, target, 2)
-            lifted = lift_to_supergraph(strategy, inner.graph)
-            shrunk = restrict_to_budget(lifted, inner.budget)
-            return _sub_defeat(inner, shrunk, log)
+            view = reindex(strategy, inner.graph, inner.budget, sub_g.vertices())
+            return _sub_defeat(inner, view, log)
 
         lines = (
             f"embed block into closure: certificate depth {cert.depth}",
         ) + _indent(inner.construction)
-        return _make_oracle(sub_g, target, 2, lines, engine)
+        return AdversaryOracle(sub_g, target, 2, lines, engine)
 
     try:
         core = oracle_lemma_blocks(g, ell_val, guards, premise2=closure_premise)
@@ -822,10 +781,10 @@ def with_budget_slack(oracle: AdversaryOracle, budget: ColorBudget) -> Adversary
 
     def engine(strategy, log):
         _check_scope(strategy, oracle.graph, budget, oracle.guess_count)
-        shrunk = restrict_to_budget(strategy, oracle.budget)
+        shrunk = reindex(strategy, oracle.graph, oracle.budget, oracle.graph.vertices())
         return _sub_defeat(oracle, shrunk, log)
 
     lines = (
         f"budget slack {_budget_brief(budget)} over {_budget_brief(oracle.budget)}",
     ) + _indent(oracle.construction)
-    return _make_oracle(oracle.graph, budget, oracle.guess_count, lines, engine)
+    return AdversaryOracle(oracle.graph, budget, oracle.guess_count, lines, engine)

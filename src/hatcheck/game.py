@@ -15,6 +15,17 @@ Representation choices, used everywhere downstream:
 * table entries are sorted tuples of at most guess_count colors.  A
   2-guess strategy may have singleton entries.
 
+Every adversary argument pins some hat colors and plays the rest as a
+smaller or re-wired game.  reindex is the one view for that step: new
+vertex i plays old vertex kept[i], with pinned neighbors read from the
+fixed colors, unseen new neighbors ignored and out-of-budget guesses
+mapped to color 0.
+
+Strategy(...) checks every table; that is the trust boundary, and
+strategy_from_text goes through it.  Producers whose tables are valid
+by construction (reindex, merge_two_guess, enumeration, sampling) build
+through the unchecked Strategy._unchecked instead.
+
 Low-level helpers here accept the empty graph (all checks are then
 vacuous); the solver layer imposes its own >= 1 vertex preconditions.
 """
@@ -23,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import GuardExceededError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .guards import DEFAULT_GUARDS, Guards
 from .rng import SplitMix64
 
@@ -88,13 +99,8 @@ class Strategy:
     tables: tuple
 
     def __post_init__(self) -> None:
+        self._check_shape()
         g, b = self.graph, self.budget
-        if len(b) != g.vertex_count:
-            raise ValueError("budget length must match vertex count")
-        if self.guess_count not in (1, 2):
-            raise ValueError("guess_count must be 1 or 2")
-        if len(self.tables) != g.vertex_count:
-            raise ValueError("one table per vertex required")
         for v in range(g.vertex_count):
             expect = table_size(g, b, v)
             if len(self.tables[v]) != expect:
@@ -106,6 +112,25 @@ class Strategy:
                     raise ValueError(f"guess sets must be sorted and duplicate-free at vertex {v}")
                 if any(not 0 <= c < b[v] for c in entry):
                     raise ValueError(f"guess color out of budget at vertex {v}")
+
+    def _check_shape(self) -> None:
+        if len(self.budget) != self.graph.vertex_count:
+            raise ValueError("budget length must match vertex count")
+        if self.guess_count not in (1, 2):
+            raise ValueError("guess_count must be 1 or 2")
+        if len(self.tables) != self.graph.vertex_count:
+            raise ValueError("one table per vertex required")
+
+    @classmethod
+    def _unchecked(cls, graph: Graph, budget: ColorBudget, guess_count: int, tables: tuple) -> "Strategy":
+        """Shape checks only: for producers whose entries are valid by construction."""
+        strategy = object.__new__(cls)
+        # one attribute at a time, as __init__ does: touching __dict__
+        # would give every instance a full dict instead of inline values
+        for name, value in dict(graph=graph, budget=budget, guess_count=guess_count, tables=tables).items():
+            object.__setattr__(strategy, name, value)
+        strategy._check_shape()
+        return strategy
 
     def entry_index(self, v: int, assignment) -> int:
         """Mixed-radix index of the neighborhood coloring seen by v."""
@@ -140,61 +165,62 @@ def is_defeating(strategy: Strategy, assignment) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# strategy transforms
+# re-indexing
 # ---------------------------------------------------------------------------
 
-def induce_strategy_after_fixing(strategy: Strategy, fixed: Mapping):
-    """Pin the colors of some vertices and restrict the game to the rest.
+def _clip(entry: tuple, q: int) -> tuple:
+    """A guess set seen under budget q: colors >= q become color 0."""
+    if entry[-1] < q:
+        return entry
+    return tuple(sorted({c if c < q else 0 for c in entry}))
 
-    Returns (induced strategy, kept) where kept[i] is the original label
-    of the new vertex i.  Tables of surviving vertices keep their rows
-    for surviving neighbors and hard-code the pinned colors for removed
-    ones; tables of vertices not adjacent to any pinned vertex are
-    unchanged.
+
+def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=None) -> Strategy:
+    """View a strategy as one for a smaller or re-wired game.
+
+    New vertex i plays old vertex kept[i].  Every old neighbor of
+    kept[i] is either pinned by fixed (old vertex -> color) or kept as a
+    new neighbor of i; new neighbors the old vertex never saw are
+    ignored.  budget must be pointwise <= the old budget of the kept
+    vertices; a guess outside it can never be right there and becomes
+    color 0.  So an assignment that defeats the view, extended by the
+    pinned colors, defeats the original strategy.  Raises ValueError
+    when the new game breaks any of these preconditions.
     """
     g, b = strategy.graph, strategy.budget
-    for v, c in fixed.items():
-        if not 0 <= c < b[v]:
-            raise ValueError(f"fixed color {c} out of budget at vertex {v}")
-    sub, kept = induced_subgraph(g, [v for v in range(g.vertex_count) if v not in fixed])
-    sub_budget = b.restrict(kept)
+    fixed = fixed or {}
+    n = graph.vertex_count
+    if len(kept) != n or len(budget) != n:
+        raise ValueError("need one kept vertex and one budget entry per new vertex")
+    pos = {old: new for new, old in enumerate(kept)}
+    if len(pos) != n or not all(0 <= old < g.vertex_count for old in kept):
+        raise ValueError("kept vertices must be distinct vertices of the old graph")
+    if any(budget[i] > b[old] for i, old in enumerate(kept)):
+        raise ValueError("target budget must be pointwise <= the old one")
+    for u, c in fixed.items():
+        if u in pos or not 0 <= u < g.vertex_count:
+            raise ValueError(f"fixed vertex {u} must be an old vertex that is not kept")
+        if not 0 <= c < b[u]:
+            raise ValueError(f"fixed color {c} out of budget at vertex {u}")
     tables = []
-    for new_v, old_v in enumerate(kept):
-        old_nbrs = g.neighbors(old_v)
-        free_nbrs = [u for u in old_nbrs if u not in fixed]
-        rows = []
-        for coloring in product(*[range(b[u]) for u in free_nbrs]):
-            free_color = dict(zip(free_nbrs, coloring))
-            idx = 0
-            for u in old_nbrs:
-                c = fixed[u] if u in fixed else free_color[u]
-                idx = idx * b[u] + c
-            rows.append(strategy.tables[old_v][idx])
-        tables.append(tuple(rows))
-    induced = Strategy(sub, sub_budget, strategy.guess_count, tuple(tables))
-    return induced, kept
-
-
-def restrict_strategy_to_vertices(strategy: Strategy, vertices):
-    """Drop vertices no survivor can see.
-
-    Valid only when every surviving vertex has all its neighbors among
-    the survivors, i.e. the kept set is a union of components of the
-    visibility structure; tables then carry over unchanged.
-    """
-    g = strategy.graph
-    kept = tuple(sorted(set(vertices)))
-    kept_set = set(kept)
-    for v in kept:
-        if any(u not in kept_set for u in g.neighbors(v)):
-            raise ValueError(f"vertex {v} sees outside the kept set")
-    sub, _ = induced_subgraph(g, kept)
-    return Strategy(
-        sub,
-        strategy.budget.restrict(kept),
-        strategy.guess_count,
-        tuple(strategy.tables[v] for v in kept),
-    ), kept
+    for i, old in enumerate(kept):
+        # old entry index = base + sum over new neighbors j of stride[j] * color(j)
+        stride = dict.fromkeys(graph.neighbors(i), 0)
+        base, place = 0, 1
+        for u in reversed(g.neighbors(old)):
+            if u in fixed:
+                base += fixed[u] * place
+            elif pos.get(u) in stride:
+                stride[pos[u]] = place
+            else:
+                raise ValueError(f"vertex {old} sees vertex {u}, which is neither fixed nor a kept neighbor")
+            place *= b[u]
+        idxs = [base]
+        for j, w in stride.items():
+            idxs = [x + c * w for x in idxs for c in range(budget[j])]
+        rows = strategy.tables[old]
+        tables.append(tuple(_clip(rows[x], budget[i]) for x in idxs))
+    return Strategy._unchecked(graph, budget, strategy.guess_count, tuple(tables))
 
 
 def merge_two_guess(a: Strategy, b: Strategy) -> Strategy:
@@ -207,67 +233,12 @@ def merge_two_guess(a: Strategy, b: Strategy) -> Strategy:
         tuple(tuple(sorted(set(ea) | set(eb))) for ea, eb in zip(ta, tb))
         for ta, tb in zip(a.tables, b.tables)
     )
-    return Strategy(a.graph, a.budget, 2, tables)
-
-
-def restrict_to_budget(strategy: Strategy, smaller: ColorBudget) -> Strategy:
-    """View a strategy through a pointwise-smaller budget.
-
-    Tables are truncated to the colorings possible under the smaller
-    budget.  Guesses that name a color outside the smaller budget can
-    never be correct there, so they are remapped to color 0; any
-    assignment defeating the restricted strategy therefore defeats the
-    original as well.
-    """
-    g, b = strategy.graph, strategy.budget
-    if len(smaller) != len(b) or any(smaller[v] > b[v] for v in range(len(b))):
-        raise ValueError("target budget must be pointwise <= the current one")
-    tables = []
-    for v in range(g.vertex_count):
-        rows = []
-        for coloring in product(*[range(smaller[u]) for u in g.neighbors(v)]):
-            idx = 0
-            for u, c in zip(g.neighbors(v), coloring):
-                idx = idx * b[u] + c
-            entry = strategy.tables[v][idx]
-            mapped = tuple(sorted({c if c < smaller[v] else 0 for c in entry}))
-            rows.append(mapped)
-        tables.append(tuple(rows))
-    return Strategy(g, smaller, strategy.guess_count, tuple(tables))
-
-
-def lift_to_supergraph(strategy: Strategy, supergraph: Graph) -> Strategy:
-    """Re-index a strategy onto a graph with the same vertices, more edges.
-
-    The lifted tables ignore the extra visible neighbors: every vertex
-    guesses exactly as before, so defeats carry back verbatim.
-    """
-    g, b = strategy.graph, strategy.budget
-    if supergraph.vertex_count != g.vertex_count:
-        raise ValueError("supergraph must keep the vertex set")
-    if not g.edges <= supergraph.edges:
-        raise ValueError("supergraph must contain all current edges")
-    tables = []
-    for v in range(g.vertex_count):
-        old_nbrs = g.neighbors(v)
-        rows = []
-        for coloring in product(*[range(b[u]) for u in supergraph.neighbors(v)]):
-            seen = dict(zip(supergraph.neighbors(v), coloring))
-            idx = 0
-            for u in old_nbrs:
-                idx = idx * b[u] + seen[u]
-            rows.append(strategy.tables[v][idx])
-        tables.append(tuple(rows))
-    return Strategy(supergraph, b, strategy.guess_count, tuple(tables))
+    return Strategy._unchecked(a.graph, a.budget, 2, tables)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def assignment_to_text(assignment) -> str:
-    return " ".join(map(str, assignment))
-
 
 def strategy_to_text(strategy: Strategy) -> str:
     """Header "guesses g", then one line "v <entry index> <guess list>"."""
@@ -288,9 +259,14 @@ def strategy_from_text(text: str, graph: Graph, budget: ColorBudget) -> Strategy
     ]
     for ln in lines[1:]:
         parts = ln.split()
+        if len(parts) < 2:
+            raise ValueError(f"strategy line {ln!r} needs a vertex and an entry index")
         v, idx = int(parts[0]), int(parts[1])
-        entry = tuple(int(c) for c in parts[2:])
-        tables[v][idx] = entry
+        if not 0 <= v < graph.vertex_count or not 0 <= idx < len(tables[v]):
+            raise ValueError(f"strategy line {ln!r} names no table entry")
+        if tables[v][idx] is not None:
+            raise ValueError(f"strategy line {ln!r} repeats an entry")
+        tables[v][idx] = tuple(int(c) for c in parts[2:])
     if any(e is None for rows in tables for e in rows):
         raise ValueError("incomplete strategy text")
     return Strategy(graph, budget, guess_count, tuple(tuple(rows) for rows in tables))
@@ -353,7 +329,7 @@ def enumerate_strategies(
         for v in range(g.vertex_count):
             tables.append(tuple(flat[pos : pos + shape[v]]))
             pos += shape[v]
-        yield Strategy(g, budget, guess_count, tuple(tables))
+        yield Strategy._unchecked(g, budget, guess_count, tuple(tables))
 
 
 def random_strategy(
@@ -369,4 +345,4 @@ def random_strategy(
                 for _ in range(table_size(g, budget, v))
             )
         )
-    return Strategy(g, budget, guess_count, tuple(tables))
+    return Strategy._unchecked(g, budget, guess_count, tuple(tables))

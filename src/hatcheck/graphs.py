@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     DisconnectedGraphError,
@@ -303,6 +303,16 @@ def connected_components(g: Graph) -> tuple:
 
 def is_connected(g: Graph) -> bool:
     return g.vertex_count <= 1 or len(connected_components(g)) == 1
+
+
+def connected_graphs(n: int) -> Iterator[Graph]:
+    """All labeled connected graphs on n vertices, by ascending edge mask
+    over combinations(range(n), 2)."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+        if is_connected(g):
+            yield g
 
 
 def is_two_connected(g: Graph) -> bool:

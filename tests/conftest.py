@@ -5,7 +5,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, settings
 
 from hatcheck.game import ColorBudget, Strategy
-from hatcheck.graphs import Graph, is_connected
+from hatcheck.graphs import Graph, connected_graphs  # noqa: F401  (re-exported to the tests)
 
 settings.register_profile(
     "repro",
@@ -51,17 +51,6 @@ def diamond() -> Graph:
 def cactus() -> Graph:
     # triangle with a pendant path, circumference 3
     return graph(5, (0, 1), (0, 2), (1, 2), (2, 3), (3, 4))
-
-
-def connected_graphs(n: int) -> list:
-    """All labeled connected graphs on n vertices."""
-    pairs = list(combinations(range(n), 2))
-    out = []
-    for bits in range(1 << len(pairs)):
-        g = Graph(n, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1))
-        if is_connected(g):
-            out.append(g)
-    return out
 
 
 def winkler_strategy() -> Strategy:

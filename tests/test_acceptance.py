@@ -146,13 +146,13 @@ def test_criterion_06_lemma_defeat_suites():
 
     # two colors at v: K2 exhaustively, P3 endpoint by sampling
     sub2_k1 = oracle_exhaustive(Graph(1, frozenset()), ColorBudget.uniform(1, 3), 2)
-    defeat = oracle_lemma_two_at_v(complete(2), 0, (0, 1), 2, sub2_k1)
+    defeat = oracle_lemma_two_at_v(complete(2), 0, (0, 1), 2, sub2_k1).defeat
     total += _defeat_suite(defeat, complete(2), ColorBudget((2, 3)), 1, seed=103)
     ell = hg2_exact(complete(2))
     sub2_k2 = oracle_exhaustive(
         Graph.from_edges(2, [(0, 1)]), ColorBudget.uniform(2, ell + 1), 2
     )
-    defeat = oracle_lemma_two_at_v(path(3), 0, (0, 1), ell, sub2_k2)
+    defeat = oracle_lemma_two_at_v(path(3), 0, (0, 1), ell, sub2_k2).defeat
     total += _defeat_suite(
         defeat, path(3), ColorBudget((2, ell + 1, ell + 1)), 1, seed=104
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hatcheck.cli import entry
+from hatcheck.construct import AdversaryOracle
 from hatcheck.game import ColorBudget
 
 GRAPHS = Path(__file__).resolve().parent.parent / "scripts" / "graphs"
@@ -248,6 +249,17 @@ def test_verify_dump_shows_construction(capsys):
     assert "first_defeat_trace:" in out
 
 
+def test_verify_two_dump_shows_construction(capsys):
+    code, out = run(
+        capsys, "verify", graph_path("p3"), "--lemma", "two", "--trials", "5",
+        "--dump",
+    )
+    assert code == 0
+    assert "construction:\n  two-colors v=0 colors=(0, 1) ell=4" in out
+    assert "first_defeat_trace:" in out
+    assert "defeated: 5/5" in out
+
+
 # ---------------------------------------------------------------------------
 # failure exits
 # ---------------------------------------------------------------------------
@@ -278,7 +290,11 @@ def test_exit_verify_on_bogus_defeat(capsys, monkeypatch):
 
     def bogus(g, args, guards, lines):
         budget = ColorBudget.uniform(g.vertex_count, 2)
-        return (lambda s: tuple([0] * g.vertex_count)), budget, 1, None, ()
+
+        def engine(strategy, log):
+            return tuple([0] * g.vertex_count)
+
+        return AdversaryOracle(g, budget, 1, (), engine), ()
 
     monkeypatch.setitem(cli_mod._DERIVERS, "rus", bogus)
     code, out = run(

@@ -127,7 +127,7 @@ def test_lemma_is_validation():
 def test_two_at_v_k2_exhaustive():
     g = complete(2)
     sub2 = oracle_exhaustive(Graph.from_edges(1, []), ColorBudget.uniform(1, 3), 2)
-    defeat = oracle_lemma_two_at_v(g, 0, (0, 1), 2, sub2)
+    defeat = oracle_lemma_two_at_v(g, 0, (0, 1), 2, sub2).defeat
     budget = ColorBudget((2, 3))
     count = 0
     for s in enumerate_strategies(g, budget, 1):
@@ -144,7 +144,7 @@ def test_two_at_v_p3_endpoint():
     rest, _ = g, None
     sub_graph = Graph.from_edges(2, [(0, 1)])  # vertices 1, 2 relabelled
     sub2 = oracle_exhaustive(sub_graph, ColorBudget.uniform(2, 5), 2)
-    defeat = oracle_lemma_two_at_v(g, 0, (0, 1), 4, sub2)
+    defeat = oracle_lemma_two_at_v(g, 0, (0, 1), 4, sub2).defeat
     budget = ColorBudget((2, 5, 5))
     rng = SplitMix64(11)
     for _ in range(200):

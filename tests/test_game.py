@@ -14,20 +14,17 @@ from hatcheck.game import (
     enumerate_strategies,
     guess_set_count,
     guesses_at,
-    induce_strategy_after_fixing,
     is_defeating,
-    lift_to_supergraph,
     merge_two_guess,
     nth_guess_set,
     random_strategy,
-    restrict_strategy_to_vertices,
-    restrict_to_budget,
+    reindex,
     strategy_from_text,
     strategy_space_size,
     strategy_to_text,
     table_size,
 )
-from hatcheck.graphs import Graph
+from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import Guards
 from hatcheck.rng import SplitMix64
 
@@ -125,19 +122,26 @@ def test_defeat_monotone_under_budget_extension():
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# re-indexing
 # ---------------------------------------------------------------------------
+
+def fix(strategy, fixed):
+    """Pin the fixed vertices and keep the rest: (view, kept)."""
+    g = strategy.graph
+    sub, kept = induced_subgraph(g, [v for v in g.vertices() if v not in fixed])
+    return reindex(strategy, sub, strategy.budget.restrict(kept), kept, fixed), kept
+
 
 def test_induce_fixing_k2():
     s = winkler_strategy()
-    induced, kept = induce_strategy_after_fixing(s, {1: 1})
+    induced, kept = fix(s, {1: 1})
     assert kept == (0,)
     assert induced.tables == (((1,),),)
 
 
 def test_induce_fixing_empty_is_identity():
     s = winkler_strategy()
-    induced, kept = induce_strategy_after_fixing(s, {})
+    induced, kept = fix(s, {})
     assert kept == (0, 1) and induced.tables == s.tables
 
 
@@ -145,7 +149,7 @@ def test_induce_fixing_locality():
     g = path(3)
     b = ColorBudget.uniform(3, 2)
     s = random_strategy(g, b, 1, SplitMix64(1))
-    induced, kept = induce_strategy_after_fixing(s, {2: 1})
+    induced, kept = fix(s, {2: 1})
     assert kept == (0, 1)
     assert induced.tables[0] == s.tables[0]
 
@@ -162,7 +166,7 @@ def test_induce_commutes_with_guesses():
             for k in range(1, n):
                 for fixed_set in itertools.combinations(range(n), k):
                     fixed = {v: b.sizes[v] - 1 for v in fixed_set}
-                    induced, kept = induce_strategy_after_fixing(s, fixed)
+                    induced, kept = fix(s, fixed)
                     for psi in enumerate_assignments(induced.budget):
                         full = [0] * n
                         for i, v in enumerate(kept):
@@ -204,7 +208,7 @@ def test_restrict_to_budget_soundness():
     rng = SplitMix64(3)
     for _ in range(40):
         s = random_strategy(g, big, 1, rng)
-        shrunk = restrict_to_budget(s, small)
+        shrunk = reindex(s, g, small, g.vertices())
         assert shrunk.budget == small
         for a in enumerate_assignments(small):
             if is_defeating(shrunk, a):
@@ -217,8 +221,9 @@ def test_restrict_to_vertices():
     s = random_strategy(g, b, 1, SplitMix64(4))
     # {0} sees only vertex 1, which is dropped: rejected
     with pytest.raises(ValueError):
-        restrict_strategy_to_vertices(s, (0,))
-    sub, kept = restrict_strategy_to_vertices(s, (0, 1, 2))
+        reindex(s, Graph(1, frozenset()), b.restrict((0,)), (0,))
+    kept = (0, 1, 2)
+    sub = reindex(s, g, b, kept)
     assert kept == (0, 1, 2) and sub.tables == s.tables
 
 
@@ -230,10 +235,62 @@ def test_lift_to_supergraph():
     rng = SplitMix64(8)
     for _ in range(20):
         s = random_strategy(sub, b, 1, rng)
-        lifted = lift_to_supergraph(s, sup)
+        lifted = reindex(s, sup, b, sup.vertices())
         for a in enumerate_assignments(b):
             for v in range(3):
                 assert guesses_at(lifted, v, a) == guesses_at(s, v, a)
+
+
+def test_reindex_rejects_fixed_color_out_of_budget():
+    s = winkler_strategy()
+    with pytest.raises(ValueError, match="out of budget"):
+        fix(s, {1: 2})
+
+
+def test_reindex_rejects_budget_above_the_old_one():
+    s = winkler_strategy()
+    with pytest.raises(ValueError, match="pointwise"):
+        reindex(s, s.graph, ColorBudget((2, 3)), (0, 1))
+
+
+def test_reindex_rejects_dropped_neighbor_that_is_not_fixed():
+    # vertex 1 of P3 sees vertex 2, which is neither kept nor fixed
+    g = path(3)
+    b = ColorBudget.uniform(3, 2)
+    s = random_strategy(g, b, 1, SplitMix64(5))
+    sub, kept = induced_subgraph(g, (0, 1))
+    with pytest.raises(ValueError, match="neither fixed nor a kept neighbor"):
+        reindex(s, sub, b.restrict(kept), kept)
+
+
+# ---------------------------------------------------------------------------
+# Strategy validation
+# ---------------------------------------------------------------------------
+
+K2 = complete(2)
+B22 = ColorBudget.uniform(2, 2)
+GOOD = (((0,), (1,)), ((1,), (0,)))
+
+
+@pytest.mark.parametrize(
+    "graph_, budget, guess_count, tables, message",
+    [
+        (K2, ColorBudget((2,)), 1, GOOD, "budget length"),
+        (K2, B22, 3, GOOD, "guess_count"),
+        (K2, B22, 1, GOOD[:1], "one table per vertex"),
+        (K2, B22, 1, (((0,),), GOOD[1]), "entries, expected"),
+        (K2, B22, 1, (((0, 1), (1,)), GOOD[1]), "guess set size"),
+        (K2, B22, 2, (((1, 0), (1,)), GOOD[1]), "sorted and duplicate-free"),
+        (K2, B22, 2, (((1, 1), (1,)), GOOD[1]), "sorted and duplicate-free"),
+        (K2, B22, 1, (((2,), (1,)), GOOD[1]), "out of budget"),
+    ],
+    ids=["budget-length", "guess-count", "table-count", "table-length",
+         "guess-set-size", "unsorted", "duplicate", "color-out-of-budget"],
+)
+def test_strategy_rejects(graph_, budget, guess_count, tables, message):
+    assert Strategy(K2, B22, 1, GOOD).tables == GOOD
+    with pytest.raises(ValueError, match=message):
+        Strategy(graph_, budget, guess_count, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +332,22 @@ def test_strategy_text_roundtrip():
         for _ in range(10):
             s = random_strategy(g, b, gc, rng)
             assert strategy_from_text(strategy_to_text(s), g, b) == s
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("-1 1 0", "names no table entry"),
+        ("2 0 0", "names no table entry"),
+        ("0 1 1", "repeats an entry"),
+        ("0", "needs a vertex and an entry index"),
+    ],
+    ids=["negative-vertex", "vertex-out-of-range", "repeated-entry", "short-line"],
+)
+def test_strategy_text_rejects_bad_lines(line, message):
+    text = strategy_to_text(winkler_strategy()) + line + "\n"
+    with pytest.raises(ValueError, match=message):
+        strategy_from_text(text, complete(2), ColorBudget.uniform(2, 2))
 
 
 @given(st.integers(0, 2 ** 64 - 1))
