@@ -24,9 +24,9 @@ def main() -> int:
     with mpmath.workprec(300):
         print("b_n ladder:")
         for n in range(1, args.terms + 1):
-            a_n = two_guess_seq(n).exact
-            log2_b = (mpmath.log(mpmath.mpf(2 * a_n - 1), 2) - 1) / 2 ** (n - 1)
-            print(f"  n={n:2d}  digits(a_n)={len(str(a_n)):6d}  b_n={2 ** log2_b}")
+            a_n = two_guess_seq(n)
+            log2_b = (mpmath.log(mpmath.mpf(2 * a_n.exact - 1), 2) - 1) / 2 ** (n - 1)
+            print(f"  n={n:2d}  digits(a_n)={len(a_n.to_text()):6d}  b_n={2 ** log2_b}")
 
         print("enclosures:")
         for bits in (32, 64, 128, 256):

@@ -11,12 +11,20 @@ than a multiple of the product of all previous terms), the cycle-length
 bound is (64/25) raised to a power of two, and the degenerate-tree
 bounds iterate x -> x^k, so log2 forms are the common case beyond tiny
 arguments.
+
+Exact values print in full.  Integers of 600 or more digits are
+rendered by divide and conquer on powers of two into a `decimal.Decimal`
+(Knuth, TAOCP vol. 2, 4.4), whose str takes linear time, instead of
+through int.__str__, which is quadratic in CPython before 3.12.  The
+result never passes through int.__str__ above 600 digits, so it does not
+depend on the process's int-to-str digit limit, and nothing global is
+read or changed.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -47,6 +55,50 @@ def _pad_down(x):
 
 def _pad_up(x):
     return x + abs(x) * mpmath.mpf(2) ** -90 + mpmath.mpf(2) ** -120
+
+
+# 2^1990 < 10^600: below this, str(v) has at most 600 digits, under the
+# lowest int-to-str limit (640) CPython accepts
+_STR_BITS = 1990
+# leaves of the power-of-two split convert to Decimal directly
+_LEAF_BITS = 128
+
+
+def _decimal_text(v: int) -> str:
+    """str(v) in subquadratic time and regardless of the int-to-str limit.
+
+    v = hi * 2^w2 + lo is rebuilt recursively as an exact Decimal (each
+    power of two computed once), and Decimal.__str__ is linear.
+    """
+    if v.bit_length() < _STR_BITS:
+        return str(v)
+    two = decimal.Decimal(2)
+    powers = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        p = powers.get(w)
+        if p is None:
+            if w <= _LEAF_BITS:
+                p = two**w
+            elif w - 1 in powers:
+                p = powers[w - 1] + powers[w - 1]
+            else:
+                p = pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def build(x: int, w: int) -> decimal.Decimal:
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(x)
+        w2 = w >> 1
+        hi = x >> w2
+        return build(x - (hi << w2), w2) + build(hi, w - w2) * pow2(w2)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(build(v, v.bit_length()))
 
 
 def _log2_interval_of_int(v: int):
@@ -99,12 +151,9 @@ class BigBound:
 
     def to_text(self) -> str:
         if self.is_exact:
-            # exact values may be far beyond the default str-conversion cap
-            if sys.get_int_max_str_digits() < DIGIT_GUARD + 10:
-                sys.set_int_max_str_digits(DIGIT_GUARD + 10)
             if isinstance(self.exact, Fraction):
-                return f"{self.exact.numerator}/{self.exact.denominator}"
-            return str(self.exact)
+                return f"{_decimal_text(self.exact.numerator)}/{_decimal_text(self.exact.denominator)}"
+            return _decimal_text(self.exact)
         with mpmath.workprec(_PREC):
             mid = (self.log2_lo + self.log2_hi) / 2
             return f"2^{mpmath.nstr(mid, 17)}"
@@ -166,8 +215,11 @@ def _seq(n: int, multiplier: int) -> BigBound:
         if nxt.bit_length() > _GUARD_BITS:
             break
         term = nxt
-        prod *= nxt
         k += 1
+        if k == n:
+            # the product with the last term is never read
+            break
+        prod *= nxt
     if k == n:
         return BigBound.from_exact(term)
     # continue in log2; the +1 is swallowed by an upper pad that dwarfs

@@ -185,11 +185,15 @@ def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=N
     vertices; a guess outside it can never be right there and becomes
     color 0.  So an assignment that defeats the view, extended by the
     pinned colors, defeats the original strategy.  Raises ValueError
-    when the new game breaks any of these preconditions.
+    when the new game breaks any of these preconditions.  The identity
+    view (same graph and budget, kept = 0..n-1, nothing fixed) is the
+    strategy itself.
     """
     g, b = strategy.graph, strategy.budget
     fixed = fixed or {}
     n = graph.vertex_count
+    if not fixed and graph == g and budget == b and tuple(kept) == tuple(range(n)):
+        return strategy
     if len(kept) != n or len(budget) != n:
         raise ValueError("need one kept vertex and one budget entry per new vertex")
     pos = {old: new for new, old in enumerate(kept)}

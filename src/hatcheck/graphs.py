@@ -449,32 +449,74 @@ def circumference(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     Exact backtracking over simple paths.  Each cycle is counted from its
     smallest vertex, and the search never descends below that vertex,
     which removes rotational and starting-point duplicates.
+
+    A cycle from start uses only vertices >= start of start's component,
+    and in a bipartite component it alternates sides, so it has at most
+    2 * min(side counts) of them.  A start whose cap cannot beat the best
+    cycle so far is skipped, and the search from a start stops as soon as
+    it finds a cycle that meets the cap.
     """
     n = g.vertex_count
     guards.check("circumference", n)
+    # component and 2-colouring side of each vertex; per component, the
+    # count of vertices >= start on each side (kept as start advances) and
+    # whether the colouring is proper
+    comp = [-1] * n
+    side = [0] * n
+    left = []
+    bipartite = []
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        i = len(left)
+        comp[root] = i
+        counts = [0, 0]
+        proper = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            counts[side[v]] += 1
+            for w in g.neighbors(v):
+                if comp[w] < 0:
+                    comp[w] = i
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    proper = False
+        left.append(counts)
+        bipartite.append(proper)
     best = 0
     on_path = [False] * n
 
-    def extend(start: int, v: int, length: int, free: int) -> None:
+    def extend(start: int, v: int, length: int, free: int, cap: int) -> bool:
+        """Search paths from v; True once a cycle of length cap is found."""
         nonlocal best
         # free = vertices still allowed; cycle through start can't beat
         # length + free + 1 edges
         if length + free + 1 <= best:
-            return
+            return False
         for w in g.neighbors(v):
             if w == start and length >= 2:
                 if length + 1 > best:
                     best = length + 1
+                    if best >= cap:
+                        return True
             elif w > start and not on_path[w]:
                 on_path[w] = True
-                extend(start, w, length + 1, free - 1)
+                done = extend(start, w, length + 1, free - 1, cap)
                 on_path[w] = False
+                if done:
+                    return True
+        return False
 
     for start in range(n):
-        if g.degree(start) < 2:
+        counts = left[comp[start]]
+        cap = 2 * min(counts) if bipartite[comp[start]] else sum(counts)
+        counts[side[start]] -= 1
+        if g.degree(start) < 2 or cap <= best:
             continue
         on_path[start] = True
-        extend(start, start, 0, n - start - 1)
+        extend(start, start, 0, n - start - 1, cap)
         on_path[start] = False
     return best
 

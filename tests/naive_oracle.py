@@ -1,4 +1,4 @@
-"""Independent brute-force oracle for the guessing game.
+"""Independent brute-force oracles for the guessing game and for cycles.
 
 Used by tests to cross-check the production solver.  Decides the game
 by enumerating guess tables directly: depth-first over table cells in a
@@ -11,9 +11,12 @@ A branch dies as soon as some fully determined assignment defeats it:
 once every cell an assignment reads is filled and none of them guesses
 the assignment's color, no completion can save it.  That check is the
 only pruning; nothing else is shared with the production search.
+
+The longest-cycle oracle tries every cyclic ordering of every vertex
+subset, so it shares nothing with the backtracking circumference search.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, table_size
 from hatcheck.graphs import Graph
@@ -106,3 +109,18 @@ def naive_hg(g: Graph, guess_count: int, guards: Guards = DEFAULT_GUARDS) -> int
         if not won:
             return q
         q += 1
+
+
+def naive_circumference(g: Graph) -> int:
+    """Longest cycle length (0 if acyclic) over every vertex subset of size
+    >= 3 and every ordering of it that fixes its smallest vertex first."""
+    n = g.vertex_count
+    if n > 7:
+        raise ValueError("naive_circumference is meant for n <= 7")
+    for size in range(n, 2, -1):
+        for subset in combinations(range(n), size):
+            for rest in permutations(subset[1:]):
+                ring = (subset[0],) + rest
+                if all(g.has_edge(ring[i - 1], ring[i]) for i in range(size)):
+                    return size
+    return 0

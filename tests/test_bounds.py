@@ -1,13 +1,20 @@
 """Sequences, theta, and the closed-form bounds with sound comparisons."""
 
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from hatcheck.bounds import (
+    _STR_BITS,
     BigBound,
+    _decimal_text,
     circ_bound,
     lll_degree_bound,
     n_h_t_closed,
@@ -219,3 +226,60 @@ def test_to_text_forms():
     assert BigBound.from_exact(1807).to_text() == "1807"
     assert BigBound.from_exact(Fraction(3, 2)).to_text() == "3/2"
     assert two_guess_seq(40).to_text().startswith("2^")
+
+
+# ---------------------------------------------------------------------------
+# decimal rendering of exact values
+# ---------------------------------------------------------------------------
+
+_EDGE_INTS = (
+    [0, 1, 2**128 - 1, 2**128, 2**128 + 1, 2**_STR_BITS - 1, 2**_STR_BITS, 2**_STR_BITS + 1]
+    + [10**k - d for k in range(595, 606) for d in (0, 1)]
+    + [-(10**600), -(2**200000 - 1)]
+)
+
+
+@given(
+    st.one_of(
+        st.sampled_from(_EDGE_INTS),
+        # random ints up to 2^200000, their bit length drawn per octave
+        st.builds(
+            lambda bits, seed: random.Random(seed).getrandbits(bits),
+            st.integers(0, 17).flatmap(lambda e: st.integers(2**e, min(2 ** (e + 1), 200000))),
+            st.integers(0, 2**32),
+        ),
+    )
+)
+def test_decimal_text_matches_str(v):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = str(v)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert _decimal_text(v) == expected
+
+
+def test_to_text_leaves_int_str_limit_alone():
+    # a(15) has 6,671 digits, over the default limit of 4300
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        text = two_guess_seq(15).to_text()
+        fraction = circ_bound(6).to_text()
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert len(text) == 6671
+    assert fraction.count("/") == 1
+
+
+def test_theta_convergence_script_prints_large_terms():
+    root = Path(__file__).resolve().parent.parent
+    env = {"PYTHONPATH": str(root / "src"), "PATH": ""}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "theta_convergence.py"), "--terms", "16", "--margin-terms", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "n=16  digits(a_n)= 13341" in done.stdout

@@ -1,5 +1,7 @@
 """Command line surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,46 @@ def test_bound_requires_one_selector(capsys):
     assert code == 2
     code, _ = run(capsys, "bound", "--circ", "3", "--lll", "2")
     assert code == 2
+
+
+# pinned reports: the largest exact terms and fractions the bound command
+# prints (up to 427k digits), so a change to how exact values are computed
+# or rendered must keep every byte
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--seq", "a", "--n", "19"), "aa45ba8b21bc22997b278d00b0ddae148377c827df007855d3b99d80827a54f7"),
+        (("--seq", "a", "--n", "21"), "027cb4ccc554073677aa0f74e92e24cae8a82e1cce8607a3d99a81cd70dd9675"),
+        (("--seq", "sylvester", "--n", "20"), "5a335d41b4e9e954254f86533725e1a02d75150cf6ee0d45d01f126fdd458bad"),
+        (("--seq", "sylvester", "--n", "21"), "2f8ec4dfb30658a1b6aacb244604874235805a4b379b16a52409601db2788b2d"),
+        (("--circ", "3"), "55a11b8b8dd9f212fd2ca673b2dc8b1c128e19e090000a39e9e1029854fc150b"),
+        (("--circ", "4"), "3bd34b6856393660fd6b8bbc92a88ab3166af6a3feb936cd4a0c7900730a244e"),
+        (("--circ", "5"), "8caf47503f7be65110c1d7466acd7fe251878c97998c6c1e4f90287756ee8d88"),
+        (("--circ", "6"), "57b9f05fe8455f0963dae33fa855a21e6d82433c3c7285d9a7474655198b4224"),
+        (("--circ", "7"), "66da732c4c223564ae956dc4a275445c1ba88646d86b272aa889ac076a02e16b"),
+        (("--circ", "8"), "03003840a9d383a00e741399312a1f4091a3faea33efe3c24d02966027f6d72f"),
+    ],
+    ids=["a19", "a21", "sylvester20", "sylvester21", "circ3", "circ4", "circ5", "circ6", "circ7", "circ8"],
+)
+def test_pinned_bound_reports(capsys, argv, digest):
+    code, out = run(capsys, "bound", *argv)
+    assert code == 0
+    assert hashlib.sha256(strip_timing(out).encode()).hexdigest() == digest
+
+
+def test_bound_reports_ignore_int_str_limit(capsys):
+    # 640 is the lowest int-to-str limit CPython accepts; a(15) has 6,672
+    # digits and the --circ 6 fraction about 210k per part
+    queries = (("--seq", "a", "--n", "15"), ("--circ", "6"))
+    expected = [strip_timing(run(capsys, "bound", *q)[1]) for q in queries]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        got = [strip_timing(run(capsys, "bound", *q)[1]) for q in queries]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,17 @@ def test_lift_to_supergraph():
                 assert guesses_at(lifted, v, a) == guesses_at(s, v, a)
 
 
+def test_reindex_identity_view_is_the_strategy():
+    g = path(3)
+    b = ColorBudget((2, 3, 2))
+    s = random_strategy(g, b, 1, SplitMix64(9))
+    assert reindex(s, s.graph, s.budget, range(3)) is s
+    assert reindex(s, Graph(3, frozenset(g.edges)), ColorBudget((2, 3, 2)), (0, 1, 2), {}) is s
+    # any other view is a new strategy
+    assert reindex(s, g, ColorBudget((2, 2, 2)), range(3)) is not s
+    assert reindex(s, g, b, (0, 1, 2)[::-1]) is not s
+
+
 def test_reindex_rejects_fixed_color_out_of_budget():
     s = winkler_strategy()
     with pytest.raises(ValueError, match="out of budget"):

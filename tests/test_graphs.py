@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bowtie, complete, connected_graphs, cycle, graph, path, star
+from naive_oracle import naive_circumference
 from hatcheck.errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -243,6 +244,65 @@ def test_circumference_examples():
 def test_circumference_guard():
     with pytest.raises(GuardExceededError):
         circumference(path(21), Guards(circumference=20))
+
+
+def _relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = rng.sample(range(g.vertex_count), g.vertex_count)
+    return Graph.from_edges(g.vertex_count, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+def _bipartite_plus_odd(rng: random.Random, n: int) -> Graph:
+    # a bipartite component on 0..k-1 (a path plus chords joining the two
+    # sides) beside one on k..n-1 holding a triangle, labels interleaved
+    k = rng.choice((3, 4)) if n == 7 else 3
+    edges = {(i, i + 1) for i in range(k - 1)}
+    edges |= {(i, j) for i in range(k) for j in range(i + 3, k, 2) if rng.random() < 0.5}
+    edges |= {(k, k + 1), (k + 1, k + 2), (k, k + 2)}
+    edges |= {(i, i + 1) for i in range(k + 2, n - 1)}
+    edges |= {(i, j) for i in range(k, n) for j in range(i + 2, n) if rng.random() < 0.3}
+    return _relabel(graph(n, *edges), rng)
+
+
+def test_circumference_matches_naive_connected():
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            assert circumference(g) == naive_circumference(g), g
+
+
+def test_circumference_matches_naive_random():
+    rng = random.Random(2024)
+    for _ in range(150):
+        n = rng.choice((6, 7))
+        p = rng.random()
+        g = Graph(n, frozenset(e for e in itertools.combinations(range(n), 2) if rng.random() < p))
+        assert circumference(g) == naive_circumference(g), g
+    for _ in range(60):
+        g = _bipartite_plus_odd(rng, rng.choice((6, 7)))
+        assert len(connected_components(g)) == 2
+        assert circumference(g) == naive_circumference(g), g
+
+
+def test_circumference_known_families():
+    rng = random.Random(7)
+    for a in range(2, 7):
+        for b in range(2, 7):
+            kab = graph(a + b, *((i, a + j) for i in range(a) for j in range(b)))
+            for _ in range(2):
+                assert circumference(_relabel(kab, rng)) == 2 * min(a, b)
+    # non-bipartite and non-Hamiltonian
+    petersen = graph(
+        10,
+        *((i, (i + 1) % 5) for i in range(5)),
+        *((i, i + 5) for i in range(5)),
+        *((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+    )
+    assert circumference(petersen) == 9
+    assert circumference(_relabel(petersen, rng)) == 9
+    for n in (3, 5, 7, 9, 11):
+        assert circumference(_relabel(cycle(n), rng)) == n
+    for n in range(1, 16):
+        tree = graph(n, *((v, rng.randrange(v)) for v in range(1, n)))
+        assert circumference(_relabel(tree, rng)) == 0
 
 
 # ---------------------------------------------------------------------------
