@@ -34,6 +34,7 @@ from .errors import (
     GuardExceededError,
     HatcheckError,
     IndeterminateComparisonError,
+    InternalError,
     PremiseViolationError,
     VerificationFailureError,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "Guards",
     "HatcheckError",
     "IndeterminateComparisonError",
+    "InternalError",
     "PremiseViolationError",
     "RootedTree",
     "SolveOutcome",

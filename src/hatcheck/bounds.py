@@ -12,6 +12,17 @@ bound is (64/25) raised to a power of two, and the degenerate-tree
 bounds iterate x -> x^k, so log2 forms are the common case beyond tiny
 arguments.
 
+A sequence term is exact when it and every earlier term fit under the
+guard.  Whether that holds is decided without building the product that
+would cross it: the running product is exact only up to a few thousand
+bits, then the padded log2 recurrence is walked on to the requested
+term, and its enclosure is compared with the guard.  Under it, the
+exact loop resumes; at or above it, the walked interval is the value.
+An enclosure that straddles the guard raises
+IndeterminateComparisonError.  That cannot happen at DIGIT_GUARD:
+the nearest term up to the index cap, a(22) = sylvester(23), is about
+486k bits under it.
+
 Exact values print in full.  Integers of 600 or more digits are
 rendered by divide and conquer on powers of two into a `decimal.Decimal`
 (Knuth, TAOCP vol. 2, 4.4), whose str takes linear time, instead of
@@ -42,6 +53,9 @@ DIGIT_GUARD = 10**6
 _GUARD_BITS = int(DIGIT_GUARD * math.log2(10))
 
 _SEQ_LIMIT = 64
+# sequence products are built exactly only up to this size; past it the
+# exact/log switch is decided from a log2 enclosure (see _seq)
+_WORK_BITS = 4096
 _PREC = 120
 
 # t**h in the degenerate-tree bounds must stay an ordinary machine-scale
@@ -202,7 +216,16 @@ def _coerce(value) -> BigBound:
 
 
 def _seq(n: int, multiplier: int) -> BigBound:
-    """Shared recursion: x_{k+1} = 1 + multiplier * prod(x_0..x_k)."""
+    """Shared recursion: x_{k+1} = 1 + multiplier * prod(x_0..x_k).
+
+    Terms are exact while they fit under the digit guard and log2
+    intervals beyond it.  The running product is built exactly only up
+    to _WORK_BITS.  Past that, the padded log2 recurrence is walked on to
+    x_n first: if its enclosure lies under _GUARD_BITS, the exact loop
+    resumes where it stopped; if at or above, the walked interval is the
+    result.  No product over the guard is ever built.  An enclosure that
+    straddles the guard raises IndeterminateComparisonError.
+    """
     if n < 0:
         raise ValueError("sequence index must be non-negative")
     if n > _SEQ_LIMIT:
@@ -210,27 +233,43 @@ def _seq(n: int, multiplier: int) -> BigBound:
     term = 1
     prod = 1
     k = 0
-    while k < n:
-        nxt = 1 + multiplier * prod
-        if nxt.bit_length() > _GUARD_BITS:
-            break
-        term = nxt
+    while k < n and prod.bit_length() <= _WORK_BITS:
+        term = 1 + multiplier * prod
+        # exact test; only a guard near or under _WORK_BITS trips it
+        if term.bit_length() > _GUARD_BITS:
+            return _seq_log2(n, multiplier, k, prod)
+        prod *= term
         k += 1
-        if k == n:
-            # the product with the last term is never read
-            break
-        prod *= nxt
-    if k == n:
-        return BigBound.from_exact(term)
-    # continue in log2; the +1 is swallowed by an upper pad that dwarfs
-    # 1/prod at the switch-over size
+    if k < n:
+        tail = _seq_log2(n, multiplier, k, prod)
+        if tail.log2_lo >= _GUARD_BITS:
+            return tail
+        if tail.log2_hi >= _GUARD_BITS:
+            raise IndeterminateComparisonError(
+                f"term {n} has log2 in [{tail.log2_lo}, {tail.log2_hi}], "
+                f"which straddles the {_GUARD_BITS}-bit guard"
+            )
+        while k < n:
+            term = 1 + multiplier * prod
+            k += 1
+            if k < n:
+                # the product with the last term is never read
+                prod *= term
+    return BigBound.from_exact(term)
+
+
+def _seq_log2(n: int, multiplier: int, k: int, prod: int) -> BigBound:
+    """log2 enclosure of x_n from the exact prod(x_0..x_k), k < n."""
     with mpmath.workprec(_PREC):
         log_m = mpmath.log(mpmath.mpf(multiplier), 2) if multiplier > 1 else 0
         p_lo, p_hi = _log2_interval_of_int(prod)
-        t_lo = t_hi = None
+        # the +1 lifts log2 by at most 1/(prod * ln 2) < 2^(1 - log2 prod),
+        # and by less for every later, larger product; allow that or
+        # 2^-60, whichever is larger
+        plus_one = mpmath.mpf(2) ** -min(60, int(mpmath.floor(p_lo)) - 1)
         while k < n:
             t_lo = _pad_down(p_lo + log_m)
-            t_hi = _pad_up(p_hi + log_m + mpmath.mpf(2) ** -60)
+            t_hi = _pad_up(p_hi + log_m + plus_one)
             p_lo = _pad_down(p_lo + t_lo)
             p_hi = _pad_up(p_hi + t_hi)
             k += 1

@@ -39,6 +39,7 @@ from .errors import (
     DisconnectedGraphError,
     GraphParseError,
     GuardExceededError,
+    InternalError,
     PremiseViolationError,
     VerificationFailureError,
 )
@@ -73,6 +74,7 @@ EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
 EXIT_PREMISE = 5
+EXIT_INTERNAL = 6
 
 _APPROX_PREC = 80  # mpmath working precision for display-only arithmetic
 
@@ -537,6 +539,9 @@ def entry(argv=None) -> int:
         lines.append(f"premise_violation: {exc.claim}")
         lines.extend(_witness_lines(exc.witness))
         code = EXIT_PREMISE
+    except InternalError as exc:
+        lines.append(f"internal_error: {exc}")
+        code = EXIT_INTERNAL
     lines.append(f"wall_time_s: {time.perf_counter() - started:.3f}")
     print("\n".join(lines))
     return code

@@ -30,7 +30,7 @@ from itertools import combinations, product
 from typing import Callable, Optional
 
 from .bounds import _GUARD_BITS, _ceil_e_times, n_h_t_recursive, two_guess_seq
-from .errors import GuardExceededError, PremiseViolationError
+from .errors import GuardExceededError, InternalError, PremiseViolationError
 from .game import (
     ColorBudget,
     Strategy,
@@ -459,7 +459,10 @@ def oracle_lemma_rus(
             out[u] = phis[pick][pos1[u]]
         for j, u in enumerate(kept2):
             out[u] = psi[j]
-        assert out[v] == gammas[pick]
+        if out[v] != gammas[pick]:
+            raise InternalError(
+                f"cut-split gave cut vertex {v} color {out[v]}, not the picked {gammas[pick]}"
+            )
         return tuple(out)
 
     return AdversaryOracle(g, budget, 1, construction, engine)
@@ -601,7 +604,11 @@ def oracle_closure(
             table = cur.tables[leaf]
             guards.check("enumeration", len(table))
             gamma = _smallest_missing(set().union(*table))
-            assert gamma < cur.budget[leaf], "budget a(k+1) = 1 + 2P always leaves a color"
+            if gamma >= cur.budget[leaf]:
+                # the budget a(k+1) = 1 + 2P always leaves a color
+                raise InternalError(
+                    f"closure leaf {label}: no color left under budget {cur.budget[leaf]}"
+                )
             out[label] = gamma
             _note(log, f"closure leaf {label} height={tree.height_of(label)}: assign {gamma}")
             cur = reindex(cur, sub_graph, sub_budget, kept, {leaf: gamma})

@@ -77,3 +77,7 @@ class VerificationFailureError(HatcheckError):
 
 class IndeterminateComparisonError(HatcheckError):
     """Two interval-valued bounds overlap too much to order soundly."""
+
+
+class InternalError(HatcheckError):
+    """An invariant the code relies on failed: a bug, not a bad input."""

@@ -11,8 +11,10 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from hatcheck import bounds
 from hatcheck.bounds import (
     _STR_BITS,
+    _WORK_BITS,
     BigBound,
     _decimal_text,
     circ_bound,
@@ -71,6 +73,61 @@ def test_large_indices_leave_exact_range():
     assert not big.is_exact
     lo, hi = big.log2_interval()
     assert lo <= hi
+
+
+def _plain_terms(multiplier: int, count: int) -> list:
+    """x_0..x_{count-1} of x_{k+1} = 1 + multiplier * prod(x_0..x_k)."""
+    terms, prod = [1], 1
+    while len(terms) < count:
+        terms.append(1 + multiplier * prod)
+        prod *= terms[-1]
+    return terms
+
+
+@pytest.mark.parametrize("multiplier, fn", [(1, sylvester), (2, two_guess_seq)])
+def test_switch_index_matches_plain_recurrence(monkeypatch, multiplier, fn):
+    # a term is exact iff it and every earlier term fit under the guard;
+    # guards at each term's bit length and one below it put the switch on
+    # every index, with the product both under and over the working size
+    terms = _plain_terms(multiplier, 18)
+    guards = sorted({b for x in terms for b in (x.bit_length(), x.bit_length() - 1)})
+    assert guards[0] < _WORK_BITS < guards[-1]
+    for guard in guards:
+        monkeypatch.setattr(bounds, "_GUARD_BITS", guard)
+        for n, x in enumerate(terms):
+            got = fn(n)
+            if all(t.bit_length() <= guard for t in terms[1 : n + 1]):
+                assert got.exact == x, (guard, n)
+            else:
+                assert not got.is_exact, (guard, n)
+
+
+def test_real_switch_index():
+    assert two_guess_seq(22).is_exact and sylvester(23).is_exact
+    assert not two_guess_seq(23).is_exact and not sylvester(24).is_exact
+
+
+def test_log_form_terms_enclose_independent_log2():
+    # log2 a(n) at 300 bits from the exact a(12) alone: a(n+1) =
+    # a(n)^2 - a(n) + 1 = a(n)^2 (1 - 1/a(n) + 1/a(n)^2); s(n+1) = a(n)
+    a12 = 3
+    for _ in range(11):
+        a12 = a12 * a12 - a12 + 1
+    with mpmath.workprec(300):
+        lg = {12: mpmath.log(mpmath.mpf(a12), 2)}
+        for n in range(12, 64):
+            x = lg[n]
+            lg[n + 1] = 2 * x + mpmath.log(1 - mpmath.mpf(2) ** -x + mpmath.mpf(2) ** (-2 * x), 2)
+        checked = 0
+        for fn, shift, first in ((two_guess_seq, 0, 23), (sylvester, 1, 24)):
+            for n in range(first, 65):
+                value = fn(n)
+                assert not value.is_exact
+                lo, hi = value.log2_interval()
+                assert lo <= lg[n - shift] <= hi, (fn.__name__, n)
+                assert hi - lo <= lo * mpmath.mpf(2) ** -50, (fn.__name__, n)
+                checked += 1
+    assert checked == 42 + 41
 
 
 # ---------------------------------------------------------------------------

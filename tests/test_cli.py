@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hatcheck import construct
 from hatcheck.cli import entry
 from hatcheck.construct import AdversaryOracle
 from hatcheck.game import ColorBudget
@@ -152,8 +153,9 @@ def test_bound_requires_one_selector(capsys):
 
 
 # pinned reports: the largest exact terms and fractions the bound command
-# prints (up to 427k digits), so a change to how exact values are computed
-# or rendered must keep every byte
+# prints (up to 427k digits) and log-form terms on both sides of the
+# exact/log switch up to the index cap, so a change to how values are
+# computed or rendered must keep every byte
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -161,6 +163,14 @@ def test_bound_requires_one_selector(capsys):
         (("--seq", "a", "--n", "21"), "027cb4ccc554073677aa0f74e92e24cae8a82e1cce8607a3d99a81cd70dd9675"),
         (("--seq", "sylvester", "--n", "20"), "5a335d41b4e9e954254f86533725e1a02d75150cf6ee0d45d01f126fdd458bad"),
         (("--seq", "sylvester", "--n", "21"), "2f8ec4dfb30658a1b6aacb244604874235805a4b379b16a52409601db2788b2d"),
+        (("--seq", "a", "--n", "23"), "82285608bb8620fe483acc971899e561c538d0ba149eea25d683f53416beab67"),
+        (("--seq", "a", "--n", "24"), "2a25b968327aa3eb0b7d2614d5d5844de66af5e63fd4092266a3ffedbc0e3191"),
+        (("--seq", "a", "--n", "40"), "dd26862b184747a93c783e3fa2585a0cf4352ef51419ea57f00fd75afa684a16"),
+        (("--seq", "a", "--n", "64"), "d4a5e432a27dd73d269b2d9910cfefc3a2efedb4fb4446bb7cb0af9c0201ce6f"),
+        (("--seq", "sylvester", "--n", "24"), "e0a3cbd8085e2318ddcc75afc24cfdf4cb777cd56bcfaf0d496dfe6faa2dd622"),
+        (("--seq", "sylvester", "--n", "25"), "1beb48b0dfb82d1b226dca7a646955da4ff19bfec29bf650a99a7b7ff6ac7ca3"),
+        (("--seq", "sylvester", "--n", "46"), "a91f081821ba2d25e4774a99de371b8ff2d70f390f3cc36f2f16f22cb6d1aca1"),
+        (("--seq", "sylvester", "--n", "64"), "93828747e906a4989a7d86b2d612184647b9fe96d8f0a4ecc0eb69bbfce10b8e"),
         (("--circ", "3"), "55a11b8b8dd9f212fd2ca673b2dc8b1c128e19e090000a39e9e1029854fc150b"),
         (("--circ", "4"), "3bd34b6856393660fd6b8bbc92a88ab3166af6a3feb936cd4a0c7900730a244e"),
         (("--circ", "5"), "8caf47503f7be65110c1d7466acd7fe251878c97998c6c1e4f90287756ee8d88"),
@@ -168,7 +178,11 @@ def test_bound_requires_one_selector(capsys):
         (("--circ", "7"), "66da732c4c223564ae956dc4a275445c1ba88646d86b272aa889ac076a02e16b"),
         (("--circ", "8"), "03003840a9d383a00e741399312a1f4091a3faea33efe3c24d02966027f6d72f"),
     ],
-    ids=["a19", "a21", "sylvester20", "sylvester21", "circ3", "circ4", "circ5", "circ6", "circ7", "circ8"],
+    ids=[
+        "a19", "a21", "sylvester20", "sylvester21",
+        "a23", "a24", "a40", "a64", "sylvester24", "sylvester25", "sylvester46", "sylvester64",
+        "circ3", "circ4", "circ5", "circ6", "circ7", "circ8",
+    ],
 )
 def test_pinned_bound_reports(capsys, argv, digest):
     code, out = run(capsys, "bound", *argv)
@@ -318,6 +332,17 @@ def test_exit_parse_closure_on_nontree(capsys):
     )
     assert code == 2
     assert "error:" in out
+
+
+def test_exit_internal_closure_invariant(capsys, monkeypatch):
+    # a closure leaf that finds no free color is a bug, not bad input;
+    # it must surface as exit 6 even under python -O
+    monkeypatch.setattr(construct, "_smallest_missing", lambda taken: 10**6)
+    code, out = run(
+        capsys, "verify", graph_path("tree_path2"), "--lemma", "closure", "--trials", "5"
+    )
+    assert code == 6
+    assert "internal_error: closure leaf" in out
 
 
 def test_exit_guard_small_limits(capsys, monkeypatch):
