@@ -26,7 +26,6 @@ from .construct import (
     oracle_lemma_two_at_v,
     oracle_theorem_circ,
     oracle_theorem_tary,
-    with_budget_slack,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -117,5 +116,4 @@ __all__ = [
     "theta_estimate",
     "tree_from_graph",
     "two_guess_seq",
-    "with_budget_slack",
 ]

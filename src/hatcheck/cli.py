@@ -262,17 +262,16 @@ def _derive_is(g: Graph, args, guards: Guards, lines: list):
     u_set = _greedy_independent_set(g)
     rest = tuple(v for v in g.vertices() if v not in set(u_set))
     r = max(1, max((len(g.neighbors(u)) for u in u_set), default=1))
+    rest_graph, _ = induced_subgraph(g, rest)
     if args.ell is not None:
         ell = args.ell
     elif rest:
-        rest_graph, _ = induced_subgraph(g, rest)
         ell = max(2, hg_exact(rest_graph, guards) + 1)
     else:
         ell = 2
     lines.append(f"u_set: {_ints(u_set)}")
     lines.append(f"r: {r}")
     lines.append(f"ell: {ell}")
-    rest_graph, _ = induced_subgraph(g, rest)
     sub = oracle_exhaustive(rest_graph, ColorBudget.uniform(len(rest), ell), 1, guards)
     orc = oracle_lemma_is(g, u_set, r, ell, sub, guards)
     return orc, ()
@@ -293,7 +292,7 @@ def _derive_two(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"two_colors: {_ints(pair)}")
     lines.append(f"ell: {ell}")
     sub2 = oracle_exhaustive(h_graph, ColorBudget.uniform(len(rest), ell + 1), 2, guards)
-    return oracle_lemma_two_at_v(g, v, pair, ell, sub2, guards), ()
+    return oracle_lemma_two_at_v(g, v, pair, ell, sub2), ()
 
 
 def _derive_rus(g: Graph, args, guards: Guards, lines: list):
@@ -344,7 +343,7 @@ def _derive_blocks(g: Graph, args, guards: Guards, lines: list):
 def _derive_closure(g: Graph, args, guards: Guards, lines: list):
     tree = tree_from_graph(g, root=0)
     lines.append(f"tree_parents: {format_tree(tree)}")
-    orc = oracle_closure(tree, 2, guards)
+    orc = oracle_closure(tree, guards)
     lines.append(f"heights: {_ints(tree.heights)}")
     return orc, ()
 
@@ -505,10 +504,7 @@ def _witness_lines(witness) -> list:
         return out
     if witness is None:
         return []
-    try:
-        return [f"witness_embedding: {_ints(witness)}"]
-    except TypeError:
-        return [f"witness: {witness!r}"]
+    return [f"witness_embedding: {_ints(witness)}"]
 
 
 def entry(argv=None) -> int:

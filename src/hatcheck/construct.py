@@ -20,6 +20,12 @@ by smallest index, so all defeats are deterministic.  Oracles are
 immutable after construction and their engines are pure.  Every
 engine reads the subgame it delegates to through game.reindex, with the
 subgraph and vertex map fixed when the oracle is built.
+
+Scope (graph, guess count, budget) is checked once, where a strategy
+enters through defeat or defeat_traced.  A composing oracle checks each
+sub-oracle's shape when it is built, and its engine hands that
+sub-oracle a reindex view of exactly its graph and budget, so internal
+hops call the sub-engine directly without checking again.
 """
 
 from __future__ import annotations
@@ -63,9 +69,10 @@ class AdversaryOracle:
     engine(strategy, log) maps a strategy in scope (same graph, same
     guess count, budget equal to the oracle's) to a defeating assignment
     within budget; when log is a list it also appends one line per color
-    choice.  defeat and defeat_traced are the two ways to call it.
-    construction describes the argument tree the oracle was assembled
-    from.
+    choice.  It trusts its input: defeat and defeat_traced, the two ways
+    to call it from outside, raise ValueError for a strategy out of
+    scope first.  construction describes the argument tree the oracle
+    was assembled from.
     """
 
     graph: Graph
@@ -75,10 +82,12 @@ class AdversaryOracle:
     engine: Callable
 
     def defeat(self, strategy: Strategy) -> tuple:
+        _expect(strategy, self.graph, self.budget, self.guess_count, "strategy")
         return self.engine(strategy, None)
 
     def defeat_traced(self, strategy: Strategy):
         """The defeat plus the log of per-step color choices."""
+        _expect(strategy, self.graph, self.budget, self.guess_count, "strategy")
         log = []
         out = self.engine(strategy, log)
         return out, tuple(log)
@@ -94,21 +103,23 @@ def _indent(lines) -> tuple:
 
 
 def _sub_defeat(oracle: AdversaryOracle, strategy: Strategy, log):
-    """Delegate to a sub-oracle, nesting its per-defeat trace."""
+    """Delegate to a sub-oracle's engine, nesting its per-defeat trace."""
     if log is None:
-        return oracle.defeat(strategy)
-    out, lines = oracle.defeat_traced(strategy)
-    log.extend("  " + ln for ln in lines)
+        return oracle.engine(strategy, None)
+    lines = []
+    out = oracle.engine(strategy, lines)
+    log.extend(_indent(lines))
     return out
 
 
-def _check_scope(strategy: Strategy, graph: Graph, budget: ColorBudget, guess_count: int) -> None:
-    if strategy.graph != graph:
-        raise ValueError("strategy is for a different graph than the oracle")
-    if strategy.guess_count != guess_count:
-        raise ValueError(f"oracle expects {guess_count}-guess strategies")
-    if strategy.budget != budget:
-        raise ValueError("strategy budget does not match the oracle's")
+def _expect(x, graph: Graph, budget: ColorBudget, guess_count: int, what: str) -> None:
+    """Raise ValueError unless x (a strategy or an oracle) has this scope."""
+    if x.graph != graph:
+        raise ValueError(f"{what} is for a different graph than expected")
+    if x.guess_count != guess_count:
+        raise ValueError(f"{what} must play the {guess_count}-guess game")
+    if x.budget != budget:
+        raise ValueError(f"{what} budget must be {_budget_brief(budget)}")
 
 
 def _smallest_missing(taken) -> int:
@@ -145,7 +156,6 @@ def oracle_exhaustive(
     )
 
     def engine(strategy, log):
-        _check_scope(strategy, g, budget, guess_count)
         for assignment in enumerate_assignments(budget, guards):
             if is_defeating(strategy, assignment):
                 _note(log, f"exhaustive hit {assignment}")
@@ -194,12 +204,7 @@ def oracle_lemma_is(
     u_members = set(u_tuple)
     rest = tuple(v for v in g.vertices() if v not in u_members)
     expect_sub, _ = induced_subgraph(g, rest)
-    if sub.graph != expect_sub:
-        raise ValueError("sub-oracle graph must be g minus the peel set")
-    if sub.guess_count != 1:
-        raise ValueError("sub-oracle must play the one-guess game")
-    if sub.budget != ColorBudget.uniform(len(rest), ell):
-        raise ValueError("sub-oracle budget must be uniform ell")
+    _expect(sub, expect_sub, ColorBudget.uniform(len(rest), ell), 1, "peel sub-oracle")
 
     cap = ell**r + 1
     budget = ColorBudget.uniform(g.vertex_count, cap)
@@ -208,7 +213,6 @@ def oracle_lemma_is(
     ) + _indent(sub.construction)
 
     def engine(strategy, log):
-        _check_scope(strategy, g, budget, 1)
         fixed = {}
         for u in u_tuple:
             nbrs = g.neighbors(u)
@@ -240,28 +244,18 @@ def oracle_lemma_is(
 def _two_at_v_engine(g, v, ell, sub2):
     """Shared core of the two-color argument at v: engine(strategy, log, pair).
 
-    The incoming strategy plays one guess on g; the adversary commits to
-    one of two colors at v, so every other vertex effectively guesses
-    from a two-element set.  sub2, a two-guess adversary for g minus v
-    at uniform ell + 1, dodges all of those at once; v's guess is then
+    The incoming strategy plays one guess on g, at budget ell + 1 off v
+    and at least max(pair) + 1 at v; the adversary commits to one of two
+    colors at v, so every other vertex effectively guesses from a
+    two-element set.  sub2, a two-guess adversary for g minus v at
+    uniform ell + 1, dodges all of those at once; v's guess is then
     determined and v takes the member of pair that differs from it.
     """
     rest = tuple(u for u in g.vertices() if u != v)
     expect_h, _ = induced_subgraph(g, rest)
-    if sub2.graph != expect_h:
-        raise ValueError("sub-oracle graph must be g minus v")
-    if sub2.guess_count != 2:
-        raise ValueError("sub-oracle must play the two-guess game")
-    if sub2.budget != ColorBudget.uniform(len(rest), ell + 1):
-        raise ValueError("sub-oracle budget must be uniform ell+1")
+    _expect(sub2, expect_h, ColorBudget.uniform(len(rest), ell + 1), 2, "two-color sub-oracle")
 
     def engine(strategy, log, pair):
-        if strategy.graph != g or strategy.guess_count != 1:
-            raise ValueError("expected a one-guess strategy on the split graph")
-        if any(strategy.budget[u] != ell + 1 for u in rest):
-            raise ValueError("strategy budget off v must be uniform ell+1")
-        if strategy.budget[v] <= max(pair):
-            raise ValueError("strategy budget at v must cover both committed colors")
         branches = [reindex(strategy, sub2.graph, sub2.budget, rest, {v: c}) for c in pair]
         merged = merge_two_guess(branches[0], branches[1])
         tail = _sub_defeat(sub2, merged, log)
@@ -285,15 +279,12 @@ def oracle_lemma_two_at_v(
     two_colors,
     ell: int,
     sub2: AdversaryOracle,
-    guards: Guards = DEFAULT_GUARDS,
 ) -> AdversaryOracle:
     """One-guess adversary on g that colors v from a two-color set.
 
     The oracle's budget is max(two_colors) + 1 at v and ell + 1
-    elsewhere.  Its scope is wider at v: any budget there that covers
-    both colors is accepted, and the output always colors v within
-    two_colors.  sub2 is a two-guess adversary for g minus v at uniform
-    ell + 1.
+    elsewhere, and the output always colors v within two_colors.  sub2
+    is a two-guess adversary for g minus v at uniform ell + 1.
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError("v out of range")
@@ -407,7 +398,6 @@ def oracle_lemma_rus(
         )
 
     def engine(strategy, log):
-        _check_scope(strategy, g, budget, 1)
         guards.check("enumeration", (ell + 1) ** len(part1))
         scratch = [0] * g.vertex_count
         groups = {}
@@ -504,12 +494,10 @@ def oracle_lemma_blocks(
             bd = block_decomposition(comp_graph)
             if len(bd.blocks) == 1:
                 inner = premise_factory(comp_graph)
-                if (
-                    inner.graph != comp_graph
-                    or inner.guess_count != 2
-                    or inner.budget != ColorBudget.uniform(len(comp), ell + 1)
-                ):
-                    raise ValueError("block premise oracle has the wrong shape")
+                _expect(
+                    inner, comp_graph, ColorBudget.uniform(len(comp), ell + 1), 2,
+                    "block premise oracle",
+                )
                 lines.append(f"  component {comp}: single block")
                 lines.extend("  " + ln for ln in _indent(inner.construction))
             else:
@@ -540,7 +528,6 @@ def oracle_lemma_blocks(
         plans.append((comp, inner))
 
     def engine(strategy, log):
-        _check_scope(strategy, g, budget, 1)
         out = [0] * g.vertex_count
         for comp, inner in plans:
             part = reindex(strategy, inner.graph, inner.budget, comp)
@@ -559,9 +546,7 @@ def oracle_lemma_blocks(
 # tree closures, two guesses
 # ---------------------------------------------------------------------------
 
-def oracle_closure(
-    tree: RootedTree, guess_count: int = 2, guards: Guards = DEFAULT_GUARDS
-) -> AdversaryOracle:
+def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> AdversaryOracle:
     """Two-guess adversary on the ancestor closure of a rooted tree.
 
     A vertex at height k gets a(k+1) colors where a(0)=1 and
@@ -572,8 +557,6 @@ def oracle_closure(
     leaves (smallest index first) reduces to a single root with three
     colors against two guesses.
     """
-    if guess_count != 2:
-        raise ValueError("the closure adversary is a two-guess construction")
     top = two_guess_seq(tree.height + 1)
     if not top.is_exact:
         raise GuardExceededError("assignment", top.to_text(), guards.assignment)
@@ -596,7 +579,6 @@ def oracle_closure(
     root = orig[0]
 
     def engine(strategy, log):
-        _check_scope(strategy, cl_graph, budget, 2)
         out = [0] * tree.vertex_count
         cur = strategy
         for leaf, label, sub_graph, sub_budget, kept in steps:
@@ -656,11 +638,10 @@ def oracle_theorem_circ(
             raise ValueError(
                 f"budget {ell_val + 1} cannot host a depth-{cert.depth} certificate (needs {need.to_text()})"
             )
-        inner = oracle_closure(cert.tree, 2, guards)
+        inner = oracle_closure(cert.tree, guards)
         target = ColorBudget.uniform(sub_g.vertex_count, ell_val + 1)
 
         def engine(strategy, log):
-            _check_scope(strategy, sub_g, target, 2)
             view = reindex(strategy, inner.graph, inner.budget, sub_g.vertices())
             return _sub_defeat(inner, view, log)
 
@@ -768,30 +749,3 @@ def oracle_theorem_tary(g: Graph, t: int, h: int, guards: Guards = DEFAULT_GUARD
     )
     oracle = replace(oracle, construction=header + _indent(oracle.construction))
     return oracle, bound
-
-
-# ---------------------------------------------------------------------------
-# budget monotonicity
-# ---------------------------------------------------------------------------
-
-def with_budget_slack(oracle: AdversaryOracle, budget: ColorBudget) -> AdversaryOracle:
-    """Serve a pointwise larger budget by ignoring the extra colors.
-
-    Incoming strategies are restricted to the oracle's own budget
-    (guesses outside it can never be right); the defeat found there is
-    valid under the larger budget verbatim.
-    """
-    if len(budget) != len(oracle.budget):
-        raise ValueError("budget length mismatch")
-    if any(budget[v] < oracle.budget[v] for v in range(len(budget))):
-        raise ValueError("slack budget must be pointwise >= the oracle's")
-
-    def engine(strategy, log):
-        _check_scope(strategy, oracle.graph, budget, oracle.guess_count)
-        shrunk = reindex(strategy, oracle.graph, oracle.budget, oracle.graph.vertices())
-        return _sub_defeat(oracle, shrunk, log)
-
-    lines = (
-        f"budget slack {_budget_brief(budget)} over {_budget_brief(oracle.budget)}",
-    ) + _indent(oracle.construction)
-    return AdversaryOracle(oracle.graph, budget, oracle.guess_count, lines, engine)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .errors import GuardExceededError
 from .graphs import Graph
 from .guards import DEFAULT_GUARDS, Guards
 from .rng import SplitMix64
@@ -314,14 +313,8 @@ def strategy_space_size(g: Graph, budget: ColorBudget, guess_count: int) -> int:
     return size
 
 
-def enumerate_strategies(
-    g: Graph, budget: ColorBudget, guess_count: int, limit: int | None = None
-) -> Iterator[Strategy]:
+def enumerate_strategies(g: Graph, budget: ColorBudget, guess_count: int) -> Iterator[Strategy]:
     """Every strategy of the game, in lexicographic table order."""
-    if limit is not None:
-        space = strategy_space_size(g, budget, guess_count)
-        if space > limit:
-            raise GuardExceededError("enumeration", space, limit)
     cells = []
     for v in range(g.vertex_count):
         choices = guess_set_choices(budget[v], guess_count)

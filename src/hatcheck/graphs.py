@@ -315,17 +315,6 @@ def connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-def is_two_connected(g: Graph) -> bool:
-    """True for connected graphs with no cut vertex and >= 2 vertices.
-
-    K2 counts: it is the degenerate block (a bridge).
-    """
-    if g.vertex_count < 2 or not is_connected(g):
-        return False
-    bd = block_decomposition(g)
-    return not bd.cut_vertices and len(bd.blocks) == 1
-
-
 # ---------------------------------------------------------------------------
 # block decomposition (iterative lowpoint algorithm)
 # ---------------------------------------------------------------------------

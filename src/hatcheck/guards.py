@@ -49,12 +49,11 @@ class Guards:
             raise GuardExceededError(guard, needed, limit)
 
 
-def guards_from_env(base: Guards | None = None) -> Guards:
+def guards_from_env() -> Guards:
     """Build a Guards value, applying HATCHECK_GUARDS overrides if set."""
-    base = base or Guards()
     raw = os.environ.get(_ENV_VAR)
     if not raw:
-        return base
+        return Guards()
     values = {}
     parts = raw.split(",")
     if len(parts) > len(_FIELD_ORDER):
@@ -64,7 +63,7 @@ def guards_from_env(base: Guards | None = None) -> Guards:
         if not part:
             continue
         values[name] = int(part)
-    return Guards(**{**base.__dict__, **values})
+    return Guards(**values)
 
 
 DEFAULT_GUARDS = Guards()

@@ -39,6 +39,3 @@ class SplitMix64:
             x = self.next_u64()
             if x < limit:
                 return x % n
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

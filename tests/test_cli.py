@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 from hatcheck import construct
-from hatcheck.cli import entry
+from hatcheck.cli import _DERIVERS, _load_graph, build_parser, entry
 from hatcheck.construct import AdversaryOracle
-from hatcheck.game import ColorBudget
+from hatcheck.game import ColorBudget, is_defeating, random_strategy
+from hatcheck.graphs import Graph
+from hatcheck.guards import DEFAULT_GUARDS
+from hatcheck.rng import SplitMix64
 
 GRAPHS = Path(__file__).resolve().parent.parent / "scripts" / "graphs"
 
@@ -314,6 +317,45 @@ def test_verify_two_dump_shows_construction(capsys):
     assert "construction:\n  two-colors v=0 colors=(0, 1) ell=4" in out
     assert "first_defeat_trace:" in out
     assert "defeated: 5/5" in out
+
+
+# ---------------------------------------------------------------------------
+# oracle scope: checked at defeat and defeat_traced, for every construction
+# ---------------------------------------------------------------------------
+
+REFERENCE_GRAPHS = {
+    "is": "p4", "two": "p3", "rus": "p3", "blocks": "bowtie",
+    "closure": "tree_path2", "circ": "k3", "tary": "c4",
+}
+
+
+def reference_oracle(lemma: str):
+    """The oracle `hatcheck verify --lemma <lemma>` builds on its reference graph."""
+    path = graph_path(REFERENCE_GRAPHS[lemma])
+    args = build_parser().parse_args(["verify", path, "--lemma", lemma])
+    g, _ = _load_graph(path)
+    oracle, _ = _DERIVERS[lemma](g, args, DEFAULT_GUARDS, [])
+    return oracle
+
+
+@pytest.mark.parametrize("lemma", sorted(REFERENCE_GRAPHS))
+def test_defeat_checks_scope(lemma):
+    orc = reference_oracle(lemma)
+    n, k = orc.graph.vertex_count, orc.guess_count
+    rng = SplitMix64(61)
+    in_scope = random_strategy(orc.graph, orc.budget, k, rng)
+    assert is_defeating(in_scope, orc.defeat(in_scope))
+    wider_at_0 = ColorBudget((orc.budget[0] + 1,) + orc.budget.sizes[1:])
+    out_of_scope = (
+        ("different graph", random_strategy(Graph(n, frozenset()), orc.budget, k, rng)),
+        ("budget must be", random_strategy(orc.graph, wider_at_0, k, rng)),
+        ("must play the", random_strategy(orc.graph, orc.budget, 3 - k, rng)),
+    )
+    for message, strategy in out_of_scope:
+        with pytest.raises(ValueError, match=message):
+            orc.defeat(strategy)
+        with pytest.raises(ValueError, match=message):
+            orc.defeat_traced(strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from hatcheck.construct import (
     oracle_lemma_two_at_v,
     oracle_theorem_circ,
     oracle_theorem_tary,
-    with_budget_slack,
 )
 from hatcheck.errors import PremiseViolationError
 from hatcheck.game import (
@@ -160,6 +159,12 @@ def test_two_at_v_rejects_identical_colors():
         oracle_lemma_two_at_v(complete(2), 0, (1, 1), 2, sub2)
 
 
+def test_two_at_v_rejects_misshaped_sub_oracle():
+    one_guess = oracle_exhaustive(Graph.from_edges(1, []), ColorBudget.uniform(1, 3), 1)
+    with pytest.raises(ValueError, match="two-color sub-oracle must play the 2-guess game"):
+        oracle_lemma_two_at_v(complete(2), 0, (0, 1), 2, one_guess)
+
+
 # ---------------------------------------------------------------------------
 # cut-vertex split
 # ---------------------------------------------------------------------------
@@ -227,6 +232,14 @@ def test_blocks_cactus():
     _assert_defeats_all(orc, trials=100)
 
 
+def test_blocks_rejects_misshaped_block_premise():
+    def one_guess_premise(sub_g):
+        return oracle_exhaustive(sub_g, ColorBudget.uniform(sub_g.vertex_count, 7), 1)
+
+    with pytest.raises(ValueError, match="block premise oracle must play the 2-guess game"):
+        oracle_lemma_blocks(complete(3), 6, premise2=one_guess_premise)
+
+
 def test_blocks_construction_names_blocks():
     orc = oracle_lemma_blocks(bowtie(), 6)
     text = "\n".join(orc.construction)
@@ -274,11 +287,6 @@ def test_closure_leaf_color_ignores_ancestor_tables():
         a1 = orc.defeat(s1)
         a2 = orc.defeat(hybrid)
         assert a1[1] == a2[1]
-
-
-def test_closure_rejects_one_guess():
-    with pytest.raises(ValueError):
-        oracle_closure(RootedTree((None,), 0), guess_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +378,8 @@ def test_tary_free_graphs_have_a_small_degree_vertex():
 
 
 # ---------------------------------------------------------------------------
-# budget slack and scope checks
+# scope checks
 # ---------------------------------------------------------------------------
-
-def test_with_budget_slack_extends_exhaustive():
-    base = oracle_exhaustive(complete(2), ColorBudget.uniform(2, 3), 1)
-    wide = with_budget_slack(base, ColorBudget((4, 5)))
-    rng = SplitMix64(23)
-    for _ in range(100):
-        s = random_strategy(wide.graph, wide.budget, 1, rng)
-        assignment = wide.defeat(s)
-        assert wide.budget.contains(assignment)
-        assert is_defeating(s, assignment)
-
-
-def test_with_budget_slack_validation():
-    base = oracle_exhaustive(complete(2), ColorBudget.uniform(2, 3), 1)
-    with pytest.raises(ValueError):
-        with_budget_slack(base, ColorBudget((2, 3)))  # smaller at vertex 0
-    with pytest.raises(ValueError):
-        with_budget_slack(base, ColorBudget((4, 4, 4)))
-
 
 def test_defeat_rejects_out_of_scope_strategies():
     orc = oracle_lemma_rus(path(3), 1, (0, 1), (1, 2), 2)

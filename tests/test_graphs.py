@@ -29,7 +29,6 @@ from hatcheck.graphs import (
     greedy_proper_coloring,
     induced_subgraph,
     is_connected,
-    is_two_connected,
     parse_graph,
     tary_tree_size,
     tree_from_graph,
@@ -204,8 +203,12 @@ def _longest_path_edges(g):
     return best
 
 
+def _is_block(g):
+    return is_connected(g) and len(block_decomposition(g).blocks) == 1
+
+
 def _two_connected_pool():
-    pool = [g for n in range(3, 6) for g in connected_graphs(n) if is_two_connected(g)]
+    pool = [g for n in range(3, 6) for g in connected_graphs(n) if _is_block(g)]
     rng = random.Random(2026)
     for n in (6, 7):
         pairs = list(itertools.combinations(range(n), 2))
@@ -213,7 +216,7 @@ def _two_connected_pool():
         while found < 120:
             edges = frozenset(p for p in pairs if rng.random() < 0.5)
             g = Graph(n, edges)
-            if is_two_connected(g):
+            if _is_block(g):
                 pool.append(g)
                 found += 1
     return pool
@@ -406,5 +409,3 @@ def test_induced_subgraph_relabeling():
 def test_connectivity_helpers():
     assert is_connected(path(4))
     assert not is_connected(Graph(3, frozenset({(0, 1)})))
-    assert is_two_connected(cycle(4))
-    assert not is_two_connected(path(3))
