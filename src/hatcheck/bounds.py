@@ -6,22 +6,24 @@ log2 interval beyond it.  All interval arithmetic pads endpoints
 outward, so every interval is a true enclosure, and comparisons refuse
 to order overlapping intervals instead of guessing.
 
-The sequences here grow doubly exponentially (each term is one more
-than a multiple of the product of all previous terms), the cycle-length
-bound is (64/25) raised to a power of two, and the degenerate-tree
-bounds iterate x -> x^k, so log2 forms are the common case beyond tiny
-arguments.
+Both sequences here are Sylvester's, x_0 = 1, x_1 = 2,
+x_{k+1} = x_k^2 - x_k + 1 (each term is one more than the product of
+all earlier ones); the two-guess sequence is the same one shifted by an
+index, a(n) = sylvester(n + 1) for n >= 1.  They grow doubly
+exponentially, the cycle-length bound is (64/25) raised to a power of
+two, and the degenerate-tree bounds iterate x -> x^k, so log2 forms are
+the common case beyond tiny arguments.
 
-A sequence term is exact when it and every earlier term fit under the
-guard.  Whether that holds is decided without building the product that
-would cross it: the running product is exact only up to a few thousand
-bits, then the padded log2 recurrence is walked on to the requested
-term, and its enclosure is compared with the guard.  Under it, the
-exact loop resumes; at or above it, the walked interval is the value.
-An enclosure that straddles the guard raises
-IndeterminateComparisonError.  That cannot happen at DIGIT_GUARD:
-the nearest term up to the index cap, a(22) = sylvester(23), is about
-486k bits under it.
+A sequence term is exact when it fits under the guard (the sequence
+increases, so every earlier term then fits too).  Whether it does is
+decided without building a term that would cross it: terms are squared
+exactly only up to a few thousand bits, then the padded log2 recurrence
+is walked on to the requested term, and its enclosure is compared with
+the guard.  Under it, exact squaring resumes; at or above it, the
+walked interval is the value.  An enclosure that straddles the guard
+raises IndeterminateComparisonError.  That cannot happen at
+DIGIT_GUARD: the nearest term up to the index cap, a(22) =
+sylvester(23), is about 486k bits under it.
 
 Exact values print in full.  Integers of 600 or more digits are
 rendered by divide and conquer on powers of two into a `decimal.Decimal`
@@ -53,8 +55,8 @@ DIGIT_GUARD = 10**6
 _GUARD_BITS = int(DIGIT_GUARD * math.log2(10))
 
 _SEQ_LIMIT = 64
-# sequence products are built exactly only up to this size; past it the
-# exact/log switch is decided from a log2 enclosure (see _seq)
+# sequence terms are squared exactly only up to this size; past it the
+# exact/log switch is decided from a log2 enclosure (see _sylvester_term)
 _WORK_BITS = 4096
 _PREC = 120
 
@@ -172,33 +174,31 @@ class BigBound:
             mid = (self.log2_lo + self.log2_hi) / 2
             return f"2^{mpmath.nstr(mid, 17)}"
 
-    def __le__(self, other) -> bool:
+    def _precedes(self, other, strict: bool) -> bool:
+        """self < other if strict, else self <= other.
+
+        Unless both are exact, this is decided from the log2 enclosures,
+        and IndeterminateComparisonError is raised where they overlap
+        too much to decide it.
+        """
         other = _coerce(other)
         if self.is_exact and other.is_exact:
-            return self.exact <= other.exact
+            return self.exact < other.exact if strict else self.exact <= other.exact
         a_lo, a_hi = self.log2_interval()
         b_lo, b_hi = other.log2_interval()
-        if a_hi <= b_lo:
+        if a_hi < b_lo or (a_hi == b_lo and not strict):
             return True
-        if a_lo > b_hi:
+        if a_lo > b_hi or (a_lo == b_hi and strict):
             return False
         raise IndeterminateComparisonError(
             f"cannot order log2 intervals [{a_lo}, {a_hi}] and [{b_lo}, {b_hi}]"
         )
 
+    def __le__(self, other) -> bool:
+        return self._precedes(other, strict=False)
+
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if self.is_exact and other.is_exact:
-            return self.exact < other.exact
-        a_lo, a_hi = self.log2_interval()
-        b_lo, b_hi = other.log2_interval()
-        if a_hi < b_lo:
-            return True
-        if a_lo >= b_hi:
-            return False
-        raise IndeterminateComparisonError(
-            f"cannot order log2 intervals [{a_lo}, {a_hi}] and [{b_lo}, {b_hi}]"
-        )
+        return self._precedes(other, strict=True)
 
     def __ge__(self, other) -> bool:
         return _coerce(other).__le__(self)
@@ -215,77 +215,76 @@ def _coerce(value) -> BigBound:
     raise TypeError(f"cannot compare BigBound with {type(value).__name__}")
 
 
-def _seq(n: int, multiplier: int) -> BigBound:
-    """Shared recursion: x_{k+1} = 1 + multiplier * prod(x_0..x_k).
-
-    Terms are exact while they fit under the digit guard and log2
-    intervals beyond it.  The running product is built exactly only up
-    to _WORK_BITS.  Past that, the padded log2 recurrence is walked on to
-    x_n first: if its enclosure lies under _GUARD_BITS, the exact loop
-    resumes where it stopped; if at or above, the walked interval is the
-    result.  No product over the guard is ever built.  An enclosure that
-    straddles the guard raises IndeterminateComparisonError.
-    """
+def _check_index(n: int) -> None:
     if n < 0:
         raise ValueError("sequence index must be non-negative")
     if n > _SEQ_LIMIT:
         raise ValueError(f"sequence index capped at {_SEQ_LIMIT}")
-    term = 1
-    prod = 1
-    k = 0
-    while k < n and prod.bit_length() <= _WORK_BITS:
-        term = 1 + multiplier * prod
-        # exact test; only a guard near or under _WORK_BITS trips it
-        if term.bit_length() > _GUARD_BITS:
-            return _seq_log2(n, multiplier, k, prod)
-        prod *= term
+
+
+def _sylvester_term(n: int) -> BigBound:
+    """x_n of x_0 = 1, x_1 = 2, x_{k+1} = x_k^2 - x_k + 1.
+
+    Terms are exact while they fit under the digit guard and log2
+    intervals beyond it.  Terms are squared exactly only up to
+    _WORK_BITS.  Past that, the log2 enclosure is walked on to x_n
+    first: if it lies under _GUARD_BITS, exact squaring resumes where it
+    stopped; if at or above, the walked interval is the result.  No term
+    over the guard is ever built.  An enclosure that straddles the guard
+    raises IndeterminateComparisonError.
+    """
+    if n == 0:
+        return BigBound.from_exact(1)
+    x, k = 2, 1
+    while k < n and x.bit_length() <= min(_WORK_BITS, _GUARD_BITS):
+        x = x * x - x + 1
         k += 1
+    # exact test; only a guard near or under _WORK_BITS trips it
+    if x.bit_length() > _GUARD_BITS:
+        return _sylvester_log2(n, k, x)
     if k < n:
-        tail = _seq_log2(n, multiplier, k, prod)
+        tail = _sylvester_log2(n, k, x)
         if tail.log2_lo >= _GUARD_BITS:
             return tail
         if tail.log2_hi >= _GUARD_BITS:
             raise IndeterminateComparisonError(
-                f"term {n} has log2 in [{tail.log2_lo}, {tail.log2_hi}], "
+                f"sylvester term {n} has log2 in [{tail.log2_lo}, {tail.log2_hi}], "
                 f"which straddles the {_GUARD_BITS}-bit guard"
             )
         while k < n:
-            term = 1 + multiplier * prod
+            x = x * x - x + 1
             k += 1
-            if k < n:
-                # the product with the last term is never read
-                prod *= term
-    return BigBound.from_exact(term)
+    return BigBound.from_exact(x)
 
 
-def _seq_log2(n: int, multiplier: int, k: int, prod: int) -> BigBound:
-    """log2 enclosure of x_n from the exact prod(x_0..x_k), k < n."""
+def _sylvester_log2(n: int, k: int, x: int) -> BigBound:
+    """log2 enclosure of x_n from the exact x_k, 1 <= k <= n."""
     with mpmath.workprec(_PREC):
-        log_m = mpmath.log(mpmath.mpf(multiplier), 2) if multiplier > 1 else 0
-        p_lo, p_hi = _log2_interval_of_int(prod)
-        # the +1 lifts log2 by at most 1/(prod * ln 2) < 2^(1 - log2 prod),
-        # and by less for every later, larger product; allow that or
-        # 2^-60, whichever is larger
-        plus_one = mpmath.mpf(2) ** -min(60, int(mpmath.floor(p_lo)) - 1)
+        lo, hi = _log2_interval_of_int(x)
         while k < n:
-            t_lo = _pad_down(p_lo + log_m)
-            t_hi = _pad_up(p_hi + log_m + plus_one)
-            p_lo = _pad_down(p_lo + t_lo)
-            p_hi = _pad_up(p_hi + t_hi)
+            # x^2 (1 - 1/x) < x^2 - x + 1 < x^2, and for x >= 2,
+            # log2(1 - 1/x) >= max(-1, -2^(2 - floor(log2 x))); the drop
+            # allowed is that bound, but never less than 2^-60
+            drop = mpmath.mpf(2) ** -min(60, max(0, int(mpmath.floor(lo)) - 2))
+            lo = _pad_down(2 * lo - drop)
+            hi = _pad_up(2 * hi)
             k += 1
-        return BigBound.from_log2(t_lo, t_hi)
+        return BigBound.from_log2(lo, hi)
 
 
 def sylvester(n: int) -> BigBound:
     """n-th term of 1, 2, 3, 7, 43, 1807, ...: each term is one more
     than the product of all previous terms."""
-    return _seq(n, 1)
+    _check_index(n)
+    return _sylvester_term(n)
 
 
 def two_guess_seq(n: int) -> BigBound:
     """n-th term of 1, 3, 7, 43, 1807, ...: each term is one more than
-    twice the product of all previous terms."""
-    return _seq(n, 2)
+    twice the product of all previous terms, so a(n) = sylvester(n + 1)
+    for n >= 1."""
+    _check_index(n)
+    return _sylvester_term(n + 1) if n else BigBound.from_exact(1)
 
 
 def _sqrt_down(x: Fraction, bits: int) -> Fraction:
@@ -298,22 +297,6 @@ def _sqrt_up(x: Fraction, bits: int) -> Fraction:
     """A multiple of 2^-bits at least sqrt(x)."""
     scaled = -((-x.numerator << (2 * bits)) // x.denominator)
     return Fraction(isqrt(scaled) + 1, 1 << bits)
-
-
-def root_pow2_lower(x: Fraction, halvings: int, bits: int) -> Fraction:
-    """Lower bound on x**(2**-halvings) by iterated directed sqrt."""
-    y = Fraction(x)
-    for _ in range(halvings):
-        y = _sqrt_down(y, bits)
-    return y
-
-
-def root_pow2_upper(x: Fraction, halvings: int, bits: int) -> Fraction:
-    """Upper bound on x**(2**-halvings) by iterated directed sqrt."""
-    y = Fraction(x)
-    for _ in range(halvings):
-        y = _sqrt_up(y, bits)
-    return y
 
 
 # depth of the sequence recursion used for the growth-rate constant;
@@ -337,8 +320,10 @@ def theta_estimate(precision_bits: int):
     a = two_guess_seq(_THETA_TERMS).exact
     u = Fraction(2 * a - 1, 2)
     bits = precision_bits + 32
-    lo = root_pow2_lower(u, _THETA_TERMS - 1, bits)
-    hi = root_pow2_upper(u, _THETA_TERMS - 1, bits)
+    lo = hi = u
+    for _ in range(_THETA_TERMS - 1):
+        lo = _sqrt_down(lo, bits)
+        hi = _sqrt_up(hi, bits)
     hi += Fraction(1, 2 ** (precision_bits // 2 + 2))
     return lo, hi
 

@@ -248,18 +248,8 @@ def cmd_bound(args, lines: list, guards: Guards) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _greedy_independent_set(g: Graph) -> tuple:
-    chosen = []
-    taken = set()
-    for v in g.vertices():
-        if not any(u in taken for u in g.neighbors(v)):
-            chosen.append(v)
-            taken.add(v)
-    return tuple(chosen)
-
-
 def _derive_is(g: Graph, args, guards: Guards, lines: list):
-    u_set = _greedy_independent_set(g)
+    u_set = next(iter(greedy_proper_coloring(g)), ())
     rest = tuple(v for v in g.vertices() if v not in set(u_set))
     r = max(1, max((len(g.neighbors(u)) for u in u_set), default=1))
     rest_graph, _ = induced_subgraph(g, rest)

@@ -56,6 +56,9 @@ def test_a_equals_shifted_sylvester():
         assert two_guess_seq(n).exact == sylvester(n + 1).exact
     s = sylvester(6).exact
     assert sylvester(7).exact == s * s - s + 1
+    # whole values, so the log forms from a(23) on share one enclosure
+    for n in range(1, 64):
+        assert two_guess_seq(n) == sylvester(n + 1), n
 
 
 def test_sequence_index_cap():
@@ -105,6 +108,20 @@ def test_switch_index_matches_plain_recurrence(monkeypatch, multiplier, fn):
 def test_real_switch_index():
     assert two_guess_seq(22).is_exact and sylvester(23).is_exact
     assert not two_guess_seq(23).is_exact and not sylvester(24).is_exact
+
+
+def test_enclosure_straddling_the_guard_raises(monkeypatch):
+    # a guard inside the walked enclosure of sylvester(24) leaves the
+    # exact/log switch undecided
+    lo, hi = sylvester(24).log2_interval()
+    with mpmath.workprec(200):
+        mid = (lo + hi) / 2
+    assert lo < mid < hi
+    monkeypatch.setattr(bounds, "_GUARD_BITS", mid)
+    with pytest.raises(IndeterminateComparisonError):
+        sylvester(24)
+    with pytest.raises(IndeterminateComparisonError):
+        two_guess_seq(23)
 
 
 def test_log_form_terms_enclose_independent_log2():
@@ -271,6 +288,20 @@ def test_comparisons_reject_overlap():
     b = BigBound.from_log2(mpmath.mpf(1.5), mpmath.mpf(2.5))
     with pytest.raises(IndeterminateComparisonError):
         a < b  # noqa: B015
+
+
+def test_comparisons_of_touching_intervals():
+    # [1, 2] and [2, 3] share only an endpoint: a <= b holds, a < b and
+    # b <= a are undecided
+    a = BigBound.from_log2(mpmath.mpf(1), mpmath.mpf(2))
+    b = BigBound.from_log2(mpmath.mpf(2), mpmath.mpf(3))
+    assert a <= b and b >= a
+    with pytest.raises(IndeterminateComparisonError):
+        a < b  # noqa: B015
+    with pytest.raises(IndeterminateComparisonError):
+        b > a  # noqa: B015
+    with pytest.raises(IndeterminateComparisonError):
+        b <= a  # noqa: B015
 
 
 def test_fraction_normalization():

@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hatcheck"
+import hatcheck
+import hatcheck.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hatcheck"
 
 
 def test_no_assert_statements():
@@ -15,3 +19,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/hatcheck: {found}"
+
+
+def test_benchmark_reads_only_public_names():
+    # perfbench hands its workloads hatcheck.__all__ as `api`, plus
+    # cli.entry; a public name they read that is gone breaks the benchmark
+    path = ROOT / "perfbench" / "workloads.py"
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and (
+            (isinstance(node.value, ast.Name) and node.value.id == "api")
+            or (isinstance(node.value, ast.Attribute) and node.value.attr == "api")
+        )
+    }
+    assert "Graph" in read and "entry" in read
+    assert callable(hatcheck.cli.entry)
+    missing = sorted(read - set(hatcheck.__all__) - {"entry"})
+    assert not missing, f"perfbench/workloads.py reads names hatcheck does not export: {missing}"
