@@ -3,8 +3,11 @@
 
 Sweeps every labeled connected graph up to --max-n vertices, prints one
 line per graph with its game value, and closes with the per-size value
-distribution.  Two-guess values (--hg2) are markedly slower; budgets
-climb to 7 on three vertices.
+distribution.  Through three vertices two-guess values (--hg2) cost
+about as much as one-guess ones, though budgets climb to 7.  On four
+vertices a two-guess call can still run for many minutes: on the star
+K1,3 at six colors the local search finds no win and the exact search
+does not finish.
 """
 
 import argparse

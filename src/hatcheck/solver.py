@@ -1,47 +1,71 @@
-"""Exact decision procedure for the hat guessing game.
+"""Decision procedure for the hat guessing game.
 
 players_win answers "can the players force a correct guess on every
-assignment" by searching for a covering family of table entries: each
+assignment" by looking for a covering family of table entries: each
 assignment must be covered by at least one vertex whose table entry (at
 the neighborhood coloring that assignment induces) contains the vertex's
-own color.  The search backtracks over such covering choices:
+own color.  Entries hold at most guess_count colors.  Three methods run
+in turn:
 
-* each uncovered assignment contributes one candidate (cell, color) per
-  vertex, namely "put my color at v into v's entry for what v sees";
-* entries saturate at guess_count colors;
-* zero-candidate assignments force a backtrack, single-candidate ones
-  are propagated, otherwise we branch on a least-candidate assignment
-  (ties broken toward assignments most engaged with already-used
-  entries, then by assignment order; candidates by descending residual
-  then vertex index);
-* a residual count prunes branches where the unsaturated entries cannot
-  possibly cover the remaining assignments: a color at an entry covers
-  at most its residual (the number of its still-uncovered assignments),
-  an entry contributes its cap_left largest color residuals, and the
-  total over entries must reach the uncovered count;
-* when that count is exactly tight (as it is from the start whenever
-  q = n uniformly), a choice below its entry's contributing residuals
-  loses more potential than it covers and is excluded from viability,
-  which turns the count into per-choice propagation.
+1. Counting at the root.  A color at an entry covers at most the
+   entry's weight of assignments (its members with that own color), so
+   when capacity times weight, summed over the entries, is less than the
+   assignment count the players lose.  Steps 2 and 3a are then skipped,
+   and the search of 3b refutes at its root.
+2. Local search for a players win: seeded min-conflicts (Minton et
+   al., AIJ 1992; WalkSAT, Selman, Kautz and Cohen, 1994) over full
+   entries, with Luby restarts and a flip budget proportional to the
+   assignment count; see _local_search.  A strategy it finds is
+   returned only after find_defeating_assignment sweeps every
+   assignment, so a players verdict never rests on the search.  When
+   the budget runs out the search leaves nothing behind.
+3. The exact search, unchanged by step 2, so adversary verdicts, their
+   transcripts and refuted counts are those of an exhaustive search.
 
-Before searching at all, one solved special case is dispatched exactly:
-if every vertex sees all others (each choice covers exactly one
-assignment), covering is a bipartite matching between assignments and
-table slots, and a deterministic augmenting-path matching settles the
-players side outright.  The matching is tried only when the table slots
-are at least as many as the assignments (Hall's condition for the whole
-assignment side); with fewer slots none exists.  Matching failure falls
-through to the search, which then produces the refutation transcript.
+   a. If every vertex sees all others (each choice covers exactly one
+      assignment), covering is a bipartite matching between assignments
+      and table slots, and a deterministic augmenting-path matching
+      settles the players side outright.  Step 1 has then checked
+      Hall's condition for the whole assignment side.  Matching failure
+      falls through to the search, which produces the transcript.
+   b. Backtracking over covering choices:
 
-The search state is kept incremental, so a step costs what it changes
+      * each uncovered assignment contributes one candidate (cell,
+        color) per vertex, namely "put my color at v into v's entry for
+        what v sees";
+      * entries saturate at guess_count colors;
+      * zero-candidate assignments force a backtrack, single-candidate
+        ones are propagated, otherwise we branch on a least-candidate
+        assignment (ties broken toward assignments most engaged with
+        already-used entries, then by assignment order; candidates by
+        descending residual then vertex index);
+      * a residual count prunes branches where the unsaturated entries
+        cannot possibly cover the remaining assignments: a color at an
+        entry covers at most its residual (the number of its
+        still-uncovered assignments), an entry contributes its cap_left
+        largest color residuals, and the total over entries must reach
+        the uncovered count;
+      * when that count is exactly tight (as it is from the start
+        whenever q = n uniformly), a choice below its entry's
+        contributing residuals loses more potential than it covers and
+        is excluded from viability, which turns the count into
+        per-choice propagation.
+
+      The first explored branch covers the all-zero assignment at the
+      least vertex, so on this path the first table entry ever fixed
+      guesses color 0; with uniform budgets this is also the canonical
+      representative under global color permutations.
+
+Assignments are bits of Python ints.  In lexicographic order the
+assignments of one entry (and of one entry and own color) are a
+per-vertex bit pattern shifted by the entry's lowest member, so a choice
+covers ``uncovered & (pattern << shift)``.  The local search keeps its
+cover counts as bit-sliced planes over the same masks.  The exact
+search keeps its state incremental, so a step costs what it changes
 rather than the size of the game:
 
-* assignments are bits of Python ints: the uncovered set, and per vertex
-  the assignments whose entry there is saturated.  In lexicographic
-  order the assignments of one entry (and of one entry and own color)
-  are a per-vertex bit pattern shifted by the entry's lowest member, so
-  a choice covers ``uncovered & (pattern << shift)`` and undo restores
-  that int;
+* the uncovered set, and per vertex the assignments whose entry there
+  is saturated, are masks, and undo restores them;
 * the residual bound is a running sum of cached per-entry contributions;
   a choice or undo marks the entries whose residuals or free slots
   changed, and only those are recomputed;
@@ -51,13 +75,9 @@ rather than the size of the game:
   The scan order, and with it every branch, forced move, conflict and
   certificate, is that of a plain ascending scan of the assignments.
 
-The first explored branch covers the all-zero assignment at the least
-vertex, so the first table entry ever fixed guesses color 0; with
-uniform budgets this is also the canonical representative under global
-color permutations.
-
-Everything is deterministic and sequential; outcomes depend only on the
-inputs.
+Everything is deterministic and sequential: the local search draws from
+a SplitMix64 seeded with a module constant, so outcomes depend only on
+the inputs.
 """
 
 from __future__ import annotations
@@ -76,6 +96,7 @@ from .game import (
 )
 from .graphs import Graph
 from .guards import DEFAULT_GUARDS, Guards
+from .rng import SplitMix64
 
 PLAYERS = "players"
 ADVERSARY = "adversary"
@@ -179,6 +200,134 @@ def _saturating_matching(a_count, n, cells_of, capacity, ncells):
     return occupants
 
 
+# local search constants; outcomes depend on them, so they are fixed
+_SEARCH_SEED = 0x6861_7463_6865_636B
+_FLIPS_PER_ASSIGNMENT = 16
+_NOISE_PER_256 = 16  # chance of a random swap
+_NOVELTY_PER_256 = 200  # chance of the second-best swap, see below
+
+
+def _nth_set_bit(x: int, r: int) -> int:
+    """Index of set bit number r (from 0, lowest first) of x."""
+    if r < 4:  # a few lowest-bit clears beat the bisection
+        for _ in range(r):
+            x &= x - 1
+        return (x & -x).bit_length() - 1
+    base = 0
+    half = 1 << (x.bit_length() - 1).bit_length() >> 1
+    while half:
+        low = x & ((1 << half) - 1)
+        k = low.bit_count()
+        if r < k:
+            x = low
+        else:
+            r -= k
+            x >>= half
+            base += half
+        half >>= 1
+    return base
+
+
+def _local_search(assigns, cells_of, cell_owner, capacity, qs, lowest, color_pattern, stride):
+    """Seeded min-conflicts search for a covering: picks per cell, or None.
+
+    Every entry holds capacity distinct colors.  A step picks a uniformly
+    random uncovered assignment and swaps, in one of its cells, one
+    color for the color that covers it.  The swap is a random one with
+    probability _NOISE_PER_256 / 256; otherwise the swaps are ranked by
+    newly covered minus newly uncovered assignments, then by how long
+    ago their cell last changed, and the best is taken, unless no cell of
+    the assignment changed later than the best's, when the second best
+    is taken with probability _NOVELTY_PER_256 / 256 (Novelty, McAllester,
+    Selman and Kautz, AAAI 1997).  Runs restart from fresh random entries
+    after Luby-sequence lengths (unit: the assignment count) until
+    _FLIPS_PER_ASSIGNMENT flips per assignment are spent.
+
+    Cover counts are bit-sliced: planes[i] holds bit i of every
+    assignment's count, so the uncovered and the covered-once
+    assignments are masks and a swap's score is two popcounts.  The
+    members of (cell c, color col) are pattern[c] << lowest[c] + col *
+    step[c], as in the exact search.
+    """
+    a_count = len(assigns)
+    full = (1 << a_count) - 1
+    rng = SplitMix64(_SEARCH_SEED)
+    pattern = [color_pattern[v] for v in cell_owner]
+    step = [stride[v] for v in cell_owner]
+    order = 1 << 40  # above every flip index: a swap's score outranks its age
+
+    def count(planes, m, up):
+        for i, p in enumerate(planes):
+            planes[i] = p ^ m
+            m &= p if up else ~p
+
+    flips_left = _FLIPS_PER_ASSIGNMENT * a_count
+    flip = 0
+    u = run = 1  # Luby's sequence by reluctant doubling (Knuth)
+    while flips_left > 0:
+        length = min(flips_left, run * a_count)
+        flips_left -= length
+        u, run = (u + 1, 1) if u & -u == run else (u, 2 * run)
+        entries = []
+        planes = [0] * len(qs).bit_length()
+        for c, cap in enumerate(capacity):
+            pool = list(range(qs[cell_owner[c]]))
+            for i in range(cap):
+                j = i + rng.below(len(pool) - i)
+                pool[i], pool[j] = pool[j], pool[i]
+                count(planes, pattern[c] << lowest[c] + pool[i] * step[c], True)
+            entries.append(pool[:cap])
+        changed = [-1] * len(capacity)  # flip at which each cell last changed
+        for left in range(length, -1, -1):  # flips left in this run
+            covered = 0
+            for p in planes:
+                covered |= p
+            unc = full ^ covered
+            if not unc:
+                return entries
+            if not left:
+                break
+            a = _nth_set_bit(unc, rng.below(unc.bit_count()))
+            row = cells_of[a]
+            colors = assigns[a]
+            if (rng.next_u64() & 255) < _NOISE_PER_256:
+                c = row[rng.below(len(row))]
+                k = rng.below(capacity[c])
+            else:
+                once = planes[0]
+                for p in planes[1:]:
+                    once &= ~p
+                # the best and second-best swap by (score, age) key, the
+                # earlier one winning ties
+                first = second = None
+                newest = -1
+                for c, col in zip(row, colors):
+                    age = changed[c]
+                    if age > newest:
+                        newest = age
+                    pat = pattern[c]
+                    base = lowest[c]
+                    st = step[c]
+                    make = (unc & pat << base + col * st).bit_count() * order - age
+                    for k, old in enumerate(entries[c]):
+                        key = make - (once & pat << base + old * st).bit_count() * order
+                        if first is None or key > first[0]:
+                            first, second = (key, c, k), first
+                        elif second is None or key > second[0]:
+                            second = (key, c, k)
+                _, c, k = first
+                if changed[c] == newest and (rng.next_u64() & 255) < _NOVELTY_PER_256:
+                    _, c, k = second
+            col = colors[cell_owner[c]]
+            pat = pattern[c]
+            count(planes, pat << lowest[c] + entries[c][k] * step[c], False)
+            count(planes, pat << lowest[c] + col * step[c], True)
+            entries[c][k] = col
+            changed[c] = flip
+            flip += 1
+    return None
+
+
 def players_win(
     g: Graph,
     budget: ColorBudget,
@@ -241,18 +390,7 @@ def players_win(
         certificate = Strategy(g, budget, guess_count, tuple(tables))
         return SolveOutcome(g, budget, guess_count, PLAYERS, certificate=certificate)
 
-    # Hall pre-check: with fewer table slots than assignments no
-    # saturating matching exists, so skip straight to the search
-    if all(w == 1 for w in weight) and sum(capacity) >= a_count:
-        occupants = _saturating_matching(a_count, n, cells_of, capacity, ncells)
-        if occupants is not None:
-            picks = [
-                [assigns[b][cell_owner[c]] for b in occupants[c]] for c in range(ncells)
-            ]
-            return finish_with_tables(picks)
-        # no matching means adversary; fall through for the transcript
-
-    # search state.  Assignment a is bit a of the masks.  In
+    # bitset layout.  Assignment a is bit a of the masks.  In
     # lexicographic order the members of a cell are its lowest member
     # plus the assignments with all of the owner's neighbors at color 0,
     # so each cover set is a per-vertex pattern shifted by one index.
@@ -274,6 +412,24 @@ def players_win(
                 cell_pattern[v] |= 1 << a
                 if assigns[a][v] == 0:
                     color_pattern[v] |= 1 << a
+
+    # counting at the root: entries that cover fewer assignments than
+    # there are lose, and the search below refutes at once
+    root_bound = sum(capacity[c] * weight[c] for c in range(ncells))
+    if root_bound >= a_count:
+        entries = _local_search(assigns, cells_of, cell_owner, capacity, qs, lowest, color_pattern, stride)
+        if entries is not None:
+            outcome = finish_with_tables(entries)
+            if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
+                return outcome
+        if all(w == 1 for w in weight):
+            occupants = _saturating_matching(a_count, n, cells_of, capacity, ncells)
+            if occupants is not None:
+                picks = [
+                    [assigns[b][cell_owner[c]] for b in occupants[c]] for c in range(ncells)
+                ]
+                return finish_with_tables(picks)
+            # no matching means adversary; fall through for the transcript
 
     cap_left = capacity[:]
     used = [0] * ncells  # capacity - cap_left, the entry's engagement

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from conftest import complete, cycle, diamond, graph, path, paw, star, winkler_strategy
+from hatcheck import solver
 from hatcheck.errors import GuardExceededError
 from hatcheck.game import (
     ColorBudget,
@@ -59,6 +60,11 @@ def test_outcome_deterministic():
     g = path(3)
     b = ColorBudget.uniform(3, 3)
     assert players_win(g, b, 1) == players_win(g, b, 1)
+    # a players win comes from the seeded local search
+    b = ColorBudget.uniform(3, 5)
+    first = players_win(g, b, 2)
+    assert first.winner == PLAYERS
+    assert first == players_win(g, b, 2)
 
 
 def test_outcome_to_text():
@@ -91,6 +97,22 @@ def test_hg_k4_by_counting():
     out = players_win(complete(4), ColorBudget.uniform(4, 4), 1)
     assert out.winner == PLAYERS and _certificate_is_winning(out)
     assert hg_exact(complete(4)) == 4
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle(4),
+        graph(4, (0, 1), (1, 3), (3, 2), (2, 0)),
+        graph(4, (0, 2), (2, 1), (1, 3), (3, 0)),
+        # HG(C_n) = 3 exactly when n = 4 or 3 divides n (Szczechla, EJC 2017)
+        cycle(6),
+    ],
+    ids=["c4", "c4-relabelled", "c4-relabelled-again", "c6"],
+)
+def test_cycles_won_at_three_colors(g):
+    out = players_win(g, ColorBudget.uniform(g.vertex_count, 3), 1)
+    assert out.winner == PLAYERS and _certificate_is_winning(out)
 
 
 def test_hg_p4_against_naive():
@@ -247,8 +269,9 @@ def test_table_size_accounting():
          "c70a87d65d65a014a410f7aab3cd2c59312f538662d9d2e71d8fc77a0666e239"),
         (graph(4, (0, 1), (0, 2), (0, 3)), 3, 1, ADVERSARY, 7045,
          "c04d4819a55abd9bea8bd0873b15ef18582cbab0295abb18f4815817988389df"),
+        # the local search's certificate
         (graph(3, (0, 1), (0, 2)), 5, 2, PLAYERS, 0,
-         "b7f0310a9e06b46004babe3c8c092c8f4556c290bce3f40d8e80a7ff0907ecbb"),
+         "c3d95f92e1db3eb136123eb9488a45e7322d4869abe68ac8caf7431ae81cc644"),
         (complete(4), 9, 2, ADVERSARY, 1,
          "7638dc6b9af68b343e32bc5f61719400163245698ed4b65ea427c5d581988d93"),
     ],
@@ -259,7 +282,48 @@ def test_pinned_search(g, q, guesses, winner, refuted, digest):
     assert out.winner == winner
     assert len(out.transcript) == refuted
     assert hashlib.sha256(outcome_to_text(out).encode()).hexdigest() == digest
+    if winner == PLAYERS:
+        assert _certificate_is_winning(out)
     if g == complete(4):
         # no saturating matching exists (2916 cells x 2 slots < 6561
         # assignments), and the search refutes at the root
         assert out.transcript == ((0, (0, 0, 0, 0)),)
+
+
+@pytest.mark.parametrize(
+    "found",
+    [
+        lambda *layout: None,
+        # every entry guesses colors 0 and 1, which (2, 2, 2) defeats
+        lambda assigns, cells_of, cell_owner, capacity, *rest: [list(range(k)) for k in capacity],
+    ],
+    ids=["gives-up", "losing-tables"],
+)
+def test_exact_search_when_local_search_fails(monkeypatch, found):
+    # the fallback is the exact search as it was: the same certificate
+    monkeypatch.setattr(solver, "_local_search", found)
+    out = players_win(graph(3, (0, 1), (0, 2)), ColorBudget.uniform(3, 5), 2)
+    assert out.winner == PLAYERS
+    assert hashlib.sha256(outcome_to_text(out).encode()).hexdigest() == (
+        "b7f0310a9e06b46004babe3c8c092c8f4556c290bce3f40d8e80a7ff0907ecbb"
+    )
+
+
+def test_no_local_search_when_counting_refutes(monkeypatch):
+    # K4 at 9 colors, two guesses: 2916 cells x 2 slots < 6561 assignments
+    def fail(*args):
+        raise AssertionError("local search ran")
+
+    monkeypatch.setattr(solver, "_local_search", fail)
+    assert players_win(complete(4), ColorBudget.uniform(4, 9), 2).winner == ADVERSARY
+
+
+def test_nth_set_bit():
+    from hatcheck.rng import SplitMix64
+
+    rng = SplitMix64(5)
+    xs = [1, 2, 0b1011, (1 << 64) - 1, 1 << 80, (1 << 81) | 1]
+    xs += [rng.next_u64() << rng.below(200) | 1 << rng.below(300) for _ in range(20)]
+    for x in xs:
+        bits = [i for i in range(x.bit_length()) if x >> i & 1]
+        assert [solver._nth_set_bit(x, r) for r in range(len(bits))] == bits
