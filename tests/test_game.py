@@ -1,11 +1,12 @@
 """Budgets, assignments, strategies, and the strategy transforms."""
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import complete, graph, path, star, winkler_strategy
+from conftest import bowtie, complete, cycle, graph, path, star, winkler_strategy
 from hatcheck.errors import GuardExceededError
 from hatcheck.game import (
     ColorBudget,
@@ -333,6 +334,43 @@ def test_random_strategy_deterministic():
     a = [random_strategy(g, b, 2, SplitMix64(11)) for _ in range(5)]
     b2 = [random_strategy(g, b, 2, SplitMix64(11)) for _ in range(5)]
     assert a == b2
+
+
+# the game `hatcheck verify --lemma <name>` samples on its reference graph
+# (tests/test_cli.py REFERENCE_GRAPHS): graph, budget, guess count
+VERIFY_GAMES = {
+    "is": (path(4), (5, 5, 5, 5), 1),
+    "two": (path(3), (2, 5, 5), 1),
+    "rus": (path(3), (3, 3, 3), 1),
+    "blocks": (bowtie(), (7, 7, 7, 7, 7), 1),
+    "closure": (path(2), (3, 7), 2),
+    "circ": (complete(3), (43, 43, 43), 1),
+    "tary": (cycle(4), (9, 9, 9, 9), 1),
+}
+
+
+@pytest.mark.parametrize(
+    "name, digest, state",
+    [
+        ("is", "c77aebe6d00baae1117d0514c2b21116bf6841db126db890552e864e21e423c2", 11820424569060435444),
+        ("two", "23b6d4edd26e69ee7205d029f10875ecc30b9c1b1879b4fe6ca7420ab4e4c620", 3940141523020145749),
+        ("rus", "7fd8cecdc9ac36d4dfa370f779167662350bcb03e787a4e07b0a8ee358fca6a0", 7566792160692497442),
+        ("blocks", "7b16073c68323a1422fb99471f46e3143950d29eba8c229d609db489a04dc019", 12642949570322438203),
+        ("closure", "1372680f65a48e1bff69240d228b4ce48f865abe43934da77449a4bca7383e5e", 11193442798364849136),
+        ("circ", "60fa310842b83b6ebbd7297e950d986100eff012d20d68d545113bd21de6b106", 12741385893942927381),
+        ("tary", "92d2fe3916af215913573d296e34185591ef3d4f90b416e940608e83b5f6f5b6", 15868758081281513242),
+    ],
+)
+def test_sampled_stream_pinned(name, digest, state):
+    # the first 20 strategies of each verify game and the generator state
+    # after them: a sampler change that moves one draw shows here
+    g, sizes, k = VERIFY_GAMES[name]
+    rng = SplitMix64(900 + list(VERIFY_GAMES).index(name))
+    h = hashlib.sha256()
+    for _ in range(20):
+        h.update(strategy_to_text(random_strategy(g, ColorBudget(sizes), k, rng)).encode())
+    assert h.hexdigest() == digest
+    assert rng.state == state
 
 
 def test_strategy_text_roundtrip():
