@@ -358,6 +358,30 @@ def test_defeat_checks_scope(lemma):
             orc.defeat_traced(strategy)
 
 
+@pytest.mark.parametrize(
+    "lemma, digest",
+    [
+        ("is", "23b898b8264c399c9575fa9b9d99a53f5618452e61860520d434c608f6359f2e"),
+        ("two", "a7dda80dbe0809b9d245ae5c727298a4eedc63b8d2dbe5654248002263dd5546"),
+        ("rus", "73ffcbac5127ce635ab7c68db5b624b9d67719673badfa2b6b4e5a6e22669d6d"),
+        ("blocks", "9aa382c5ba984cf6ce02980200b30629d4a8c6691aafccd942b16df2ce324936"),
+        ("closure", "bfb329e985d04e5ee63b4ff8f7da2bd204ae0aa38736effb6d4a36989c0e485c"),
+        ("circ", "9cde9353dce40a74a4165c17ca300ba28214f8c139c1bd2bcef5dfca34ec6dbf"),
+        ("tary", "3cd88dadb504dd8663a779277eba4bfde4867f5a2012bb8cb928afa38d1fdc4f"),
+    ],
+)
+def test_pinned_verify_reports(capsys, lemma, digest):
+    # first_defeat_trace reads the first sampled strategy, so these
+    # digests also pin the sampled stream
+    code, out = run(
+        capsys, "verify", graph_path(REFERENCE_GRAPHS[lemma]), "--lemma", lemma,
+        "--trials", "30", "--seed", "17", "--dump",
+    )
+    assert code == 0
+    assert "defeated: 30/30" in out
+    assert hashlib.sha256(strip_timing(out).encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # failure exits
 # ---------------------------------------------------------------------------
@@ -413,6 +437,9 @@ def test_exit_verify_on_bogus_defeat(capsys, monkeypatch):
     assert "verification_failure:" in out
     assert "counterexample_strategy:" in out
     assert "claimed_assignment: 0 0" in out
+    # the report prints the whole sampled counterexample strategy
+    digest = hashlib.sha256(strip_timing(out).encode()).hexdigest()
+    assert digest == "12454077e655363957a9e2a9bd0dacbb0aed8d75d865715181ef5fa354e6eebd"
 
 
 def test_exit_premise_violation_with_witness(capsys):
