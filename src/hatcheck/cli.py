@@ -26,6 +26,7 @@ from .bounds import (
     two_guess_seq,
 )
 from .construct import (
+    circ_budget_hosts_blocks,
     oracle_closure,
     oracle_exhaustive,
     oracle_lemma_blocks,
@@ -348,25 +349,18 @@ def _pipeline_result(orc, bound: BigBound, what: str, guards: Guards, lines: lis
 
 
 def _derive_circ(g: Graph, args, guards: Guards, lines: list):
-    if args.ell is not None:
-        orc, bound = oracle_theorem_circ(g, guards, ell=args.ell)
-        ell = args.ell
-    else:
-        orc, ell = None, None
-        last_err = None
+    ell = args.ell
+    if ell is None:
+        # the smallest budget a(depth) that hosts every block certificate
         for depth in range(1, 21):
             seq_val = two_guess_seq(depth)
             if not seq_val.is_exact:
                 break
-            cand = int(seq_val.exact) - 1
-            try:
-                orc, bound = oracle_theorem_circ(g, guards, ell=cand)
-                ell = cand
+            ell = int(seq_val.exact) - 1
+            if circ_budget_hosts_blocks(g, ell):
                 break
-            except ValueError as err:
-                last_err = err
-        if orc is None:
-            raise last_err or ValueError("no workable budget found")
+        # when none does, the construction reports the last one's shortfall
+    orc, bound = oracle_theorem_circ(g, guards, ell=ell)
     lines.append(f"ell: {ell}")
     return _pipeline_result(orc, bound, "circumference-pipeline budget", guards, lines)
 

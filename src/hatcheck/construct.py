@@ -462,6 +462,37 @@ def oracle_lemma_rus(
 # block composition
 # ---------------------------------------------------------------------------
 
+def _terminal_block(comp_graph: Graph):
+    """(block, cut vertex) of the terminal block with the smallest index
+    that oracle_lemma_blocks peels off a connected graph; None when the
+    graph is one block."""
+    bd = block_decomposition(comp_graph)
+    if len(bd.blocks) == 1:
+        return None
+    incident = {}
+    for b_idx, cut in bd.block_tree:
+        incident.setdefault(b_idx, []).append(cut)
+    terminal = min(b_idx for b_idx, cuts in incident.items() if len(cuts) == 1)
+    return bd.blocks[terminal], incident[terminal][0]
+
+
+def _block_premise_graphs(g: Graph):
+    """The graphs oracle_lemma_blocks(g, ...) hands its two-guess premise:
+    each component that is one block, and in every other component the
+    terminal block it peels, minus the cut vertex (oracle_lemma_rus
+    part 2 without v)."""
+    for comp in connected_components(g):
+        if len(comp) == 1:
+            continue
+        comp_graph, _ = induced_subgraph(g, comp)
+        peel = _terminal_block(comp_graph)
+        if peel is None:
+            yield comp_graph
+        else:
+            block, cut = peel
+            yield induced_subgraph(comp_graph, tuple(u for u in sorted(block) if u != cut))[0]
+
+
 def oracle_lemma_blocks(
     g: Graph,
     ell: int,
@@ -491,8 +522,8 @@ def oracle_lemma_blocks(
             )
             lines.append(f"  component {comp}: isolated vertex")
         else:
-            bd = block_decomposition(comp_graph)
-            if len(bd.blocks) == 1:
+            peel = _terminal_block(comp_graph)
+            if peel is None:
                 inner = premise_factory(comp_graph)
                 _expect(
                     inner, comp_graph, ColorBudget.uniform(len(comp), ell + 1), 2,
@@ -501,28 +532,21 @@ def oracle_lemma_blocks(
                 lines.append(f"  component {comp}: single block")
                 lines.extend("  " + ln for ln in _indent(inner.construction))
             else:
-                incident = {}
-                for b_idx, cut in bd.block_tree:
-                    incident.setdefault(b_idx, []).append(cut)
-                terminal = min(
-                    b_idx for b_idx, cuts in incident.items() if len(cuts) == 1
-                )
-                cut = incident[terminal][0]
-                bver = set(bd.blocks[terminal])
+                block, cut = peel
                 rest = tuple(
-                    u for u in comp_graph.vertices() if u not in bver or u == cut
+                    u for u in comp_graph.vertices() if u not in block or u == cut
                 )
                 inner = oracle_lemma_rus(
                     comp_graph,
                     cut,
                     rest,
-                    bd.blocks[terminal],
+                    block,
                     ell,
                     guards,
                     premise2=premise_factory,
                 )
                 lines.append(
-                    f"  component {comp}: peel block {bd.blocks[terminal]} at cut {cut}"
+                    f"  component {comp}: peel block {block} at cut {cut}"
                 )
                 lines.extend("  " + ln for ln in _indent(inner.construction))
         plans.append((comp, inner))
@@ -606,6 +630,21 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
 # pipeline: bounded circumference
 # ---------------------------------------------------------------------------
 
+def _hosts(need, ell: int) -> bool:
+    """Whether ell + 1 colors reach the closure budget need = a(depth)."""
+    return need.is_exact and need.exact <= ell + 1
+
+
+def circ_budget_hosts_blocks(g: Graph, ell: int) -> bool:
+    """True if ell + 1 colors host the closure adversary on every block
+    certificate of oracle_theorem_circ(g, ell=ell): the premise it
+    otherwise refuses with ValueError."""
+    return all(
+        _hosts(two_guess_seq(dfs_treedepth_certificate(sub).depth), ell)
+        for sub in _block_premise_graphs(g)
+    )
+
+
 def oracle_theorem_circ(
     g: Graph, guards: Guards = DEFAULT_GUARDS, ell: Optional[int] = None
 ):
@@ -634,7 +673,7 @@ def oracle_theorem_circ(
     def closure_premise(sub_g: Graph) -> AdversaryOracle:
         cert = dfs_treedepth_certificate(sub_g)
         need = two_guess_seq(cert.depth)
-        if not need.is_exact or need.exact > ell_val + 1:
+        if not _hosts(need, ell_val):
             raise ValueError(
                 f"budget {ell_val + 1} cannot host a depth-{cert.depth} certificate (needs {need.to_text()})"
             )

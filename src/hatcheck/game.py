@@ -26,6 +26,19 @@ strategy_from_text goes through it.  Producers whose tables are valid
 by construction (reindex, merge_two_guess, enumeration, sampling) build
 through the unchecked Strategy._unchecked instead.
 
+random_strategy draws tables lazily.  Its SampledTables hold, entry
+for entry, what the cell-by-cell loop nth_guess_set(q, g,
+rng.below(count)) would have drawn, but an entry is drawn only when it
+is first read: draw k from a splitmix64 state s is mix(s + (k+1)*GAMMA)
+(the counter form, see rng), so cell i of a table whose run starts at
+state s is draw i, shifted past the draws below(count) rejects in that
+run.  Those are found without drawing: rng keeps, per count, the sorted
+keys s * GAMMA^-1 of the states whose output it rejects, so one range
+lookup per distinct count clears the whole strategy's run, and only a
+run that holds a key lists its rejected draws.  The generator moves on
+by exactly the draws the loop takes, so the stream and every report are
+the loop's.
+
 Low-level helpers here accept the empty graph (all checks are then
 vacuous); the solver layer imposes its own >= 1 vertex preconditions.
 """
@@ -34,11 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 from typing import Iterator
 
 from .graphs import Graph
 from .guards import DEFAULT_GUARDS, Guards
-from .rng import SplitMix64
+from .rng import GAMMA, MASK, MUL1, MUL2, SplitMix64, clean_run, rejections
 
 
 @dataclass(frozen=True)
@@ -329,17 +343,94 @@ def enumerate_strategies(g: Graph, budget: ColorBudget, guess_count: int) -> Ite
         yield Strategy._unchecked(g, budget, guess_count, tuple(tables))
 
 
+class SampledTable(dict):
+    """One vertex's table of a sampled strategy, drawn entry by entry.
+
+    Reads as the tuple the sequential sampler would have built: entry i
+    is nth_guess_set(q, guess_count, x % count) for the i-th draw x from
+    state that below(count) accepts, where skips lists the offsets of the
+    draws it rejects (see rng).  An entry is drawn on its first read and
+    kept; len, indexing (negative too), iteration, `in` and == against
+    tuples and tables all see the full table.  It is a dict only so that
+    reading a drawn entry costs one dict lookup (adversaries re-read
+    cells through reindex); __missing__ draws the others.  Not hashable.
+    """
+
+    __slots__ = ("_state", "_q", "_guess_count", "_count", "_skips", "_size")
+
+    def __init__(self, state: int, q: int, guess_count: int, count: int, size: int, skips) -> None:
+        self._state = state
+        self._q = q
+        self._guess_count = guess_count
+        self._count = count
+        self._size = size
+        self._skips = skips
+
+    def __missing__(self, i):
+        if not 0 <= i < self._size:
+            i = index(i)
+            if not -self._size <= i < self._size:
+                raise IndexError("table index out of range")
+            return self[i % self._size]
+        k = i
+        for skip in self._skips:
+            if skip > k:
+                break
+            k += 1
+        # mix(state + (k+1)*GAMMA), inlined: this is the sampler's inner loop
+        z = (self._state + (k + 1) * GAMMA) & MASK
+        z = ((z ^ (z >> 30)) * MUL1) & MASK
+        z = ((z ^ (z >> 27)) * MUL2) & MASK
+        c = (z ^ (z >> 31)) % self._count
+        entry = self[i] = (c,) if c < self._q else nth_guess_set(self._q, self._guess_count, c)
+        return entry
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._size))
+
+    def __reversed__(self):
+        return map(self.__getitem__, range(self._size - 1, -1, -1))
+
+    def __contains__(self, entry) -> bool:
+        return any(e == entry for e in self)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, SampledTable)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return f"SampledTable({tuple(self)!r})"
+
+
 def random_strategy(
     g: Graph, budget: ColorBudget, guess_count: int, rng: SplitMix64
 ) -> Strategy:
-    """Uniform draw per table cell over all admissible guess sets."""
-    tables = []
-    for v in range(g.vertex_count):
-        count = guess_set_count(budget[v], guess_count)
-        tables.append(
-            tuple(
-                nth_guess_set(budget[v], guess_count, rng.below(count))
-                for _ in range(table_size(g, budget, v))
-            )
-        )
+    """Uniform draw per table cell over all admissible guess sets.
+
+    The tables are SampledTables: they hold the entries the sequential
+    loop `nth_guess_set(q, guess_count, rng.below(count))` over every
+    cell, vertex by vertex, would give, and rng moves on by exactly the
+    draws that loop takes, but an entry costs only when it is read.
+    """
+    state = rng.state
+    shape = [
+        (budget[v], guess_set_count(budget[v], guess_count), table_size(g, budget, v))
+        for v in range(g.vertex_count)
+    ]
+    clean = clean_run({count for _, count, _ in shape}, state, sum(size for _, _, size in shape))
+    tables, drawn = [], 0
+    for q, count, size in shape:
+        start = (state + drawn * GAMMA) & MASK
+        skips = () if clean else rejections(count, start, size)
+        tables.append(SampledTable(start, q, guess_count, count, size, skips))
+        drawn += size + len(skips)
+    rng.state = (state + drawn * GAMMA) & MASK
     return Strategy._unchecked(g, budget, guess_count, tuple(tables))

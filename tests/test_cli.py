@@ -442,6 +442,32 @@ def test_exit_verify_on_bogus_defeat(capsys, monkeypatch):
     assert digest == "12454077e655363957a9e2a9bd0dacbb0aed8d75d865715181ef5fa354e6eebd"
 
 
+def test_verify_circ_guard_refusal_at_the_derived_budget(capsys):
+    # C4 needs a(4) = 1807 colors; the pipeline at that budget is refused
+    # by the assignment guard, exactly as with --ell 1806 given
+    derived = run(capsys, "verify", graph_path("c4"), "--lemma", "circ", "--trials", "3")
+    given = run(capsys, "verify", graph_path("c4"), "--lemma", "circ", "--trials", "3", "--ell", "1806")
+    assert derived[0] == given[0] == 3
+    assert strip_timing(derived[1]) == strip_timing(given[1])
+    assert "ell: 1806" in derived[1]
+
+
+def test_verify_circ_does_not_retry_other_value_errors(capsys, monkeypatch):
+    import hatcheck.cli as cli_mod
+
+    calls = []
+
+    def broken(g, guards, ell=None):
+        calls.append(ell)
+        raise ValueError("mis-shaped sub-oracle")
+
+    monkeypatch.setattr(cli_mod, "oracle_theorem_circ", broken)
+    code, out = run(capsys, "verify", graph_path("k3"), "--lemma", "circ", "--trials", "3")
+    assert code == 2
+    assert "error: mis-shaped sub-oracle" in out
+    assert calls == [42]
+
+
 def test_exit_premise_violation_with_witness(capsys):
     code, out = run(
         capsys, "verify", graph_path("k2"), "--lemma", "rus", "--ell", "1",

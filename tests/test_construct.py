@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from hatcheck.construct import (
+    circ_budget_hosts_blocks,
     oracle_closure,
     oracle_exhaustive,
     oracle_lemma_blocks,
@@ -22,7 +23,7 @@ from hatcheck.game import (
     random_strategy,
     strategy_space_size,
 )
-from hatcheck.graphs import Graph, RootedTree, closure, contains_tary_tree
+from hatcheck.graphs import Graph, RootedTree, closure, connected_graphs, contains_tary_tree
 from hatcheck.rng import SplitMix64
 from hatcheck.solver import find_defeating_assignment
 
@@ -319,6 +320,21 @@ def test_circ_triangle_desk_scale():
 def test_circ_ell_too_small():
     with pytest.raises(ValueError):
         oracle_theorem_circ(complete(3), ell=6)  # a(3) = 43 > 7
+
+
+def test_circ_budget_hosts_blocks_is_the_closure_premise():
+    # the boolean holds exactly when the construction accepts the budget
+    graphs = [g for n in range(1, 5) for g in connected_graphs(n)]
+    graphs += [bowtie(), cactus(), Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])]
+    for g in graphs:
+        for ell in (2, 6, 42):
+            try:
+                oracle_theorem_circ(g, ell=ell)
+                accepted = True
+            except ValueError as err:
+                assert "cannot host" in str(err)
+                accepted = False
+            assert circ_budget_hosts_blocks(g, ell) == accepted, (sorted(g.edges), ell)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from conftest import bowtie, complete, cycle, graph, path, star, winkler_strateg
 from hatcheck.errors import GuardExceededError
 from hatcheck.game import (
     ColorBudget,
+    SampledTable,
     Strategy,
     enumerate_assignments,
     enumerate_strategies,
@@ -27,7 +28,8 @@ from hatcheck.game import (
 )
 from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import Guards
-from hatcheck.rng import SplitMix64
+from hatcheck import rng as rng_module
+from hatcheck.rng import GAMMA, MASK, MAX_REJECTION_KEYS, SplitMix64, mix, rejection_keys, unmix
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +373,146 @@ def test_sampled_stream_pinned(name, digest, state):
         h.update(strategy_to_text(random_strategy(g, ColorBudget(sizes), k, rng)).encode())
     assert h.hexdigest() == digest
     assert rng.state == state
+
+
+def eager_tables(g, budget, guess_count, rng):
+    """The sequential sampler that sampled tables stand for."""
+    return tuple(
+        tuple(
+            nth_guess_set(budget[v], guess_count, rng.below(guess_set_count(budget[v], guess_count)))
+            for _ in range(table_size(g, budget, v))
+        )
+        for v in range(g.vertex_count)
+    )
+
+
+def assert_lazy_matches_eager(g, budget, guess_count, seed, strategies=2):
+    lazy, eager = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(strategies):
+        s = random_strategy(g, budget, guess_count, lazy)
+        # read in reverse, so that no entry is drawn in stream order
+        for table in s.tables:
+            for i in range(-1, -len(table) - 1, -1):
+                table[i]
+        assert s.tables == eager_tables(g, budget, guess_count, eager)
+        assert lazy.state == eager.state
+
+
+def seed_rejecting_at(draw: int) -> int:
+    """A seed whose draw `draw` (from 0) is 2^64 - 1, which below(n)
+    rejects for every n that is not a power of two."""
+    return (unmix(MASK) - (draw + 1) * GAMMA) & MASK
+
+
+MIXED_GAMES = [
+    (path(3), ColorBudget((2, 5, 3)), 1),
+    (path(3), ColorBudget((3, 4, 7)), 2),
+    (star(3), ColorBudget((3, 2, 5, 3)), 1),
+    (complete(3), ColorBudget((5, 3, 4)), 2),
+    (graph(4, (0, 1), (2, 3)), ColorBudget((6, 7, 1, 3)), 1),
+]
+
+
+def test_lazy_tables_match_eager_sampler():
+    for seed in range(250):
+        g, budget, k = MIXED_GAMES[seed % len(MIXED_GAMES)]
+        assert_lazy_matches_eager(g, budget, k, seed * 0x9E3779B97F4A7C1 + 17)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [0, 7, 2, 3, 14, 15, 31],
+    ids=["first-cell", "interior", "last-of-vertex", "first-of-next-vertex",
+         "last-of-strategy", "first-of-next-strategy", "third-strategy"],
+)
+def test_forced_rejection_matches_eager_sampler(draw):
+    # P3 at budget 3: tables of 3, 9 and 3 cells, 15 draws per strategy
+    # unless one is rejected; counts 3 (one guess) and 6 (two) both
+    # reject 2^64 - 1
+    g, budget = path(3), ColorBudget.uniform(3, 3)
+    seed = seed_rejecting_at(draw)
+    rng = SplitMix64(seed)
+    for _ in range(draw):
+        rng.next_u64()
+    assert rng.next_u64() == MASK
+    for k in (1, 2):
+        assert_lazy_matches_eager(g, budget, k, seed, strategies=3)
+        rng = SplitMix64(seed)
+        random_strategy(g, budget, k, rng)
+        assert rng.state == (seed + (15 + (draw < 15)) * GAMMA) & MASK
+
+
+def test_rejection_key_of_another_count_is_no_rejection():
+    # count 4 never rejects, so the key of a count-3 rejection inside
+    # vertex 1's run must not shift its entries
+    g, budget = path(2), ColorBudget((4, 3))
+    for draw in (0, 2, 3):
+        assert_lazy_matches_eager(g, budget, 1, seed_rejecting_at(draw))
+
+
+def test_scan_path_count_matches_eager_sampler():
+    # 2^64 mod 100000 = 51616 rejecting outputs: too many to invert
+    assert (1 << 64) % 100000 > MAX_REJECTION_KEYS and rejection_keys(100000) is None
+    g, budget = Graph(2, frozenset()), ColorBudget((100000, 3))
+    for draw in (0, 1, 2):
+        assert_lazy_matches_eager(g, budget, 1, seed_rejecting_at(draw), strategies=2)
+    for seed in range(20):
+        assert_lazy_matches_eager(g, budget, 1, seed)
+
+
+def test_rejection_keys_are_the_rejected_states():
+    for n in (3, 7, 43, 946):
+        keys = rejection_keys(n)
+        assert len(keys) == (1 << 64) % n and list(keys) == sorted(keys)
+        limit = (1 << 64) - (1 << 64) % n
+        assert all(mix((key * GAMMA) & MASK) >= limit for key in keys)
+
+
+def test_rejection_lookups_wrap_around(monkeypatch):
+    # keys on both sides of 2^64: runs that wrap must find both
+    keys = (1, 5, 2 ** 64 - 3)
+    monkeypatch.setattr(rng_module, "rejection_keys", lambda n: keys)
+    for first in (2 ** 64 - 6, 2 ** 64 - 3, 2 ** 64 - 1, 0, 2):
+        state = ((first - 1) * GAMMA) & MASK  # draw 0 has key `first`
+        for draws in (1, 3, 6, 9):
+            run = [(first + k) & MASK for k in range(draws)]
+            expect = [k for k, key in enumerate(run) if key in keys]
+            assert rng_module.clean_run({3}, state, draws) == (not expect)
+            got = rng_module.rejections(3, state, draws)
+            # each rejection lengthens the run, which may reach more keys
+            walked, k = [], 0
+            while k < draws + len(walked):
+                if (first + k) & MASK in keys:
+                    walked.append(k)
+                k += 1
+            assert got == walked
+
+
+@given(st.integers(0, 2 ** 64 - 1))
+def test_unmix_inverts_mix(x):
+    assert unmix(mix(x)) == x
+    assert mix(unmix(x)) == x
+
+
+def test_sampled_table_reads_as_a_tuple():
+    rng = SplitMix64(4)
+    s = random_strategy(path(2), ColorBudget((3, 4)), 2, rng)
+    table = s.tables[1]
+    plain = tuple(table)
+    assert isinstance(table, SampledTable)
+    assert len(table) == len(plain) == 3
+    assert table[-1] == plain[2] and table[-3] == plain[0]
+    assert list(reversed(table)) == list(reversed(plain))
+    assert table == plain and plain == table and not table != plain
+    assert table != plain[:2] and table != list(plain)
+    assert plain[1] in table and (9,) not in table
+    assert s == Strategy(s.graph, s.budget, 2, tuple(tuple(t) for t in s.tables))
+    with pytest.raises(IndexError):
+        table[3]
+    with pytest.raises(IndexError):
+        table[-4]
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def test_strategy_text_roundtrip():
