@@ -373,10 +373,11 @@ class SampledTable(dict):
                 raise IndexError("table index out of range")
             return self[i % self._size]
         k = i
-        for skip in self._skips:
-            if skip > k:
-                break
-            k += 1
+        if self._skips:
+            for skip in self._skips:
+                if skip > k:
+                    break
+                k += 1
         # mix(state + (k+1)*GAMMA), inlined: this is the sampler's inner loop
         z = (self._state + (k + 1) * GAMMA) & MASK
         z = ((z ^ (z >> 30)) * MUL1) & MASK

@@ -40,8 +40,9 @@ GAMMA_INV = pow(GAMMA, -1, 1 << 64)
 _MUL1_INV = pow(MUL1, -1, 1 << 64)
 _MUL2_INV = pow(MUL2, -1, 1 << 64)
 
-# above this many rejecting outputs, a bound's runs of draws are scanned
-# instead of looked up (the key lists would cost more than the scans)
+# a bound with more rejecting outputs than this has its runs of draws
+# scanned instead of looked up; inverting 2^12 outputs takes about 7 ms,
+# once per bound
 MAX_REJECTION_KEYS = 1 << 12
 
 

@@ -505,6 +505,8 @@ def test_sampled_table_reads_as_a_tuple():
     assert list(reversed(table)) == list(reversed(plain))
     assert table == plain and plain == table and not table != plain
     assert table != plain[:2] and table != list(plain)
+    twin = random_strategy(path(2), ColorBudget((3, 4)), 2, SplitMix64(4)).tables[1]
+    assert twin == table and twin is not table and table != s.tables[0]
     assert plain[1] in table and (9,) not in table
     assert s == Strategy(s.graph, s.budget, 2, tuple(tuple(t) for t in s.tables))
     with pytest.raises(IndexError):
