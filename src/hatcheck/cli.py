@@ -4,7 +4,7 @@ Reports are line oriented ("key: value") and deterministic for a fixed
 input file, flags, and seed; the wall-time line always comes last so
 callers can drop it when comparing runs.  Exit codes: 0 success, 2
 parse/usage error, 3 guard refusal, 4 a claimed defeat failed to check,
-5 premise violation.
+5 premise violation, 6 internal invariant failed.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .graphs import (
 )
 from .guards import Guards, guards_from_env
 from .rng import SplitMix64
-from .solver import PLAYERS, hg2_exact, hg_exact, players_win
+from .solver import PLAYERS, hg2_exact, hg_exact, outcome_to_text, players_win
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -198,10 +198,8 @@ def cmd_solve(args, lines: list, guards: Guards) -> int:
         lines.extend(_indented(strategy_to_text(outcome.certificate)))
     elif args.dump:
         lines.append(f"refuted_branches: {outcome.refuted}")
-        for branch_id, assignment in outcome.transcript:
-            lines.append(f"  branch {branch_id} defeated-by {_ints(assignment)}")
-        if outcome.transcript_truncated:
-            lines.append("  transcript truncated")
+        # outcome_to_text's branch lines, after its winner line
+        lines.extend(_indented(outcome_to_text(outcome))[1:])
     return EXIT_OK
 
 

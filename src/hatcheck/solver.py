@@ -10,8 +10,8 @@ in turn:
 1. Counting at the root.  A color at an entry covers at most the
    entry's weight of assignments (its members with that own color), so
    when capacity times weight, summed over the entries, is less than the
-   assignment count the players lose.  Steps 2 and 3a are then skipped,
-   and the search of 3b refutes at its root.
+   assignment count the players lose.  Step 2 is then skipped, and the
+   search of step 3 refutes at its root.
 2. Local search for a players win: seeded min-conflicts (Minton et
    al., AIJ 1992; WalkSAT, Selman, Kautz and Cohen, 1994) over full
    entries, with Luby restarts and a flip budget proportional to the
@@ -21,40 +21,32 @@ in turn:
    the budget runs out the search leaves nothing behind.
 3. The exact search, unchanged by step 2, so adversary verdicts, their
    transcripts and refuted counts are those of an exhaustive search.
+   It backtracks over covering choices:
 
-   a. If every vertex sees all others (each choice covers exactly one
-      assignment), covering is a bipartite matching between assignments
-      and table slots, and a deterministic augmenting-path matching
-      settles the players side outright.  Step 1 has then checked
-      Hall's condition for the whole assignment side.  Matching failure
-      falls through to the search, which produces the transcript.
-   b. Backtracking over covering choices:
+   * each uncovered assignment contributes one candidate (cell, color)
+     per vertex, namely "put my color at v into v's entry for what v
+     sees";
+   * entries saturate at guess_count colors;
+   * zero-candidate assignments force a backtrack, single-candidate
+     ones are propagated, otherwise we branch on a least-candidate
+     assignment (ties broken toward assignments most engaged with
+     already-used entries, then by assignment order; candidates by
+     descending residual then vertex index);
+   * a residual count prunes branches where the unsaturated entries
+     cannot possibly cover the remaining assignments: a color at an
+     entry covers at most its residual (the number of its
+     still-uncovered assignments), an entry contributes its cap_left
+     largest color residuals, and the total over entries must reach the
+     uncovered count;
+   * when that count is exactly tight (as it is from the start whenever
+     q = n uniformly), a choice below its entry's contributing residuals
+     loses more potential than it covers and is excluded from
+     viability, which turns the count into per-choice propagation.
 
-      * each uncovered assignment contributes one candidate (cell,
-        color) per vertex, namely "put my color at v into v's entry for
-        what v sees";
-      * entries saturate at guess_count colors;
-      * zero-candidate assignments force a backtrack, single-candidate
-        ones are propagated, otherwise we branch on a least-candidate
-        assignment (ties broken toward assignments most engaged with
-        already-used entries, then by assignment order; candidates by
-        descending residual then vertex index);
-      * a residual count prunes branches where the unsaturated entries
-        cannot possibly cover the remaining assignments: a color at an
-        entry covers at most its residual (the number of its
-        still-uncovered assignments), an entry contributes its cap_left
-        largest color residuals, and the total over entries must reach
-        the uncovered count;
-      * when that count is exactly tight (as it is from the start
-        whenever q = n uniformly), a choice below its entry's
-        contributing residuals loses more potential than it covers and
-        is excluded from viability, which turns the count into
-        per-choice propagation.
-
-      The first explored branch covers the all-zero assignment at the
-      least vertex, so on this path the first table entry ever fixed
-      guesses color 0; with uniform budgets this is also the canonical
-      representative under global color permutations.
+   The first explored branch covers the all-zero assignment at the
+   least vertex, so on this path the first table entry ever fixed
+   guesses color 0; with uniform budgets this is also the canonical
+   representative under global color permutations.
 
 Assignments are bits of Python ints.  In lexicographic order the
 assignments of one entry (and of one entry and own color) are a
@@ -135,69 +127,6 @@ def outcome_to_text(outcome: SolveOutcome) -> str:
         if outcome.transcript_truncated:
             lines.append("transcript truncated")
     return "\n".join(lines) + "\n"
-
-
-def _augment(a0, n, cells_of, capacity, occupants):
-    """Grow the matching by one assignment via an augmenting path.
-
-    Iterative so path length is not bounded by the recursion limit.
-    Frames are [assignment, cell index, occupant index]; occupant index
-    -1 means the cell at the current index has not been examined yet.
-    """
-    visited = set()
-    stack = [[a0, 0, -1]]
-    success = False
-    while stack:
-        frame = stack[-1]
-        a, ci, oi = frame
-        row = cells_of[a]
-        if oi >= 0:
-            cell = row[ci]
-            if success:
-                occupants[cell][oi] = a
-                stack.pop()
-                continue
-            oi += 1
-            if oi < len(occupants[cell]):
-                frame[2] = oi
-                stack.append([occupants[cell][oi], 0, -1])
-                continue
-            frame[1] = ci + 1
-            frame[2] = -1
-            continue
-        if ci >= n:
-            stack.pop()
-            success = False
-            continue
-        cell = row[ci]
-        if cell in visited:
-            frame[1] = ci + 1
-            continue
-        visited.add(cell)
-        if len(occupants[cell]) < capacity[cell]:
-            occupants[cell].append(a)
-            stack.pop()
-            success = True
-            continue
-        frame[2] = 0
-        stack.append([occupants[cell][0], 0, -1])
-    return success
-
-
-def _saturating_matching(a_count, n, cells_of, capacity, ncells):
-    """Match every assignment to a distinct table slot, or return None.
-
-    Only valid when every (cell, color) choice covers exactly one
-    assignment; covering is then a bipartite matching where each cell
-    accepts up to its capacity of assignments, one per chosen color.
-    Kuhn-style augmentation, assignments in lexicographic order, cells
-    in vertex order, so the result is deterministic.
-    """
-    occupants = [[] for _ in range(ncells)]
-    for a0 in range(a_count):
-        if not _augment(a0, n, cells_of, capacity, occupants):
-            return None
-    return occupants
 
 
 # local search constants; outcomes depend on them, so they are fixed
@@ -422,14 +351,6 @@ def players_win(
             outcome = finish_with_tables(entries)
             if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
                 return outcome
-        if all(w == 1 for w in weight):
-            occupants = _saturating_matching(a_count, n, cells_of, capacity, ncells)
-            if occupants is not None:
-                picks = [
-                    [assigns[b][cell_owner[c]] for b in occupants[c]] for c in range(ncells)
-                ]
-                return finish_with_tables(picks)
-            # no matching means adversary; fall through for the transcript
 
     cap_left = capacity[:]
     used = [0] * ncells  # capacity - cap_left, the entry's engagement

@@ -105,6 +105,26 @@ def test_solve_per_vertex_budget(capsys):
     assert "winner:" in out
 
 
+# pinned reports: both verdict sides, a truncated transcript, a two-guess
+# clique win and a per-vertex budget, so a change to how outcomes are
+# found or rendered must keep every byte
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("p4", "--budget", "3", "--dump"), "deec67f77c7e6dbe19bd2b8600359e3238ed7319a9267c84a2171e56d26f2057"),
+        (("k1", "--guesses", "2", "--budget", "3", "--dump"), "8884bcbb98dd48c2c4378ff2106ed0630bf383b47162977c21ef0feb4751808b"),
+        (("k2", "--budget", "2"), "d1a8f4814e38afcd0de84b67346d5387426b109e1c920658ac7608ecb59be327"),
+        (("k3", "--guesses", "2", "--budget", "6"), "a2e8e08f22493fefc56f2d5fdc0e47cc70a5e4a78cf342576c3291a81799a4fc"),
+        (("p3", "--budget", "2,3,2"), "7161ded5d7dc3154611ff7f4d8954941aaed231f8181797df510a7285fbeeddc"),
+    ],
+    ids=["p4-dump", "k1-two-guess-dump", "k2", "k3-two-guess", "p3-per-vertex"],
+)
+def test_pinned_solve_reports(capsys, argv, digest):
+    code, out = run(capsys, "solve", graph_path(argv[0]), *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(strip_timing(out).encode()).hexdigest() == digest
+
+
 def test_solve_budget_length_mismatch(capsys):
     code, out = run(capsys, "solve", graph_path("p3"), "--budget", "2,3")
     assert code == 2

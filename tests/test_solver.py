@@ -285,8 +285,8 @@ def test_pinned_search(g, q, guesses, winner, refuted, digest):
     if winner == PLAYERS:
         assert _certificate_is_winning(out)
     if g == complete(4):
-        # no saturating matching exists (2916 cells x 2 slots < 6561
-        # assignments), and the search refutes at the root
+        # the root counting bound refutes: 2916 cells x 2 slots cover at
+        # most 5832 < 6561 assignments
         assert out.transcript == ((0, (0, 0, 0, 0)),)
 
 
@@ -316,6 +316,48 @@ def test_no_local_search_when_counting_refutes(monkeypatch):
 
     monkeypatch.setattr(solver, "_local_search", fail)
     assert players_win(complete(4), ColorBudget.uniform(4, 9), 2).winner == ADVERSARY
+
+
+_CLIQUE_WINS = [((g * n,) * n, g) for n in range(1, 5) for g in (1, 2)] + [
+    # the sum of guesses / colors is 1 at the uniform budgets and the
+    # one-guess ones, 4/3 and 5/4 at the two-guess ones
+    ((2, 3, 6), 1),
+    ((2, 4, 6, 12), 1),
+    ((2, 3, 8, 24), 1),
+    ((3, 6, 6), 2),
+    ((4, 4, 8), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, guesses",
+    _CLIQUE_WINS,
+    ids=[f"k{len(s)}-{'-'.join(map(str, s))}-g{g}" for s, g in _CLIQUE_WINS],
+)
+def test_local_search_wins_cliques(monkeypatch, sizes, guesses):
+    # each win must come from the local search: the exact search alone
+    # does not finish K4@4 or two-guess K4@8, so a local-search change
+    # that loses a clique fails here
+    local_search = solver._local_search
+    found = []
+
+    def spy(*layout):
+        found.append(local_search(*layout))
+        return found[-1]
+
+    monkeypatch.setattr(solver, "_local_search", spy)
+    out = players_win(complete(len(sizes)), ColorBudget(sizes), guesses)
+    assert len(found) == 1 and found[0] is not None
+    assert out.winner == PLAYERS and _certificate_is_winning(out)
+    rows = [row for table in out.certificate.tables for row in table]
+    assert rows == [tuple(sorted(entry)) for entry in found[0]]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("guesses", (1, 2))
+def test_cliques_lost_one_color_past_the_limit(n, guesses):
+    out = players_win(complete(n), ColorBudget.uniform(n, guesses * n + 1), guesses)
+    assert out.winner == ADVERSARY
 
 
 def test_nth_set_bit():

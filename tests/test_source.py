@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import hatcheck
@@ -38,3 +39,18 @@ def test_benchmark_reads_only_public_names():
     assert callable(hatcheck.cli.entry)
     missing = sorted(read - set(hatcheck.__all__) - {"entry"})
     assert not missing, f"perfbench/workloads.py reads names hatcheck does not export: {missing}"
+
+
+def _documented_exit_codes(text: str) -> set:
+    # the "Exit codes: 0 ..., 2 ..." paragraph, up to the next blank line
+    para = text[text.index("Exit codes:"):].split("\n\n")[0]
+    return {int(code) for code in re.findall(r"(?:codes:|,)\s+(\d+)\s", para)}
+
+
+def test_exit_codes_documented():
+    # every EXIT_* code, and no other, is listed in the cli docstring and the README
+    codes = {
+        value for name, value in vars(hatcheck.cli).items() if name.startswith("EXIT_")
+    }
+    assert _documented_exit_codes(hatcheck.cli.__doc__) == codes
+    assert _documented_exit_codes((ROOT / "README.md").read_text()) == codes
