@@ -52,7 +52,7 @@ ExactValue = Union[int, Fraction]
 # exact integers are kept up to this many decimal digits (per stored
 # integer: a fraction's numerator and denominator count separately)
 DIGIT_GUARD = 10**6
-_GUARD_BITS = int(DIGIT_GUARD * math.log2(10))
+GUARD_BITS = int(DIGIT_GUARD * math.log2(10))
 
 _SEQ_LIMIT = 64
 # sequence terms are squared exactly only up to this size; past it the
@@ -228,7 +228,7 @@ def _sylvester_term(n: int) -> BigBound:
     Terms are exact while they fit under the digit guard and log2
     intervals beyond it.  Terms are squared exactly only up to
     _WORK_BITS.  Past that, the log2 enclosure is walked on to x_n
-    first: if it lies under _GUARD_BITS, exact squaring resumes where it
+    first: if it lies under GUARD_BITS, exact squaring resumes where it
     stopped; if at or above, the walked interval is the result.  No term
     over the guard is ever built.  An enclosure that straddles the guard
     raises IndeterminateComparisonError.
@@ -236,20 +236,20 @@ def _sylvester_term(n: int) -> BigBound:
     if n == 0:
         return BigBound.from_exact(1)
     x, k = 2, 1
-    while k < n and x.bit_length() <= min(_WORK_BITS, _GUARD_BITS):
+    while k < n and x.bit_length() <= min(_WORK_BITS, GUARD_BITS):
         x = x * x - x + 1
         k += 1
     # exact test; only a guard near or under _WORK_BITS trips it
-    if x.bit_length() > _GUARD_BITS:
+    if x.bit_length() > GUARD_BITS:
         return _sylvester_log2(n, k, x)
     if k < n:
         tail = _sylvester_log2(n, k, x)
-        if tail.log2_lo >= _GUARD_BITS:
+        if tail.log2_lo >= GUARD_BITS:
             return tail
-        if tail.log2_hi >= _GUARD_BITS:
+        if tail.log2_hi >= GUARD_BITS:
             raise IndeterminateComparisonError(
                 f"sylvester term {n} has log2 in [{tail.log2_lo}, {tail.log2_hi}], "
-                f"which straddles the {_GUARD_BITS}-bit guard"
+                f"which straddles the {GUARD_BITS}-bit guard"
             )
         while k < n:
             x = x * x - x + 1
@@ -338,7 +338,7 @@ def circ_bound(c: int) -> BigBound:
     exponent_log2 = d - 1
     # numerator digits are the binding size: 64^(2^(d-1)) has about
     # 1.8 * 2^(d-1) decimal digits
-    if exponent_log2 <= 60 and (2**exponent_log2) * 6 <= _GUARD_BITS:
+    if exponent_log2 <= 60 and (2**exponent_log2) * 6 <= GUARD_BITS:
         value = Fraction(64, 25) ** (2**exponent_log2) + Fraction(1, 2)
         return BigBound.from_exact(value)
     with mpmath.workprec(_PREC):
@@ -357,7 +357,8 @@ def _e_enclosure(bits: int = 180):
         return lo, lo + Fraction(1, 1 << bits)
 
 
-def _ceil_e_times(t: int) -> int:
+def ceil_e_times(t: int) -> int:
+    """ceil(e * t), exactly; ArithmeticError if the enclosure of e cannot decide it."""
     e_lo, e_hi = _e_enclosure()
     lo = math.ceil(t * e_lo)
     hi = math.ceil(t * e_hi)
@@ -381,7 +382,7 @@ def n_h_t_recursive(h: int, t: int) -> BigBound:
         raise ValueError("height must be >= 1")
     if t < 2:
         raise ValueError("arity must be >= 2")
-    base = _ceil_e_times(t)
+    base = ceil_e_times(t)
     if h == 1:
         return BigBound.from_exact(base)
     _check_nested(h, t)

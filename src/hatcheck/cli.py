@@ -469,7 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--lemma", required=True, choices=LEMMAS)
     pv.add_argument("--trials", default="1000", help="positive integer or 'exhaustive'")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--ell", type=int, help="override the derived budget parameter")
+    pv.add_argument(
+        "--ell",
+        type=int,
+        help="override the derived budget parameter; two and blocks derive it with the"
+        " exact two-guess solver, which may not finish on 4-vertex graphs",
+    )
     pv.add_argument("--vertex", type=int, help="override the distinguished vertex (two)")
     pv.add_argument("--branching", type=int, help="override t (tary)")
     pv.add_argument("--height", type=int, help="override h (tary)")

@@ -35,7 +35,7 @@ from functools import partial
 from itertools import combinations, product
 from typing import Callable, Optional
 
-from .bounds import _GUARD_BITS, _ceil_e_times, n_h_t_recursive, two_guess_seq
+from .bounds import GUARD_BITS, ceil_e_times, n_h_t_recursive, two_guess_seq
 from .errors import GuardExceededError, InternalError, PremiseViolationError
 from .game import (
     ColorBudget,
@@ -326,12 +326,12 @@ def oracle_lemma_rus(
     """Split the game at a cut vertex v into parts that only share v.
 
     Premises (caller-asserted): the adversary wins the one-guess game on
-    part 1 at budget ell, and the two-guess game on part 2 at budget
-    ell.  The defeat enumerates part-1 colorings to find two assignments
-    that agree around v, miss every part-1 player, and differ at v; the
-    two-color argument then finishes part 2.  Either premise failing
-    surfaces as PremiseViolationError whose witness is a winning player
-    strategy for the corresponding part.
+    part 1 at budget ell + 1, and the two-guess game on part 2 at budget
+    ell + 1.  The defeat enumerates part-1 colorings to find two
+    assignments that agree around v, miss every part-1 player, and
+    differ at v; the two-color argument then finishes part 2.  Either
+    premise failing surfaces as PremiseViolationError whose witness is a
+    winning player strategy for the corresponding part.
 
     premise2 optionally replaces the exhaustive two-guess sub-oracle
     factory for part 2 minus v (used by the pipeline builders).
@@ -415,7 +415,7 @@ def oracle_lemma_rus(
             groups.setdefault(alpha, {}).setdefault(phi[vpos], phi)
         if not found_any:
             raise PremiseViolationError(
-                f"adversary wins the one-guess game on part 1 at {ell} colors",
+                f"adversary wins the one-guess game on part 1 at {ell + 1} colors",
                 witness=part1_witness(strategy, lambda alpha: 0),
             )
         star = None
@@ -426,7 +426,7 @@ def oracle_lemma_rus(
         if star is None:
             unique = {alpha: next(iter(ext)) for alpha, ext in groups.items()}
             raise PremiseViolationError(
-                f"adversary wins the one-guess game on part 1 at {ell} colors",
+                f"adversary wins the one-guess game on part 1 at {ell + 1} colors",
                 witness=part1_witness(
                     strategy, lambda alpha: unique.get(alpha, 0)
                 ),
@@ -502,8 +502,8 @@ def oracle_lemma_blocks(
     """Compose block-level two-guess adversaries into one for the graph.
 
     Premise (caller-asserted): the adversary wins the two-guess game at
-    budget ell on every block.  A component that is a single block uses
-    its premise oracle directly (one-guess tables are re-read as
+    budget ell + 1 on every block.  A component that is a single block
+    uses its premise oracle directly (one-guess tables are re-read as
     two-guess tables with singleton entries); otherwise the terminal
     block with the smallest vertex tuple is peeled via the cut-vertex
     split, whose part-1 enumeration absorbs the recursion.
@@ -706,7 +706,7 @@ def oracle_theorem_circ(
 
 def _tary_build(g_cur: Graph, t: int, h_cur: int, guards: Guards):
     """Recursive assembly; returns (oracle, exact budget threshold)."""
-    base = _ceil_e_times(t)
+    base = ceil_e_times(t)
     if g_cur.vertex_count == 0:
         return (
             oracle_exhaustive(g_cur, ColorBudget.uniform(0, base), 1, guards),
@@ -749,9 +749,9 @@ def _tary_build(g_cur: Graph, t: int, h_cur: int, guards: Guards):
         g_step, kept_step = induced_subgraph(g_cur, keep)
         relabel = {old: i for i, old in enumerate(kept_step)}
         u_local = tuple(relabel[u] for u in cls)
-        if threshold.bit_length() * (k - 1) > _GUARD_BITS:
+        if threshold.bit_length() * (k - 1) > GUARD_BITS:
             raise GuardExceededError(
-                "enumeration", threshold.bit_length() * (k - 1), _GUARD_BITS
+                "enumeration", threshold.bit_length() * (k - 1), GUARD_BITS
             )
         oracle = oracle_lemma_is(g_step, u_local, k - 1, threshold, oracle, guards)
         threshold = threshold ** (k - 1) + 1

@@ -29,15 +29,11 @@ through the unchecked Strategy._unchecked instead.
 random_strategy draws tables lazily.  Its SampledTables hold, entry
 for entry, what the cell-by-cell loop nth_guess_set(q, g,
 rng.below(count)) would have drawn, but an entry is drawn only when it
-is first read: draw k from a splitmix64 state s is mix(s + (k+1)*GAMMA)
-(the counter form, see rng), so cell i of a table whose run starts at
-state s is draw i, shifted past the draws below(count) rejects in that
-run.  Those are found without drawing: rng keeps, per count, the sorted
-keys s * GAMMA^-1 of the states whose output it rejects, so one range
-lookup per distinct count clears the whole strategy's run, and only a
-run that holds a key lists its rejected draws.  The generator moves on
-by exactly the draws the loop takes, so the stream and every report are
-the loop's.
+is first read.  below takes exactly one output per draw, so draw k from
+a splitmix64 state s is mix(s + (k+1)*GAMMA) (the counter form, see
+rng): cell i of a table that starts at state s is draw i, and the
+generator moves on by exactly the strategy's cell count.  The stream
+and every report are the loop's.
 
 Low-level helpers here accept the empty graph (all checks are then
 vacuous); the solver layer imposes its own >= 1 vertex preconditions.
@@ -52,7 +48,7 @@ from typing import Iterator
 
 from .graphs import Graph
 from .guards import DEFAULT_GUARDS, Guards
-from .rng import GAMMA, MASK, MUL1, MUL2, SplitMix64, clean_run, rejections
+from .rng import GAMMA, MASK, MUL1, MUL2, SplitMix64
 
 
 @dataclass(frozen=True)
@@ -348,23 +344,21 @@ class SampledTable(dict):
 
     Reads as the tuple the sequential sampler would have built: entry i
     is nth_guess_set(q, guess_count, x % count) for the i-th draw x from
-    state that below(count) accepts, where skips lists the offsets of the
-    draws it rejects (see rng).  An entry is drawn on its first read and
-    kept; len, indexing (negative too), iteration, `in` and == against
-    tuples and tables all see the full table.  It is a dict only so that
-    reading a drawn entry costs one dict lookup (adversaries re-read
-    cells through reindex); __missing__ draws the others.  Not hashable.
+    state (see rng).  An entry is drawn on its first read and kept; len,
+    indexing (negative too), iteration, `in` and == against tuples and
+    tables all see the full table.  It is a dict only so that reading a
+    drawn entry costs one dict lookup (adversaries re-read cells through
+    reindex); __missing__ draws the others.  Not hashable.
     """
 
-    __slots__ = ("_state", "_q", "_guess_count", "_count", "_skips", "_size")
+    __slots__ = ("_state", "_q", "_guess_count", "_count", "_size")
 
-    def __init__(self, state: int, q: int, guess_count: int, count: int, size: int, skips) -> None:
+    def __init__(self, state: int, q: int, guess_count: int, count: int, size: int) -> None:
         self._state = state
         self._q = q
         self._guess_count = guess_count
         self._count = count
         self._size = size
-        self._skips = skips
 
     def __missing__(self, i):
         if not 0 <= i < self._size:
@@ -372,14 +366,8 @@ class SampledTable(dict):
             if not -self._size <= i < self._size:
                 raise IndexError("table index out of range")
             return self[i % self._size]
-        k = i
-        if self._skips:
-            for skip in self._skips:
-                if skip > k:
-                    break
-                k += 1
-        # mix(state + (k+1)*GAMMA), inlined: this is the sampler's inner loop
-        z = (self._state + (k + 1) * GAMMA) & MASK
+        # mix(state + (i+1)*GAMMA), inlined: this is the sampler's inner loop
+        z = (self._state + (i + 1) * GAMMA) & MASK
         z = ((z ^ (z >> 30)) * MUL1) & MASK
         z = ((z ^ (z >> 27)) * MUL2) & MASK
         c = (z ^ (z >> 31)) % self._count
@@ -414,24 +402,17 @@ class SampledTable(dict):
 def random_strategy(
     g: Graph, budget: ColorBudget, guess_count: int, rng: SplitMix64
 ) -> Strategy:
-    """Uniform draw per table cell over all admissible guess sets.
+    """One draw per table cell over all admissible guess sets (uniform up
+    to below's bias, see rng).
 
     The tables are SampledTables: they hold the entries the sequential
     loop `nth_guess_set(q, guess_count, rng.below(count))` over every
     cell, vertex by vertex, would give, and rng moves on by exactly the
     draws that loop takes, but an entry costs only when it is read.
     """
-    state = rng.state
-    shape = [
-        (budget[v], guess_set_count(budget[v], guess_count), table_size(g, budget, v))
-        for v in range(g.vertex_count)
-    ]
-    clean = clean_run({count for _, count, _ in shape}, state, sum(size for _, _, size in shape))
-    tables, drawn = [], 0
-    for q, count, size in shape:
-        start = (state + drawn * GAMMA) & MASK
-        skips = () if clean else rejections(count, start, size)
-        tables.append(SampledTable(start, q, guess_count, count, size, skips))
-        drawn += size + len(skips)
-    rng.state = (state + drawn * GAMMA) & MASK
+    tables = []
+    for v in range(g.vertex_count):
+        q, size = budget[v], table_size(g, budget, v)
+        tables.append(SampledTable(rng.state, q, guess_count, guess_set_count(q, guess_count), size))
+        rng.state = (rng.state + size * GAMMA) & MASK
     return Strategy._unchecked(g, budget, guess_count, tuple(tables))

@@ -599,23 +599,12 @@ def players_win(
             )
 
 
-def find_defeating_assignment(
-    g: Graph,
-    strategy: Strategy,
-    budget: ColorBudget | None = None,
-    guards: Guards = DEFAULT_GUARDS,
-):
-    """First assignment (lex order) every vertex gets wrong, or None.
-
-    An explicit budget pointwise below the strategy's limits the sweep.
-    """
+def find_defeating_assignment(g: Graph, strategy: Strategy, guards: Guards = DEFAULT_GUARDS):
+    """First assignment (lex order) every vertex gets wrong, or None."""
     if strategy.graph != g:
         raise ValueError("strategy is for a different graph")
-    sweep = budget or strategy.budget
-    if any(sweep[v] > strategy.budget[v] for v in range(g.vertex_count)):
-        raise ValueError("sweep budget exceeds the strategy's budget")
-    guards.check("assignment", sweep.product())
-    for assignment in enumerate_assignments(sweep, guards):
+    guards.check("assignment", strategy.budget.product())
+    for assignment in enumerate_assignments(strategy.budget, guards):
         if is_defeating(strategy, assignment):
             return assignment
     return None

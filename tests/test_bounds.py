@@ -96,7 +96,7 @@ def test_switch_index_matches_plain_recurrence(monkeypatch, multiplier, fn):
     guards = sorted({b for x in terms for b in (x.bit_length(), x.bit_length() - 1)})
     assert guards[0] < _WORK_BITS < guards[-1]
     for guard in guards:
-        monkeypatch.setattr(bounds, "_GUARD_BITS", guard)
+        monkeypatch.setattr(bounds, "GUARD_BITS", guard)
         for n, x in enumerate(terms):
             got = fn(n)
             if all(t.bit_length() <= guard for t in terms[1 : n + 1]):
@@ -117,7 +117,7 @@ def test_enclosure_straddling_the_guard_raises(monkeypatch):
     with mpmath.workprec(200):
         mid = (lo + hi) / 2
     assert lo < mid < hi
-    monkeypatch.setattr(bounds, "_GUARD_BITS", mid)
+    monkeypatch.setattr(bounds, "GUARD_BITS", mid)
     with pytest.raises(IndeterminateComparisonError):
         sylvester(24)
     with pytest.raises(IndeterminateComparisonError):

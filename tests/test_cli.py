@@ -438,6 +438,36 @@ def test_exit_guard_small_limits(capsys, monkeypatch):
     assert "error:" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "p3", "--budget", "2,x"), "error: budget must be integers, got '2,x'"),
+        (("verify", "k2", "--lemma", "rus", "--trials", "0"), "error: --trials must be positive"),
+        (("verify", "k2", "--lemma", "rus", "--trials", "many"), "error: --trials must be an integer or 'exhaustive'"),
+    ],
+    ids=["budget-not-integer", "trials-zero", "trials-not-integer"],
+)
+def test_exit_parse_bad_arguments(capsys, argv, message):
+    command, name, *rest = argv
+    code, out = run(capsys, command, graph_path(name), *rest)
+    assert code == 2
+    assert message in out
+
+
+def test_circumference_beyond_guard_is_reported(capsys, monkeypatch):
+    monkeypatch.setenv("HATCHECK_GUARDS", ",,,3")
+    code, out = run(capsys, "analyze", graph_path("bowtie"))
+    assert code == 0
+    assert "circumference: beyond-guard\n" in out
+
+
+def test_exit_parse_too_many_guard_fields(capsys, monkeypatch):
+    monkeypatch.setenv("HATCHECK_GUARDS", "1,2,3,4,5,6")
+    code, out = run(capsys, "analyze", graph_path("bowtie"))
+    assert code == 2
+    assert "error: HATCHECK_GUARDS has 6 fields, expected <= 5" in out
+
+
 def test_exit_verify_on_bogus_defeat(capsys, monkeypatch):
     import hatcheck.cli as cli_mod
 
@@ -494,7 +524,8 @@ def test_exit_premise_violation_with_witness(capsys):
         "--trials", "20",
     )
     assert code == 5
-    assert "premise_violation:" in out
+    # the part-1 game is played at ell + 1 = 2 colors, the witness budget
+    assert "premise_violation: adversary wins the one-guess game on part 1 at 2 colors\n" in out
     assert "witness_budget: 2 2" in out
     assert "witness_strategy:" in out
 

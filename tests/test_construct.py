@@ -18,6 +18,7 @@ from hatcheck.construct import (
 from hatcheck.errors import PremiseViolationError
 from hatcheck.game import (
     ColorBudget,
+    Strategy,
     enumerate_strategies,
     is_defeating,
     random_strategy,
@@ -27,7 +28,7 @@ from hatcheck.graphs import Graph, RootedTree, closure, connected_graphs, contai
 from hatcheck.rng import SplitMix64
 from hatcheck.solver import find_defeating_assignment
 
-from conftest import bowtie, cactus, complete, path, star, winkler_strategy
+from conftest import bowtie, cactus, complete, cycle, graph, path, star, winkler_strategy
 
 
 def _assert_defeats_all(oracle, trials=200, seed=2026):
@@ -71,7 +72,7 @@ def test_exhaustive_premise_violation_carries_winner():
     with pytest.raises(PremiseViolationError) as info:
         oracle_exhaustive(g, budget, 1).defeat(winkler_strategy())
     witness = info.value.witness
-    assert find_defeating_assignment(g, witness, budget) is None
+    assert find_defeating_assignment(g, witness) is None
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,37 @@ def test_rus_premise_violation_witness_checks():
         for _ in range(50):
             orc.defeat(random_strategy(g, orc.budget, 1, rng))
     witness = info.value.witness
-    assert find_defeating_assignment(witness.graph, witness, witness.budget) is None
+    assert find_defeating_assignment(witness.graph, witness) is None
+
+
+def test_rus_part1_premise_when_no_part1_coloring_survives():
+    # triangle 0-1-2 plus the edge 2-3, cut at 2, two colors: 0 guesses
+    # 1's color and 1 the opposite of 0's (Winkler's K2 strategy, whatever
+    # 2 wears), so one of them is right on every part-1 coloring
+    g = graph(4, (0, 1), (0, 2), (1, 2), (2, 3))
+    orc = oracle_lemma_rus(g, 2, (0, 1, 2), (2, 3), 1)
+    match = tuple((c1,) for c1 in (0, 1) for _ in (0, 1))
+    oppose = tuple((1 - c0,) for c0 in (0, 1) for _ in (0, 1))
+    strategy = Strategy(g, orc.budget, 1, (match, oppose, ((0,),) * 8, ((0,),) * 2))
+    with pytest.raises(PremiseViolationError, match="one-guess game on part 1 at 2 colors$") as info:
+        orc.defeat(strategy)
+    witness = info.value.witness
+    assert witness.budget == ColorBudget.uniform(3, 2)
+    assert find_defeating_assignment(witness.graph, witness) is None
+
+
+def test_rus_part2_premise_violation_witness_checks():
+    # P3 cut at 1, two colors: 0 always guesses 0, so part-1 colorings
+    # with 0 wearing 1 survive and give 1 both colors; 2 guesses 1's
+    # color, so it wins the two-guess game on {2} that is left
+    g = path(3)
+    orc = oracle_lemma_rus(g, 1, (0, 1), (1, 2), 1)
+    strategy = Strategy(g, orc.budget, 1, (((0,), (0,)), ((0,),) * 4, ((0,), (1,))))
+    with pytest.raises(PremiseViolationError, match="two-guess game on part 2 minus the cut vertex at 2 colors$") as info:
+        orc.defeat(strategy)
+    witness = info.value.witness
+    assert witness.graph.vertex_count == 1 and witness.guess_count == 2
+    assert find_defeating_assignment(witness.graph, witness) is None
 
 
 def test_rus_split_validation():
@@ -315,6 +346,13 @@ def test_circ_triangle_desk_scale():
     assert bound.exact == 1807
     assert orc.budget == ColorBudget.uniform(3, 43)
     _assert_defeats_all(orc, trials=40)
+
+
+def test_circ_bound_in_log_form_builds_no_oracle():
+    # c = 7 caps the certificate depth at 24, and a(24) is past the
+    # exact-integer guard
+    orc, bound = oracle_theorem_circ(cycle(7))
+    assert orc is None and not bound.is_exact
 
 
 def test_circ_ell_too_small():

@@ -28,8 +28,7 @@ from hatcheck.game import (
 )
 from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import Guards
-from hatcheck import rng as rng_module
-from hatcheck.rng import GAMMA, MASK, MAX_REJECTION_KEYS, SplitMix64, mix, rejection_keys, unmix
+from hatcheck.rng import GAMMA, MASK, SplitMix64, mix
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +397,14 @@ def assert_lazy_matches_eager(g, budget, guess_count, seed, strategies=2):
         assert lazy.state == eager.state
 
 
-def seed_rejecting_at(draw: int) -> int:
-    """A seed whose draw `draw` (from 0) is 2^64 - 1, which below(n)
-    rejects for every n that is not a power of two."""
-    return (unmix(MASK) - (draw + 1) * GAMMA) & MASK
+# the state whose splitmix64 output is 2^64 - 1, the top of every
+# bounded draw's range
+TOP_STATE = 0xCF9A04AFFA6BADC0
+
+
+def seed_topping_at(draw: int) -> int:
+    """A seed whose draw `draw` (from 0) is 2^64 - 1."""
+    return (TOP_STATE - (draw + 1) * GAMMA) & MASK
 
 
 MIXED_GAMES = [
@@ -426,11 +429,12 @@ def test_lazy_tables_match_eager_sampler():
          "last-of-strategy", "first-of-next-strategy", "third-strategy"],
 )
 def test_forced_rejection_matches_eager_sampler(draw):
-    # P3 at budget 3: tables of 3, 9 and 3 cells, 15 draws per strategy
-    # unless one is rejected; counts 3 (one guess) and 6 (two) both
-    # reject 2^64 - 1
+    # P3 at budget 3: tables of 3, 9 and 3 cells, 15 draws per strategy;
+    # counts 3 (one guess) and 6 (two) do not divide 2^64, so the top
+    # output is one a rejection sampler would redraw: below maps it to
+    # (2^64 - 1) % count and takes no extra draw
     g, budget = path(3), ColorBudget.uniform(3, 3)
-    seed = seed_rejecting_at(draw)
+    seed = seed_topping_at(draw)
     rng = SplitMix64(seed)
     for _ in range(draw):
         rng.next_u64()
@@ -438,60 +442,31 @@ def test_forced_rejection_matches_eager_sampler(draw):
     for k in (1, 2):
         assert_lazy_matches_eager(g, budget, k, seed, strategies=3)
         rng = SplitMix64(seed)
-        random_strategy(g, budget, k, rng)
-        assert rng.state == (seed + (15 + (draw < 15)) * GAMMA) & MASK
-
-
-def test_rejection_key_of_another_count_is_no_rejection():
-    # count 4 never rejects, so the key of a count-3 rejection inside
-    # vertex 1's run must not shift its entries
-    g, budget = path(2), ColorBudget((4, 3))
-    for draw in (0, 2, 3):
-        assert_lazy_matches_eager(g, budget, 1, seed_rejecting_at(draw))
+        for n in range(1, 4):
+            random_strategy(g, budget, k, rng)
+            assert rng.state == (seed + 15 * n * GAMMA) & MASK
 
 
 def test_scan_path_count_matches_eager_sampler():
-    # 2^64 mod 100000 = 51616 rejecting outputs: too many to invert
-    assert (1 << 64) % 100000 > MAX_REJECTION_KEYS and rejection_keys(100000) is None
+    # count 100000 has 2^64 mod 100000 = 51616 outputs past its top
+    # multiple, the top output among them
     g, budget = Graph(2, frozenset()), ColorBudget((100000, 3))
     for draw in (0, 1, 2):
-        assert_lazy_matches_eager(g, budget, 1, seed_rejecting_at(draw), strategies=2)
+        assert_lazy_matches_eager(g, budget, 1, seed_topping_at(draw), strategies=2)
     for seed in range(20):
         assert_lazy_matches_eager(g, budget, 1, seed)
 
 
-def test_rejection_keys_are_the_rejected_states():
-    for n in (3, 7, 43, 946):
-        keys = rejection_keys(n)
-        assert len(keys) == (1 << 64) % n and list(keys) == sorted(keys)
-        limit = (1 << 64) - (1 << 64) % n
-        assert all(mix((key * GAMMA) & MASK) >= limit for key in keys)
-
-
-def test_rejection_lookups_wrap_around(monkeypatch):
-    # keys on both sides of 2^64: runs that wrap must find both
-    keys = (1, 5, 2 ** 64 - 3)
-    monkeypatch.setattr(rng_module, "rejection_keys", lambda n: keys)
-    for first in (2 ** 64 - 6, 2 ** 64 - 3, 2 ** 64 - 1, 0, 2):
-        state = ((first - 1) * GAMMA) & MASK  # draw 0 has key `first`
-        for draws in (1, 3, 6, 9):
-            run = [(first + k) & MASK for k in range(draws)]
-            expect = [k for k, key in enumerate(run) if key in keys]
-            assert rng_module.clean_run({3}, state, draws) == (not expect)
-            got = rng_module.rejections(3, state, draws)
-            # each rejection lengthens the run, which may reach more keys
-            walked, k = [], 0
-            while k < draws + len(walked):
-                if (first + k) & MASK in keys:
-                    walked.append(k)
-                k += 1
-            assert got == walked
-
-
-@given(st.integers(0, 2 ** 64 - 1))
-def test_unmix_inverts_mix(x):
-    assert unmix(mix(x)) == x
-    assert mix(unmix(x)) == x
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 2 ** 70))
+def test_next_u64_is_mix_of_next_state(seed, n):
+    state = (seed + GAMMA) & MASK
+    assert SplitMix64(seed).next_u64() == mix(state)
+    # a bounded draw is that one output mod n
+    rng = SplitMix64(seed)
+    assert rng.below(n) == mix(state) % n and rng.state == state
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            rng.below(bad)
 
 
 def test_sampled_table_reads_as_a_tuple():

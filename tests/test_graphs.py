@@ -355,6 +355,14 @@ def test_tary_examples():
     _check_embedding(cycle(4), 2, 1, emb)
 
 
+def test_tary_backtracks_past_a_failed_child():
+    # the first children tried for root 0 are 1 and 2, and 1 is a leaf
+    # of the graph: the search must undo them and take 2 and 3
+    edges = [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 6), (3, 7)]
+    assert contains_tary_tree(graph(8, *edges), 2, 2) == (0, 2, 3, 4, 5, 6, 7)
+    assert contains_tary_tree(graph(8, *edges[:-1]), 2, 2) is None
+
+
 def test_tary_guard():
     with pytest.raises(GuardExceededError):
         contains_tary_tree(complete(6), 2, 4, Guards(tree_size=20))

@@ -54,3 +54,18 @@ def test_exit_codes_documented():
     }
     assert _documented_exit_codes(hatcheck.cli.__doc__) == codes
     assert _documented_exit_codes((ROOT / "README.md").read_text()) == codes
+
+
+def test_no_private_names_imported_across_modules():
+    # an underscore name is private to its module; one another module
+    # needs belongs in the owner's public names
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "hatcheck")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, f"private names imported from other hatcheck modules: {found}"
