@@ -4,8 +4,9 @@ players_win answers "can the players force a correct guess on every
 assignment" by looking for a covering family of table entries: each
 assignment must be covered by at least one vertex whose table entry (at
 the neighborhood coloring that assignment induces) contains the vertex's
-own color.  Entries hold at most guess_count colors.  Three methods run
-in turn:
+own color.  Entries hold at most guess_count colors.
+
+Three methods run in turn:
 
 1. Counting at the root.  A color at an entry covers at most the
    entry's weight of assignments (its members with that own color), so
@@ -21,7 +22,21 @@ in turn:
    the budget runs out the search leaves nothing behind.
 3. The exact search, unchanged by step 2, so adversary verdicts, their
    transcripts and refuted counts are those of an exhaustive search.
-   It backtracks over covering choices:
+   It runs on a canonical relabelling of the game: of all the
+   permutations of the vertices, the one whose relabelled (sorted edge
+   list, budget tuple) is lexicographically greatest, the first such in
+   itertools order.  Brute force finds it, which is cheap up to six
+   vertices; past six the relabelling is the identity.  So isomorphic
+   games run the same exact search, and its cost and refuted count
+   belong to the isomorphism class (a canonical form in the sense of
+   McKay and Piperno, JSC 2014, without their pruning).  A certificate
+   is mapped back through game.reindex and each transcript witness
+   vertex by vertex, so outcomes are in the caller's labels.  Steps 1
+   and 2 stay in the caller's labels: whether the local search finds a
+   win is a draw that differs by labelling.  It wins the bowtie at four
+   colors in 3 of its 15 labellings, the canonical one not among them,
+   and the exact search does not finish that game.
+   The exact search backtracks over covering choices:
 
    * each uncovered assignment contributes one candidate (cell, color)
      per vertex, namely "put my color at v into v's entry for what v
@@ -74,7 +89,8 @@ the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import permutations
 from typing import Optional
 
 from .game import (
@@ -82,6 +98,7 @@ from .game import (
     Strategy,
     enumerate_assignments,
     is_defeating,
+    reindex,
     strategy_to_text,
     table_size,
     total_table_size,
@@ -103,7 +120,10 @@ class SolveOutcome:
     the assignment is the uncovered witness that killed the branch (for
     capacity prunes, the first assignment still uncovered there).  The
     transcript keeps at most max_transcript entries; refuted counts
-    every refuted branch.
+    every refuted branch.  Certificates and witnesses are in the
+    caller's labels.  The search runs on the canonical form, so on at
+    most six vertices refuted is a property of the isomorphism class of
+    (graph, budget): every labelling refutes as many branches.
     """
 
     graph: Graph
@@ -134,6 +154,10 @@ _SEARCH_SEED = 0x6861_7463_6865_636B
 _FLIPS_PER_ASSIGNMENT = 16
 _NOISE_PER_256 = 16  # chance of a random swap
 _NOVELTY_PER_256 = 200  # chance of the second-best swap, see below
+
+# games on at most this many vertices are solved on their canonical form,
+# found by brute force over the n! relabellings
+_CANON_MAX_VERTICES = 6
 
 
 def _nth_set_bit(x: int, r: int) -> int:
@@ -257,6 +281,15 @@ def _local_search(assigns, cells_of, cell_owner, capacity, qs, lowest, color_pat
     return None
 
 
+def _relabelled(g: Graph, budget: ColorBudget, perm) -> tuple:
+    """(sorted edge list, budget tuple) of the game with v renamed perm[v]."""
+    edges = sorted((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]) for u, v in g.edges)
+    sizes = [0] * len(perm)
+    for v, q in zip(perm, budget.sizes):
+        sizes[v] = q
+    return edges, tuple(sizes)
+
+
 def players_win(
     g: Graph,
     budget: ColorBudget,
@@ -272,85 +305,126 @@ def players_win(
         raise ValueError("budget length must match vertex count")
     if guess_count not in (1, 2):
         raise ValueError("guess_count must be 1 or 2")
-    total_assignments = budget.product()
-    guards.check("assignment", total_assignments)
+    guards.check("assignment", budget.product())
     guards.check("table", total_table_size(g, budget))
 
-    qs = budget.sizes
-    assigns = list(enumerate_assignments(budget, guards))
-    a_count = len(assigns)
-
-    # cell layout: per-vertex dense tables flattened into one id space
-    offsets = []
-    ncells = 0
-    for v in range(n):
-        offsets.append(ncells)
-        ncells += table_size(g, budget, v)
-    cell_owner = [0] * ncells
-    for v in range(n):
-        for i in range(table_size(g, budget, v)):
-            cell_owner[offsets[v] + i] = v
-
-    capacity = [min(guess_count, qs[cell_owner[c]]) for c in range(ncells)]
-    weight = [0] * ncells
-    for c in range(ncells):
-        v = cell_owner[c]
-        weight[c] = total_assignments // (qs[v] * table_size(g, budget, v))
-
-    # per assignment: its covering cell at each vertex
-    cells_of = []
-    for colors in assigns:
-        row = []
-        for v in range(n):
-            idx = 0
-            for u in g.neighbors(v):
-                idx = idx * qs[u] + colors[u]
-            row.append(offsets[v] + idx)
-        cells_of.append(row)
-
-    def finish_with_tables(picks_by_cell):
-        tables = []
-        for v in range(n):
-            rows = []
-            for i in range(table_size(g, budget, v)):
-                picks = picks_by_cell[offsets[v] + i]
-                rows.append(tuple(sorted(picks)) if picks else (0,))
-            tables.append(tuple(rows))
-        certificate = Strategy(g, budget, guess_count, tuple(tables))
-        return SolveOutcome(g, budget, guess_count, PLAYERS, certificate=certificate)
-
-    # bitset layout.  Assignment a is bit a of the masks.  In
-    # lexicographic order the members of a cell are its lowest member
-    # plus the assignments with all of the owner's neighbors at color 0,
-    # so each cover set is a per-vertex pattern shifted by one index.
-    stride = [0] * n
-    step = 1
-    for v in reversed(range(n)):
-        stride[v] = step
-        step *= qs[v]
-    cell_pattern = [0] * n  # members of the vertex's first cell
-    color_pattern = [0] * n  # those of them with own color 0
-    lowest = [-1] * ncells  # lowest member of each cell
-    for a in range(a_count):
-        row = cells_of[a]
-        for v in range(n):
-            c = row[v]
-            if lowest[c] < 0:
-                lowest[c] = a
-            if c == offsets[v]:
-                cell_pattern[v] |= 1 << a
-                if assigns[a][v] == 0:
-                    color_pattern[v] |= 1 << a
-
+    layout = _Layout(g, budget, guess_count, guards)
     # counting at the root: entries that cover fewer assignments than
-    # there are lose, and the search below refutes at once
-    root_bound = sum(capacity[c] * weight[c] for c in range(ncells))
-    if root_bound >= a_count:
-        entries = _local_search(assigns, cells_of, cell_owner, capacity, qs, lowest, color_pattern, stride)
+    # there are lose, and the exact search refutes at once
+    if sum(c * w for c, w in zip(layout.capacity, layout.weight)) >= len(layout.assigns):
+        entries = _local_search(
+            layout.assigns, layout.cells_of, layout.cell_owner, layout.capacity,
+            budget.sizes, layout.lowest, layout.color_pattern, layout.stride,
+        )
         if entries is not None:
-            outcome = finish_with_tables(entries)
+            outcome = layout.outcome(entries)
             if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
                 return outcome
+
+    # vertex v is canonical vertex perm[v]; max keeps the first greatest
+    # permutation
+    perm = identity = tuple(range(n))
+    if n <= _CANON_MAX_VERTICES:
+        perm = max(permutations(perm), key=lambda p: _relabelled(g, budget, p))
+    if perm != identity:
+        edges, sizes = _relabelled(g, budget, perm)
+        layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), guess_count, guards)
+    outcome = _exact_search(layout, max_transcript)
+    if outcome.winner == PLAYERS:
+        certificate = reindex(outcome.certificate, g, budget, perm)
+        return SolveOutcome(g, budget, guess_count, PLAYERS, certificate=certificate)
+    transcript = tuple((i, tuple(canon[p] for p in perm)) for i, canon in outcome.transcript)
+    return replace(outcome, graph=g, budget=budget, transcript=transcript)
+
+
+class _Layout:
+    """A game's covering instance, in the labels it is given.
+
+    Cells are the per-vertex dense tables flattened into one id space, and
+    cells_of[a] is assignment a's covering cell at each vertex.  The
+    members of cell c with own color col are color_pattern[v] shifted by
+    lowest[c] + col * stride[v], v the owner; see the module docstring.
+    """
+
+    def __init__(self, g: Graph, budget: ColorBudget, guess_count: int, guards: Guards) -> None:
+        n = g.vertex_count
+        qs = budget.sizes
+        total_assignments = budget.product()
+        assigns = list(enumerate_assignments(budget, guards))
+
+        offsets = []
+        ncells = 0
+        for v in range(n):
+            offsets.append(ncells)
+            ncells += table_size(g, budget, v)
+        cell_owner = [0] * ncells
+        for v in range(n):
+            for i in range(table_size(g, budget, v)):
+                cell_owner[offsets[v] + i] = v
+
+        capacity = [min(guess_count, qs[cell_owner[c]]) for c in range(ncells)]
+        weight = [0] * ncells
+        for c in range(ncells):
+            v = cell_owner[c]
+            weight[c] = total_assignments // (qs[v] * table_size(g, budget, v))
+
+        cells_of = []
+        for colors in assigns:
+            row = []
+            for v in range(n):
+                idx = 0
+                for u in g.neighbors(v):
+                    idx = idx * qs[u] + colors[u]
+                row.append(offsets[v] + idx)
+            cells_of.append(row)
+
+        stride = [0] * n
+        step = 1
+        for v in reversed(range(n)):
+            stride[v] = step
+            step *= qs[v]
+        cell_pattern = [0] * n  # members of the vertex's first cell
+        color_pattern = [0] * n  # those of them with own color 0
+        lowest = [-1] * ncells  # lowest member of each cell
+        for a in range(len(assigns)):
+            row = cells_of[a]
+            for v in range(n):
+                c = row[v]
+                if lowest[c] < 0:
+                    lowest[c] = a
+                if c == offsets[v]:
+                    cell_pattern[v] |= 1 << a
+                    if assigns[a][v] == 0:
+                        color_pattern[v] |= 1 << a
+
+        self.g, self.budget, self.guess_count = g, budget, guess_count
+        self.assigns, self.cells_of, self.offsets = assigns, cells_of, offsets
+        self.cell_owner, self.capacity, self.weight = cell_owner, capacity, weight
+        self.stride, self.cell_pattern, self.color_pattern, self.lowest = stride, cell_pattern, color_pattern, lowest
+
+    def outcome(self, picks_by_cell) -> SolveOutcome:
+        """The players' outcome whose entries hold these picks (none: color 0)."""
+        g, budget = self.g, self.budget
+        tables = []
+        for v in range(g.vertex_count):
+            rows = []
+            for i in range(table_size(g, budget, v)):
+                picks = picks_by_cell[self.offsets[v] + i]
+                rows.append(tuple(sorted(picks)) if picks else (0,))
+            tables.append(tuple(rows))
+        certificate = Strategy(g, budget, self.guess_count, tuple(tables))
+        return SolveOutcome(g, budget, self.guess_count, PLAYERS, certificate=certificate)
+
+
+def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
+    """The exhaustive search of the module docstring, in the layout's labels."""
+    g, budget, guess_count = layout.g, layout.budget, layout.guess_count
+    n = g.vertex_count
+    qs = budget.sizes
+    assigns, cells_of, cell_owner = layout.assigns, layout.cells_of, layout.cell_owner
+    capacity, weight, stride = layout.capacity, layout.weight, layout.stride
+    cell_pattern, color_pattern, lowest = layout.cell_pattern, layout.color_pattern, layout.lowest
+    a_count, ncells = len(assigns), len(cell_owner)
 
     cap_left = capacity[:]
     used = [0] * ncells  # capacity - cap_left, the entry's engagement
@@ -571,7 +645,7 @@ def players_win(
             picks = [[] for _ in range(ncells)]
             for cell, color, _ in trail:
                 picks[cell].append(color)
-            return finish_with_tables(picks)
+            return layout.outcome(picks)
         if conflict is None:
             # try the freshest-covering option first; the sort is stable
             # so equal residuals keep vertex order

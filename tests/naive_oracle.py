@@ -12,11 +12,17 @@ once every cell an assignment reads is filled and none of them guesses
 the assignment's color, no completion can save it.  That check is the
 only pruning; nothing else is shared with the production search.
 
+On stars a second oracle enumerates the leaves' tables only and derives
+what the center must cover, which finishes where the table search does
+not.
+
 The longest-cycle oracle tries every cyclic ordering of every vertex
 subset, so it shares nothing with the backtracking circumference search.
 """
 
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import and_
 
 from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, table_size
 from hatcheck.graphs import Graph
@@ -109,6 +115,39 @@ def naive_hg(g: Graph, guess_count: int, guards: Guards = DEFAULT_GUARDS) -> int
         if not won:
             return q
         q += 1
+
+
+def naive_star_players_win(leaves: int, q: int, guess_count: int) -> bool:
+    """Decide the game on the star K1,leaves (center 0) at q colors each by
+    enumerating the leaves' tables alone.
+
+    A leaf sees only the center, so its table maps the center's color to a
+    guess set.  Given the leaf tables, let S_c be the leaf colorings that no
+    leaf guesses while the center wears c.  The center sees the leaf
+    coloring, so it covers each one for at most guess_count centre colors,
+    and the players win iff some leaf tables put no leaf coloring in more
+    than guess_count of the sets S_c.  Leaves take maximal guess sets only,
+    as in naive_players_win.  This finishes K1,3 at 3 colors, which the
+    table search does not.
+    """
+    sets = list(combinations(range(q), min(guess_count, q)))
+    colorings = list(product(range(q), repeat=leaves))
+    everything = (1 << len(colorings)) - 1
+    # missed[i][s]: the leaf colorings in which leaf i's color is outside set s
+    missed = [
+        [sum(1 << k for k, x in enumerate(colorings) if x[i] not in s) for s in sets]
+        for i in range(leaves)
+    ]
+    for tables in product(product(range(len(sets)), repeat=q), repeat=leaves):
+        unguessed = []  # S_c as a mask over colorings
+        for c in range(q):
+            mask = everything
+            for i in range(leaves):
+                mask &= missed[i][tables[i][c]]
+            unguessed.append(mask)
+        if not any(reduce(and_, group) for group in combinations(unguessed, guess_count + 1)):
+            return True
+    return False
 
 
 def naive_circumference(g: Graph) -> int:

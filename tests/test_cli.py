@@ -93,9 +93,37 @@ def test_solve_dump_counts_every_refuted_branch(capsys):
     # the transcript is capped at 1000 entries; the count is not
     code, out = run(capsys, "solve", graph_path("p4"), "--budget", "3", "--dump")
     assert code == 0
-    assert "refuted_branches: 8977" in out
+    assert "refuted_branches: 6509" in out
     assert "  transcript truncated" in out
     assert sum(1 for line in out.splitlines() if "defeated-by" in line) == 1000
+
+
+def test_solve_reports_witnesses_in_the_files_labels(capsys, tmp_path):
+    # p4.graph is the path 0-1-2-3; this file is the path 3-0-2-1
+    relabelled = tmp_path / "p4-relabelled.graph"
+    relabelled.write_text("4 3\n0 2\n0 3\n1 2\n")
+    counts, witnesses = [], []
+    for path in (graph_path("p4"), str(relabelled)):
+        code, out = run(capsys, "solve", path, "--budget", "3", "--dump")
+        assert code == 0
+        lines = out.splitlines()
+        counts.extend(line for line in lines if line.startswith("refuted_branches:"))
+        witnesses.append([tuple(map(int, line.split("defeated-by")[1].split())) for line in lines if "defeated-by" in line])
+    assert counts == ["refuted_branches: 6509"] * 2
+    assert witnesses[0] != witnesses[1]
+
+    def carried(sigma):
+        """p4.graph's witnesses with vertex v renamed sigma[v]."""
+        moved = []
+        for w in witnesses[0]:
+            m = [0] * 4
+            for v, c in enumerate(w):
+                m[sigma[v]] = c
+            moved.append(tuple(m))
+        return moved
+
+    # the two isomorphisms from p4.graph onto the file
+    assert witnesses[1] in (carried((3, 0, 2, 1)), carried((1, 2, 0, 3)))
 
 
 def test_solve_per_vertex_budget(capsys):
@@ -111,7 +139,7 @@ def test_solve_per_vertex_budget(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("p4", "--budget", "3", "--dump"), "deec67f77c7e6dbe19bd2b8600359e3238ed7319a9267c84a2171e56d26f2057"),
+        (("p4", "--budget", "3", "--dump"), "dc5946678fb3aa91e8ee54ce85652572a1ce4b431ec25972c818fabdbb2771b8"),
         (("k1", "--guesses", "2", "--budget", "3", "--dump"), "8884bcbb98dd48c2c4378ff2106ed0630bf383b47162977c21ef0feb4751808b"),
         (("k2", "--budget", "2"), "d1a8f4814e38afcd0de84b67346d5387426b109e1c920658ac7608ecb59be327"),
         (("k3", "--guesses", "2", "--budget", "6"), "a2e8e08f22493fefc56f2d5fdc0e47cc70a5e4a78cf342576c3291a81799a4fc"),

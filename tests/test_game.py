@@ -428,7 +428,7 @@ def test_lazy_tables_match_eager_sampler():
     ids=["first-cell", "interior", "last-of-vertex", "first-of-next-vertex",
          "last-of-strategy", "first-of-next-strategy", "third-strategy"],
 )
-def test_forced_rejection_matches_eager_sampler(draw):
+def test_top_output_draws_match_eager_sampler(draw):
     # P3 at budget 3: tables of 3, 9 and 3 cells, 15 draws per strategy;
     # counts 3 (one guess) and 6 (two) do not divide 2^64, so the top
     # output is one a rejection sampler would redraw: below maps it to
@@ -447,7 +447,7 @@ def test_forced_rejection_matches_eager_sampler(draw):
             assert rng.state == (seed + 15 * n * GAMMA) & MASK
 
 
-def test_scan_path_count_matches_eager_sampler():
+def test_count_100000_draws_match_eager_sampler():
     # count 100000 has 2^64 mod 100000 = 51616 outputs past its top
     # multiple, the top output among them
     g, budget = Graph(2, frozenset()), ColorBudget((100000, 3))
