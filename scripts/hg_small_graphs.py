@@ -6,7 +6,7 @@ line per graph with its game value, and closes with the per-size value
 distribution.  Through three vertices two-guess values (--hg2) cost
 about as much as one-guess ones, though budgets climb to 7.  On four
 vertices a two-guess call can still run for many minutes: on the star
-K1,3 at six colors the local search finds no win and the exact search
+K1,3 at seven colors the local search finds no win and the exact search
 does not finish.
 """
 

@@ -56,7 +56,19 @@ Three methods run in turn:
    * when that count is exactly tight (as it is from the start whenever
      q = n uniformly), a choice below its entry's contributing residuals
      loses more potential than it covers and is excluded from
-     viability, which turns the count into per-choice propagation.
+     viability, which turns the count into per-choice propagation;
+   * once an option of a decision is refuted, its (cell, color) pair is
+     excluded from the subtrees of the decision's later options, until
+     the decision is exhausted and its exclusions are lifted (the
+     negated decision of DPLL; disjoint branching in set-cover branch
+     and bound).  This is sound because the refuted subtree searched
+     every completion that holds the pair, so without the rule a
+     covering state would be refuted once per order in which its
+     choices were made.  An excluded pair is no option: the forced
+     moves, the option counts and the viable options skip it, and the
+     residual count ignores its color, so an entry contributes its
+     cap_left largest residuals over the colors not excluded there, and
+     nothing when none is left.
 
    The first explored branch covers the all-zero assignment at the
    least vertex, so on this path the first table entry ever fixed
@@ -72,13 +84,17 @@ search keeps its state incremental, so a step costs what it changes
 rather than the size of the game:
 
 * the uncovered set, and per vertex the assignments whose entry there
-  is saturated, are masks, and undo restores them;
+  is saturated, are masks, and undo restores them; so are, per vertex,
+  the assignments whose cover there is excluded, with the excluded
+  colors of each entry as a bitmask;
 * the residual bound is a running sum of cached per-entry contributions;
   a choice or undo marks the entries whose residuals or free slots
   changed, and only those are recomputed;
-* outside tight states an assignment's options are its unsaturated
-  entries, so the assignments with k options are counted bitwise from
-  the saturated sets and the scan visits only the fewest-option ones.
+* outside tight states an assignment's options are its free covers,
+  those whose entry is unsaturated and whose pair is not excluded, so
+  the assignments with k options are counted bitwise from the
+  saturated and excluded sets and the scan visits only the
+  fewest-option ones.
   The scan order, and with it every branch, forced move, conflict and
   certificate, is that of a plain ascending scan of the assignments.
 
@@ -435,9 +451,14 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
     res = [[weight[c]] * qs[cell_owner[c]] for c in range(ncells)]
     # trail entries: (cell, color, the assignments the choice covered)
     trail = []
+    # excluded[c]: colors barred from cell c by refuted sibling branches;
+    # excluded_at[v]: assignments whose cover at v is such a pair
+    excluded = [0] * ncells
+    excluded_at = [0] * n
 
     # The bound is a running sum of cached per-entry contributions: an
-    # entry contributes its cap_left largest color residuals, and thr is
+    # entry contributes its cap_left largest residuals over the colors
+    # not excluded there, and thr is
     # the smallest contributing residual, the viability cut in tight
     # states.  apply/undo_to mark the entries whose residuals or cap_left
     # changed and only those are recomputed.  At the start every color
@@ -487,19 +508,30 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
             used[cell] -= 1
             dirty.add(cell)
 
+    def toggle_exclusion(cell: int, color: int) -> None:
+        """Exclude (cell, color), or lift its exclusion."""
+        v = cell_owner[cell]
+        excluded[cell] ^= 1 << color
+        excluded_at[v] ^= color_pattern[v] << (lowest[cell] + color * stride[v])
+        dirty.add(cell)
+
     def residual_bound():
         """Upper bound on how many uncovered assignments remain coverable."""
         nonlocal bound
         for c in dirty:
             cl = cap_left[c]
-            if cl == 0:
+            r = res[c]
+            ex = excluded[c]
+            if ex:
+                r = [x for col, x in enumerate(r) if not ex >> col & 1]
+            if cl == 0 or not r:
                 part = 0
             elif cl == 1:
-                part = thr[c] = max(res[c])
+                part = thr[c] = max(r)
             else:
-                top = sorted(res[c])
-                thr[c] = top[-2]
-                part = top[-1] + top[-2]
+                top = sorted(r)[-2:]
+                thr[c] = top[0]
+                part = sum(top)
             bound += part - contrib[c]
             contrib[c] = part
         dirty.clear()
@@ -516,38 +548,42 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
         opts = []
         for v in range(n):
             cell = row[v]
-            if cap_left[cell] == 0:
-                continue
             col = colors[v]
+            if cap_left[cell] == 0 or excluded[cell] >> col & 1:
+                continue
             if tight and res[cell][col] < thr[cell]:
                 continue
             opts.append((cell, col))
         return opts
 
-    def at_most_one_free():
-        """(uncovered with no unsaturated cell, with at most one)."""
+    def at_most_one_free(blocked):
+        """(uncovered with no free cover, with at most one).
+
+        blocked[v]: the assignments whose cover at v is not free, its
+        cell saturated or the pair excluded.
+        """
         suffix = [unc]
-        for sat in reversed(saturated):
-            suffix.append(suffix[-1] & sat)
+        for b in reversed(blocked):
+            suffix.append(suffix[-1] & b)
         suffix.reverse()
         prefix = unc
         one = 0
-        for v, sat in enumerate(saturated):
+        for v, b in enumerate(blocked):
             one |= prefix & suffix[v + 1]
-            prefix &= sat
+            prefix &= b
         return prefix, one
 
-    def by_free_count():
-        """levels[k]: uncovered assignments with k unsaturated cells."""
+    def by_free_count(blocked):
+        """levels[k]: uncovered assignments with k free covers."""
         levels = [unc]
-        for sat in saturated:
-            if not sat:
+        for b in blocked:
+            if not b:
                 levels.insert(0, 0)
                 continue
-            free = ~sat
+            free = ~b
             levels = (
-                [levels[0] & sat]
-                + [hi & sat | lo & free for lo, hi in zip(levels, levels[1:])]
+                [levels[0] & b]
+                + [hi & b | lo & free for lo, hi in zip(levels, levels[1:])]
                 + [levels[-1] & free]
             )
         return levels
@@ -572,15 +608,16 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
             if bound < uncovered:
                 return (unc & -unc).bit_length() - 1, None, None
             if bound > uncovered:
-                # the options are the unsaturated cells
-                none, low = at_most_one_free()
+                # the options are the free covers
+                blocked = [sat | ex for sat, ex in zip(saturated, excluded_at)]
+                none, low = at_most_one_free(blocked)
                 if low:
                     a = (low & -low).bit_length() - 1
                     if none >> a & 1:
                         return a, None, None
                     apply(*viable_options(a, False)[0])
                     continue
-                levels = by_free_count()
+                levels = by_free_count(blocked)
                 k = 2
                 while not levels[k]:
                     k += 1
@@ -598,10 +635,10 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
                 candidates ^= low
                 a = low.bit_length() - 1
                 if tight:
-                    # options at or above their entry's threshold
+                    # options not excluded, at or above their entry's threshold
                     count = 0
                     for c, col in zip(cells_of[a], assigns[a]):
-                        if cap_left[c] and res[c][col] >= thr[c]:
+                        if cap_left[c] and res[c][col] >= thr[c] and not excluded[c] >> col & 1:
                             count += 1
                     if count == 0:
                         return a, None, None
@@ -658,9 +695,15 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
             options, nxt, mark = decisions.pop()
             undo_to(mark)
             if nxt < len(options):
+                # the subtree of the option just refuted searched every
+                # completion holding it, so its siblings leave it out
+                toggle_exclusion(*options[nxt - 1])
                 decisions.append((options, nxt + 1, mark))
                 apply(*options[nxt])
                 break
+            # exhausted: its options are free again above it
+            for option in options[:-1]:
+                toggle_exclusion(*option)
         else:
             return SolveOutcome(
                 g,

@@ -89,13 +89,19 @@ def test_solve_adversary_with_dump(capsys):
     assert "refuted_branches:" in out
 
 
-def test_solve_dump_counts_every_refuted_branch(capsys):
-    # the transcript is capped at 1000 entries; the count is not
-    code, out = run(capsys, "solve", graph_path("p4"), "--budget", "3", "--dump")
+def test_solve_dump_counts_every_refuted_branch(capsys, tmp_path):
+    # the transcript is capped at 1000 entries; the count is not.  P5 at
+    # three colors refutes more branches than that, the P4 in p4.graph not
+    p5 = tmp_path / "p5.graph"
+    p5.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+    code, out = run(capsys, "solve", str(p5), "--budget", "3", "--dump")
     assert code == 0
-    assert "refuted_branches: 6509" in out
+    assert "refuted_branches: 5572" in out
     assert "  transcript truncated" in out
     assert sum(1 for line in out.splitlines() if "defeated-by" in line) == 1000
+    assert hashlib.sha256(strip_timing(out).encode()).hexdigest() == (
+        "9d36219049643792b321ef18185eaa05f528bd6174ab266a9fb8adc242c83d14"
+    )
 
 
 def test_solve_reports_witnesses_in_the_files_labels(capsys, tmp_path):
@@ -109,7 +115,7 @@ def test_solve_reports_witnesses_in_the_files_labels(capsys, tmp_path):
         lines = out.splitlines()
         counts.extend(line for line in lines if line.startswith("refuted_branches:"))
         witnesses.append([tuple(map(int, line.split("defeated-by")[1].split())) for line in lines if "defeated-by" in line])
-    assert counts == ["refuted_branches: 6509"] * 2
+    assert counts == ["refuted_branches: 198"] * 2
     assert witnesses[0] != witnesses[1]
 
     def carried(sigma):
@@ -133,13 +139,14 @@ def test_solve_per_vertex_budget(capsys):
     assert "winner:" in out
 
 
-# pinned reports: both verdict sides, a truncated transcript, a two-guess
-# clique win and a per-vertex budget, so a change to how outcomes are
-# found or rendered must keep every byte
+# pinned reports: both verdict sides, a two-guess clique win and a
+# per-vertex budget, so a change to how outcomes are found or rendered must
+# keep every byte; test_solve_dump_counts_every_refuted_branch pins a
+# truncated transcript
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("p4", "--budget", "3", "--dump"), "dc5946678fb3aa91e8ee54ce85652572a1ce4b431ec25972c818fabdbb2771b8"),
+        (("p4", "--budget", "3", "--dump"), "e79720804a5946cde9eafa73864d0eb648218759539731e4f180982e8c6428b7"),
         (("k1", "--guesses", "2", "--budget", "3", "--dump"), "8884bcbb98dd48c2c4378ff2106ed0630bf383b47162977c21ef0feb4751808b"),
         (("k2", "--budget", "2"), "d1a8f4814e38afcd0de84b67346d5387426b109e1c920658ac7608ecb59be327"),
         (("k3", "--guesses", "2", "--budget", "6"), "a2e8e08f22493fefc56f2d5fdc0e47cc70a5e4a78cf342576c3291a81799a4fc"),

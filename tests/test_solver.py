@@ -349,8 +349,8 @@ def test_table_size_accounting():
 # ---------------------------------------------------------------------------
 
 _TREE_PINS = [
-    ("p4", path(4), 6509, "712c66b4003d745bc308dc2f7139b46f751d82d4be01593239d4d27944950820"),
-    ("star", star(3), 3308, "ed5050b7b23ad91e145fef502ffb53f5fa39055633842ccd4d6269d7aac4cc2e"),
+    ("p4", path(4), 198, "f3c70992a9a37bd9ab6969730a6d4dc9c318945345496f6ea9c9b75e198e0aaf"),
+    ("star", star(3), 255, "0137db2370d211d7d595166077fb4fb3f7f4969ed5f850c079f45d07b311e50b"),
 ]
 # the ids these labellings were first pinned under
 _EARLIER_IDS = {path(4): "p4", graph(4, (0, 2), (0, 3), (1, 2)): "p4-relabelled", star(3): "star"}
@@ -414,6 +414,98 @@ def test_exact_search_when_local_search_fails(monkeypatch, found):
     assert hashlib.sha256(outcome_to_text(out).encode()).hexdigest() == (
         "b7f0310a9e06b46004babe3c8c092c8f4556c290bce3f40d8e80a7ff0907ecbb"
     )
+
+
+def test_exact_search_alone_matches_oracles(monkeypatch):
+    # with the local search giving up, players verdicts come from the exact
+    # search too, so both of its sides meet an independent check
+    monkeypatch.setattr(solver, "_local_search", lambda *layout: None)
+    for n in (1, 2, 3):
+        for g in connected_graphs(n):
+            for q in (1, 2, 3, 4):
+                for guesses in (1, 2):
+                    budget = ColorBudget.uniform(n, q)
+                    out = players_win(g, budget, guesses)
+                    if out.winner == PLAYERS:
+                        # a winning certificate is what naive_players_win
+                        # finds; the table search takes over 10 s for K3@3
+                        # and for two-guess P3@4
+                        assert _certificate_is_winning(out), (g.edges, q, guesses)
+                    elif n * guesses * q ** (n - 1) >= q ** n:
+                        # counting does not decide it
+                        assert not naive_players_win(g, budget, guesses)[0], (g.edges, q, guesses)
+    # the known one-guess values on four vertices; the exact search takes
+    # about 1.5 s to win C4@3, so one of its three labellings stands in
+    for g in connected_graphs(4):
+        if all(g.degree(v) == 2 for v in range(4)) and g != cycle(4):
+            continue
+        for q in (2, 3):
+            out = players_win(g, ColorBudget.uniform(4, q), 1)
+            tree = len(g.edges) == 3
+            assert out.winner == (ADVERSARY if tree and q == 3 else PLAYERS), (g.edges, q)
+            if out.winner == PLAYERS:
+                assert _certificate_is_winning(out), (g.edges, q)
+
+
+def _highs_players_win(g: Graph, budget: ColorBudget, guesses: int) -> bool:
+    """Feasibility of the 0/1 covering model under HiGHS: one binary per
+    (table entry, color), each assignment covered by some vertex's entry
+    holding its color, each entry holding at most min(guesses, q) colors."""
+    optimize = pytest.importorskip("scipy.optimize")
+    np = pytest.importorskip("numpy")
+    n = g.vertex_count
+    var = {}  # (v, view, color) -> column
+    rows = []
+    for a in enumerate_assignments(budget):
+        row = []
+        for v in range(n):
+            key = (v, tuple(a[u] for u in g.neighbors(v)), a[v])
+            row.append(var.setdefault(key, len(var)))
+        rows.append(row)
+    entries = {}
+    for (v, view, _), col in var.items():
+        entries.setdefault((v, view), []).append(col)
+    cover = np.zeros((len(rows), len(var)))
+    for i, row in enumerate(rows):
+        cover[i, row] = 1
+    slots = np.zeros((len(entries), len(var)))
+    caps = []
+    for i, ((v, _), cols) in enumerate(entries.items()):
+        slots[i, cols] = 1
+        caps.append(min(guesses, budget[v]))
+    result = optimize.milp(
+        np.zeros(len(var)),
+        integrality=np.ones(len(var)),
+        bounds=optimize.Bounds(0, 1),
+        constraints=[
+            optimize.LinearConstraint(cover, lb=1),
+            optimize.LinearConstraint(slots, ub=np.array(caps)),
+        ],
+    )
+    assert result.status in (0, 2), result.message  # solved or infeasible
+    return result.status == 0
+
+
+@pytest.mark.parametrize(
+    "g, q, guesses",
+    [(path(4), 3, 1), (star(3), 3, 1), (cycle(4), 3, 1), (path(3), 6, 2)],
+    ids=["p4", "star", "c4", "p3-two-guess"],
+)
+def test_verdict_matches_highs(g, q, guesses):
+    budget = ColorBudget.uniform(g.vertex_count, q)
+    out = players_win(g, budget, guesses)
+    assert _highs_players_win(g, budget, guesses) == (out.winner == PLAYERS)
+
+
+def test_two_guess_star_won_at_six_colors():
+    # the local search finds no win here; the exact search does
+    out = players_win(star(3), ColorBudget.uniform(4, 6), 2)
+    assert out.winner == PLAYERS and _certificate_is_winning(out)
+
+
+def test_hg_p5():
+    # the adversary side is the exact search's refutation of P5@3
+    assert hg_exact(path(5)) == 2
 
 
 def test_no_local_search_when_counting_refutes(monkeypatch):
