@@ -42,11 +42,18 @@ Three methods run in turn:
      per vertex, namely "put my color at v into v's entry for what v
      sees";
    * entries saturate at guess_count colors;
-   * zero-candidate assignments force a backtrack, single-candidate
-     ones are propagated, otherwise we branch on a least-candidate
-     assignment (ties broken toward assignments most engaged with
-     already-used entries, then by assignment order; candidates by
-     descending residual then vertex index);
+   * an assignment's options are its free covers: a cover is blocked
+     when its entry is saturated, its pair is excluded or, in a tight
+     state, it lies below its entry's contributing residuals (the last
+     two are described below);
+   * zero-option assignments force a backtrack, single-option ones are
+     propagated, otherwise we branch on a least-option assignment (ties
+     broken toward the fewest free slots over the assignment's cells,
+     then by assignment order; options by descending residual then
+     vertex index).  Fewest free slots is most engagement with
+     already-used entries: an entry's capacity depends only on its
+     vertex and an assignment has one entry per vertex, so the
+     capacities over its cells sum to the same for every assignment;
    * a residual count prunes branches where the unsaturated entries
      cannot possibly cover the remaining assignments: a color at an
      entry covers at most its residual (the number of its
@@ -55,8 +62,9 @@ Three methods run in turn:
      uncovered count;
    * when that count is exactly tight (as it is from the start whenever
      q = n uniformly), a choice below its entry's contributing residuals
-     loses more potential than it covers and is excluded from
-     viability, which turns the count into per-choice propagation;
+     loses more potential than it covers, so for that step it is
+     blocked, in the same way as an excluded pair, which turns the
+     count into per-choice propagation;
    * once an option of a decision is refuted, its (cell, color) pair is
      excluded from the subtrees of the decision's later options, until
      the decision is exhausted and its exclusions are lifted (the
@@ -90,11 +98,10 @@ rather than the size of the game:
 * the residual bound is a running sum of cached per-entry contributions;
   a choice or undo marks the entries whose residuals or free slots
   changed, and only those are recomputed;
-* outside tight states an assignment's options are its free covers,
-  those whose entry is unsaturated and whose pair is not excluded, so
-  the assignments with k options are counted bitwise from the
-  saturated and excluded sets and the scan visits only the
-  fewest-option ones.
+* in every state the assignments with k options are counted bitwise
+  from per-vertex masks of blocked covers: the saturated and excluded
+  sets, and in a tight state the members of each below-threshold
+  (entry, color) pair; the scan visits only the fewest-option ones.
   The scan order, and with it every branch, forced move, conflict and
   certificate, is that of a plain ascending scan of the assignments.
 
@@ -197,7 +204,7 @@ def _nth_set_bit(x: int, r: int) -> int:
     return base
 
 
-def _local_search(assigns, cells_of, cell_owner, capacity, qs, lowest, color_pattern, stride):
+def _local_search(layout: _Layout):
     """Seeded min-conflicts search for a covering: picks per cell, or None.
 
     Every entry holds capacity distinct colors.  A step picks a uniformly
@@ -218,11 +225,13 @@ def _local_search(assigns, cells_of, cell_owner, capacity, qs, lowest, color_pat
     members of (cell c, color col) are pattern[c] << lowest[c] + col *
     step[c], as in the exact search.
     """
+    assigns, cells_of, cell_owner = layout.assigns, layout.cells_of, layout.cell_owner
+    capacity, lowest, qs = layout.capacity, layout.lowest, layout.budget.sizes
     a_count = len(assigns)
     full = (1 << a_count) - 1
     rng = SplitMix64(_SEARCH_SEED)
-    pattern = [color_pattern[v] for v in cell_owner]
-    step = [stride[v] for v in cell_owner]
+    pattern = [layout.color_pattern[v] for v in cell_owner]
+    step = [layout.stride[v] for v in cell_owner]
     order = 1 << 40  # above every flip index: a swap's score outranks its age
 
     def count(planes, m, up):
@@ -297,6 +306,42 @@ def _local_search(assigns, cells_of, cell_owner, capacity, qs, lowest, color_pat
     return None
 
 
+def at_most_one_free(unc: int, blocked) -> tuple:
+    """(the assignments of unc with no free cover, those with at most one).
+
+    blocked[v]: the assignments whose cover at vertex v is not free.
+    """
+    suffix = [unc]
+    for b in reversed(blocked):
+        suffix.append(suffix[-1] & b)
+    suffix.reverse()
+    prefix = unc
+    one = 0
+    for v, b in enumerate(blocked):
+        one |= prefix & suffix[v + 1]
+        prefix &= b
+    return prefix, one
+
+
+def by_free_count(unc: int, blocked) -> list:
+    """levels[k]: the assignments of unc with k free covers.
+
+    blocked[v]: the assignments whose cover at vertex v is not free.
+    """
+    levels = [unc]
+    for b in blocked:
+        if not b:
+            levels.insert(0, 0)
+            continue
+        free = ~b
+        levels = (
+            [levels[0] & b]
+            + [hi & b | lo & free for lo, hi in zip(levels, levels[1:])]
+            + [levels[-1] & free]
+        )
+    return levels
+
+
 def _relabelled(g: Graph, budget: ColorBudget, perm) -> tuple:
     """(sorted edge list, budget tuple) of the game with v renamed perm[v]."""
     edges = sorted((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]) for u, v in g.edges)
@@ -328,10 +373,7 @@ def players_win(
     # counting at the root: entries that cover fewer assignments than
     # there are lose, and the exact search refutes at once
     if sum(c * w for c, w in zip(layout.capacity, layout.weight)) >= len(layout.assigns):
-        entries = _local_search(
-            layout.assigns, layout.cells_of, layout.cell_owner, layout.capacity,
-            budget.sizes, layout.lowest, layout.color_pattern, layout.stride,
-        )
+        entries = _local_search(layout)
         if entries is not None:
             outcome = layout.outcome(entries)
             if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
@@ -443,7 +485,6 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
     a_count, ncells = len(assigns), len(cell_owner)
 
     cap_left = capacity[:]
-    used = [0] * ncells  # capacity - cap_left, the entry's engagement
     unc = (1 << a_count) - 1  # uncovered assignments
     # saturated[v]: assignments whose cell at v has no slot left
     saturated = [0] * n
@@ -458,11 +499,11 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
 
     # The bound is a running sum of cached per-entry contributions: an
     # entry contributes its cap_left largest residuals over the colors
-    # not excluded there, and thr is
-    # the smallest contributing residual, the viability cut in tight
-    # states.  apply/undo_to mark the entries whose residuals or cap_left
-    # changed and only those are recomputed.  At the start every color
-    # residual of an entry equals its weight.
+    # not excluded there, and thr is the smallest contributing residual,
+    # below which a tight state blocks a cover.  apply/undo_to mark the
+    # entries whose residuals or cap_left changed and only those are
+    # recomputed.  At the start every color residual of an entry equals
+    # its weight.
     contrib = [capacity[c] * weight[c] for c in range(ncells)]
     thr = weight[:]
     bound = sum(contrib)
@@ -472,7 +513,6 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
         nonlocal unc
         v = cell_owner[cell]
         cap_left[cell] -= 1
-        used[cell] += 1
         dirty.add(cell)
         if cap_left[cell] == 0:
             saturated[v] |= cell_pattern[v] << lowest[cell]
@@ -505,7 +545,6 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
                 v = cell_owner[cell]
                 saturated[v] ^= cell_pattern[v] << lowest[cell]
             cap_left[cell] += 1
-            used[cell] -= 1
             dirty.add(cell)
 
     def toggle_exclusion(cell: int, color: int) -> None:
@@ -537,68 +576,26 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
         dirty.clear()
         return bound
 
-    def viable_options(a, tight):
-        """Usable (cell, color) covers for assignment a.
-
-        In a tight state a choice below its entry's contributing
-        residuals loses more bound than it covers, so it is dropped.
-        """
-        row = cells_of[a]
-        colors = assigns[a]
-        opts = []
-        for v in range(n):
-            cell = row[v]
-            col = colors[v]
-            if cap_left[cell] == 0 or excluded[cell] >> col & 1:
-                continue
-            if tight and res[cell][col] < thr[cell]:
-                continue
-            opts.append((cell, col))
-        return opts
-
-    def at_most_one_free(blocked):
-        """(uncovered with no free cover, with at most one).
-
-        blocked[v]: the assignments whose cover at v is not free, its
-        cell saturated or the pair excluded.
-        """
-        suffix = [unc]
-        for b in reversed(blocked):
-            suffix.append(suffix[-1] & b)
-        suffix.reverse()
-        prefix = unc
-        one = 0
-        for v, b in enumerate(blocked):
-            one |= prefix & suffix[v + 1]
-            prefix &= b
-        return prefix, one
-
-    def by_free_count(blocked):
-        """levels[k]: uncovered assignments with k free covers."""
-        levels = [unc]
-        for b in blocked:
-            if not b:
-                levels.insert(0, 0)
-                continue
-            free = ~b
-            levels = (
-                [levels[0] & b]
-                + [hi & b | lo & free for lo, hi in zip(levels, levels[1:])]
-                + [levels[-1] & free]
-            )
-        return levels
+    def viable_options(a, blocked):
+        """Assignment a's free covers, in vertex order."""
+        return [(c, col) for v, (c, col) in enumerate(zip(cells_of[a], assigns[a])) if not blocked[v] >> a & 1]
 
     def propagate():
         """Apply forced covers until a fixpoint.
 
         Returns (conflict, branch assignment, branch options).  A
-        conflict is an uncovered assignment with no usable choice, or
-        the residual count falling short (reported through the first
-        uncovered assignment).  Uncovered assignments are scanned in
-        ascending order: the first with no option is a conflict, the
-        first with one is forced.  Otherwise the branch assignment has
-        the fewest options, then the most engagement with already-used
-        entries, so related choices cluster, then the least index.
+        conflict is an uncovered assignment with no free cover, or the
+        residual count falling short (reported through the first
+        uncovered assignment).  A cover is blocked when its entry is
+        saturated or its pair excluded, and in a tight state also when
+        it lies below its entry's contributing residuals, for that step
+        only.  Uncovered assignments are scanned in ascending order: the
+        first with no free cover is a conflict, the first with one is
+        forced.  Otherwise the branch assignment has the fewest free
+        covers, then the fewest free slots over its cells, so related
+        choices cluster, then the least index.  Capacity depends only on
+        a cell's owner and an assignment has one cell per vertex, so
+        fewest free slots is most engagement with already-used entries.
         """
         while True:
             if not unc:
@@ -607,60 +604,36 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
             bound = residual_bound()
             if bound < uncovered:
                 return (unc & -unc).bit_length() - 1, None, None
-            if bound > uncovered:
-                # the options are the free covers
-                blocked = [sat | ex for sat, ex in zip(saturated, excluded_at)]
-                none, low = at_most_one_free(blocked)
-                if low:
-                    a = (low & -low).bit_length() - 1
-                    if none >> a & 1:
-                        return a, None, None
-                    apply(*viable_options(a, False)[0])
-                    continue
-                levels = by_free_count(blocked)
-                k = 2
-                while not levels[k]:
-                    k += 1
-                candidates = levels[k]
-                tight = False
-            else:
-                candidates = unc
-                tight = True
-            forced = None
-            best_a = -1
-            best_len = n + 1
-            best_eng = None
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                a = low.bit_length() - 1
-                if tight:
-                    # options not excluded, at or above their entry's threshold
-                    count = 0
-                    for c, col in zip(cells_of[a], assigns[a]):
-                        if cap_left[c] and res[c][col] >= thr[c] and not excluded[c] >> col & 1:
-                            count += 1
-                    if count == 0:
-                        return a, None, None
-                    if count == 1:
-                        forced = a
-                        break
-                else:
-                    count = k
-                if count < best_len:
-                    best_a, best_len, best_eng = a, count, None
-                    continue
-                if count > best_len:
-                    continue
-                if best_eng is None:
-                    best_eng = sum(map(used.__getitem__, cells_of[best_a]))
-                eng = sum(map(used.__getitem__, cells_of[a]))
-                if eng > best_eng:
-                    best_a, best_eng = a, eng
-            if forced is not None:
-                apply(*viable_options(forced, True)[0])
+            blocked = [sat | ex for sat, ex in zip(saturated, excluded_at)]
+            if bound == uncovered:
+                # tight: a cover below its entry's contributing residuals
+                # loses more bound than it covers
+                for c in range(ncells):
+                    if cap_left[c]:
+                        t = thr[c]
+                        v = cell_owner[c]
+                        for col, x in enumerate(res[c]):
+                            if x < t:
+                                blocked[v] |= color_pattern[v] << (lowest[c] + col * stride[v])
+            none, low = at_most_one_free(unc, blocked)
+            if low:
+                a = (low & -low).bit_length() - 1
+                if none >> a & 1:
+                    return a, None, None
+                apply(*viable_options(a, blocked)[0])
                 continue
-            return None, best_a, viable_options(best_a, tight)
+            levels = by_free_count(unc, blocked)
+            k = 2
+            while not levels[k]:
+                k += 1
+            candidates = []
+            level = levels[k]
+            while level:
+                low = level & -level
+                level ^= low
+                candidates.append(low.bit_length() - 1)
+            a = min(candidates, key=lambda a: sum(map(cap_left.__getitem__, cells_of[a])))
+            return None, a, viable_options(a, blocked)
 
     transcript = []
     truncated = False

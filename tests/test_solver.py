@@ -386,6 +386,26 @@ def test_pinned_search(g, q, guesses, winner, refuted, digest):
         assert out.transcript == ((0, (0, 0, 0, 0)),)
 
 
+def test_pinned_small_graph_sweep():
+    # every game the one-guess hg_exact sweep plays on the 44 labelled
+    # connected graphs with at most four vertices, under one digest of
+    # the full outcome texts: winners, certificates and transcripts
+    digest = hashlib.sha256()
+    calls = 0
+    for n in range(1, 5):
+        for g in connected_graphs(n):
+            q = 2
+            while True:
+                out = players_win(g, ColorBudget.uniform(n, q), 1, max_transcript=10**9)
+                digest.update(outcome_to_text(out).encode())
+                calls += 1
+                if out.winner == ADVERSARY:
+                    break
+                q += 1
+    assert calls == 111
+    assert digest.hexdigest() == "a978feaa5dee79dfb9ec29d1b4bad5be7a0af165bb8e7fe2ea499fc2f4610cab"
+
+
 def test_tree_verdicts_match_exhaustive_oracles():
     # the table search of naive_players_win does not finish K1,3 at 3
     # colors, so the star is decided over its leaf tables, an oracle checked
@@ -402,7 +422,7 @@ def test_tree_verdicts_match_exhaustive_oracles():
     [
         lambda *layout: None,
         # every entry guesses colors 0 and 1, which (2, 2, 2) defeats
-        lambda assigns, cells_of, cell_owner, capacity, *rest: [list(range(k)) for k in capacity],
+        lambda layout: [list(range(k)) for k in layout.capacity],
     ],
     ids=["gives-up", "losing-tables"],
 )
@@ -557,6 +577,31 @@ def test_local_search_wins_cliques(monkeypatch, sizes, guesses):
 def test_cliques_lost_one_color_past_the_limit(n, guesses):
     out = players_win(complete(n), ColorBudget.uniform(n, guesses * n + 1), guesses)
     assert out.winner == ADVERSARY
+
+
+@st.composite
+def _blocked_masks(draw):
+    n = draw(st.integers(1, 6))
+    bits = draw(st.integers(1, 200))
+    mask = st.one_of(st.just(0), st.just((1 << bits) - 1), st.integers(0, (1 << bits) - 1))
+    return bits, draw(mask), [draw(mask) for _ in range(n)]
+
+
+@settings(max_examples=200)
+@given(_blocked_masks())
+def test_free_cover_counts_match_a_direct_count(masks):
+    bits, unc, blocked = masks
+    free = {
+        a: sum(not b >> a & 1 for b in blocked)
+        for a in range(bits) if unc >> a & 1
+    }
+    levels = solver.by_free_count(unc, blocked)
+    assert len(levels) == len(blocked) + 1
+    for k, level in enumerate(levels):
+        assert level == sum(1 << a for a, f in free.items() if f == k)
+    none, one = solver.at_most_one_free(unc, blocked)
+    assert none == levels[0]
+    assert one == levels[0] | levels[1]
 
 
 def test_nth_set_bit():
