@@ -3,8 +3,10 @@
 
 Sweeps every labeled connected graph up to --max-n vertices, prints one
 line per graph with its game value, and closes with the per-size value
-distribution.  Through three vertices two-guess values (--hg2) cost
-about as much as one-guess ones, though budgets climb to 7.  On four
+distribution.  On a 2-core x86_64 host with Python 3.11 the default
+sweep (--max-n 4, 44 graphs) takes about 1 s, and --hg2 --max-n 3
+about 0.2 s: through three vertices two-guess values cost about as
+much as one-guess ones, though budgets climb to 7.  On four
 vertices a two-guess call can still run for many minutes: on the star
 K1,3 at seven colors the local search finds no win and the exact search
 does not finish.

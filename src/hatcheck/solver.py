@@ -6,7 +6,7 @@ assignment must be covered by at least one vertex whose table entry (at
 the neighborhood coloring that assignment induces) contains the vertex's
 own color.  Entries hold at most guess_count colors.
 
-Three methods run in turn:
+Three methods run; steps 2 and 3 in alternating slices:
 
 1. Counting at the root.  A color at an entry covers at most the
    entry's weight of assignments (its members with that own color), so
@@ -20,22 +20,32 @@ Three methods run in turn:
    returned only after find_defeating_assignment sweeps every
    assignment, so a players verdict never rests on the search.  When
    the budget runs out the search leaves nothing behind.
-3. The exact search, unchanged by step 2, so adversary verdicts, their
-   transcripts and refuted counts are those of an exhaustive search.
-   It runs on a canonical relabelling of the game: of all the
-   permutations of the vertices, the one whose relabelled (sorted edge
-   list, budget tuple) is lexicographically greatest, the first such in
-   itertools order.  Brute force finds it, which is cheap up to six
-   vertices; past six the relabelling is the identity.  So isomorphic
-   games run the same exact search, and its cost and refuted count
-   belong to the isomorphism class (a canonical form in the sense of
-   McKay and Piperno, JSC 2014, without their pruning).  A certificate
-   is mapped back through game.reindex and each transcript witness
-   vertex by vertex, so outcomes are in the caller's labels.  Steps 1
-   and 2 stay in the caller's labels: whether the local search finds a
-   win is a draw that differs by labelling.  It wins the bowtie at four
-   colors in 3 of its 15 labellings, the canonical one not among them,
-   and the exact search does not finish that game.
+3. The exact search.  After each failed run of the local search it
+   takes one step (one pass of its propagation loop) per flip of that
+   run, and once the flip budget is spent it runs to its end; whichever
+   search finishes first decides, so a players certificate comes from
+   either one.  Running complete methods side by side bounds what the
+   slower one costs (Luby, Sinclair and Zuckerman, IPL 1993): an
+   adversary verdict the exact search reaches in a few dozen steps no
+   longer waits for the whole flip budget.  The exact search itself is
+   unchanged by step 2, so adversary verdicts, their transcripts and
+   refuted counts are those of an exhaustive search.
+   It runs on a canonical relabelling of the game, built at its first
+   step, so a game the local search wins in its first run never builds
+   it: of all the permutations of the vertices, the one whose
+   relabelled (sorted edge list, budget tuple) is lexicographically
+   greatest, the first such in itertools order.  Brute force finds it,
+   which is cheap up to six vertices; past six the relabelling is the
+   identity.  So isomorphic games run the same exact search, and its
+   cost and refuted count belong to the isomorphism class (a canonical
+   form in the sense of McKay and Piperno, JSC 2014, without their
+   pruning).  A certificate is mapped back through game.reindex and
+   each transcript witness vertex by vertex, so outcomes are in the
+   caller's labels.  Steps 1 and 2 stay in the caller's labels: whether
+   the local search finds a win is a draw that differs by labelling.
+   It wins the bowtie at four colors in 3 of its 15 labellings, the
+   canonical one not among them, and the exact search does not finish
+   that game.
    The exact search backtracks over covering choices:
 
    * each uncovered assignment contributes one candidate (cell, color)
@@ -101,12 +111,15 @@ rather than the size of the game:
 * in every state the assignments with k options are counted bitwise
   from per-vertex masks of blocked covers: the saturated and excluded
   sets, and in a tight state the members of each below-threshold
-  (entry, color) pair; the scan visits only the fewest-option ones.
+  (entry, color) pair, recomputed only for the entries that changed
+  since the last tight state; the scan visits only the fewest-option
+  ones.
   The scan order, and with it every branch, forced move, conflict and
   certificate, is that of a plain ascending scan of the assignments.
 
-Everything is deterministic and sequential: the local search draws from
-a SplitMix64 seeded with a module constant, so outcomes depend only on
+Everything is deterministic and runs in one thread: the local search
+draws from a SplitMix64 seeded with a module constant, and the slices
+are measured in flips and steps, not in time, so outcomes depend only on
 the inputs.
 """
 
@@ -205,7 +218,10 @@ def _nth_set_bit(x: int, r: int) -> int:
 
 
 def _local_search(layout: _Layout):
-    """Seeded min-conflicts search for a covering: picks per cell, or None.
+    """Seeded min-conflicts search for a covering, as a generator.
+
+    It yields the flip count of each run that fails and returns the picks
+    per cell of the covering it finds, or None once its budget is spent.
 
     Every entry holds capacity distinct colors.  A step picks a uniformly
     random uncovered assignment and swaps, in one of its cells, one
@@ -303,6 +319,7 @@ def _local_search(layout: _Layout):
             entries[c][k] = col
             changed[c] = flip
             flip += 1
+        yield length
     return None
 
 
@@ -370,15 +387,49 @@ def players_win(
     guards.check("table", total_table_size(g, budget))
 
     layout = _Layout(g, budget, guess_count, guards)
+    exact = _canonical_search(layout, guards, max_transcript)
     # counting at the root: entries that cover fewer assignments than
     # there are lose, and the exact search refutes at once
     if sum(c * w for c, w in zip(layout.capacity, layout.weight)) >= len(layout.assigns):
-        entries = _local_search(layout)
-        if entries is not None:
-            outcome = layout.outcome(entries)
-            if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
+        local = _local_search(layout)
+        while True:
+            try:
+                flips = next(local)
+            except StopIteration as stop:
+                if stop.value is not None:
+                    outcome = layout.outcome(stop.value)
+                    if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
+                        return outcome
+                break
+            # one exact step per flip of the failed run
+            outcome = _advance(exact, flips)
+            if outcome is not None:
                 return outcome
+    return _advance(exact, -1)
 
+
+def _advance(search, steps: int) -> Optional[SolveOutcome]:
+    """Resume a search for steps steps, or to its end when steps < 0.
+
+    Returns its outcome if it finished, else None.
+    """
+    try:
+        while steps:
+            next(search)
+            steps -= 1
+    except StopIteration as stop:
+        return stop.value
+    return None
+
+
+def _canonical_search(layout: _Layout, guards: Guards, max_transcript: int):
+    """The exact search on the canonical relabelling, as a generator.
+
+    Nothing is relabelled before the first step.  It yields as
+    _exact_search does and returns the outcome in the layout's labels.
+    """
+    g, budget = layout.g, layout.budget
+    n = g.vertex_count
     # vertex v is canonical vertex perm[v]; max keeps the first greatest
     # permutation
     perm = identity = tuple(range(n))
@@ -386,11 +437,11 @@ def players_win(
         perm = max(permutations(perm), key=lambda p: _relabelled(g, budget, p))
     if perm != identity:
         edges, sizes = _relabelled(g, budget, perm)
-        layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), guess_count, guards)
-    outcome = _exact_search(layout, max_transcript)
+        layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), layout.guess_count, guards)
+    outcome = yield from _exact_search(layout, max_transcript)
     if outcome.winner == PLAYERS:
         certificate = reindex(outcome.certificate, g, budget, perm)
-        return SolveOutcome(g, budget, guess_count, PLAYERS, certificate=certificate)
+        return SolveOutcome(g, budget, layout.guess_count, PLAYERS, certificate=certificate)
     transcript = tuple((i, tuple(canon[p] for p in perm)) for i, canon in outcome.transcript)
     return replace(outcome, graph=g, budget=budget, transcript=transcript)
 
@@ -474,8 +525,12 @@ class _Layout:
         return SolveOutcome(g, budget, self.guess_count, PLAYERS, certificate=certificate)
 
 
-def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
-    """The exhaustive search of the module docstring, in the layout's labels."""
+def _exact_search(layout: _Layout, max_transcript: int):
+    """The exhaustive search of the module docstring, in the layout's labels.
+
+    A generator: it yields once per step of propagate and returns the
+    SolveOutcome.
+    """
     g, budget, guess_count = layout.g, layout.budget, layout.guess_count
     n = g.vertex_count
     qs = budget.sizes
@@ -496,6 +551,13 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
     # excluded_at[v]: assignments whose cover at v is such a pair
     excluded = [0] * ncells
     excluded_at = [0] * n
+    # below[c]: the members of cell c's colors whose residual is below
+    # thr[c], as of the last tight state (none when c is saturated);
+    # below_at[v] is their union over v's cells, kept by xor since cells
+    # are disjoint; stale holds the cells marked dirty since then
+    below = [0] * ncells
+    below_at = [0] * n
+    stale = set(range(ncells))
 
     # The bound is a running sum of cached per-entry contributions: an
     # entry contributes its cap_left largest residuals over the colors
@@ -573,6 +635,7 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
                 part = sum(top)
             bound += part - contrib[c]
             contrib[c] = part
+        stale.update(dirty)
         dirty.clear()
         return bound
 
@@ -581,7 +644,7 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
         return [(c, col) for v, (c, col) in enumerate(zip(cells_of[a], assigns[a])) if not blocked[v] >> a & 1]
 
     def propagate():
-        """Apply forced covers until a fixpoint.
+        """Apply forced covers until a fixpoint, yielding once per step.
 
         Returns (conflict, branch assignment, branch options).  A
         conflict is an uncovered assignment with no free cover, or the
@@ -598,6 +661,7 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
         fewest free slots is most engagement with already-used entries.
         """
         while True:
+            yield
             if not unc:
                 return None, None, None
             uncovered = unc.bit_count()
@@ -608,13 +672,18 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
             if bound == uncovered:
                 # tight: a cover below its entry's contributing residuals
                 # loses more bound than it covers
-                for c in range(ncells):
+                for c in stale:
+                    v = cell_owner[c]
+                    m = 0
                     if cap_left[c]:
                         t = thr[c]
-                        v = cell_owner[c]
                         for col, x in enumerate(res[c]):
                             if x < t:
-                                blocked[v] |= color_pattern[v] << (lowest[c] + col * stride[v])
+                                m |= color_pattern[v] << (lowest[c] + col * stride[v])
+                    below_at[v] ^= below[c] ^ m
+                    below[c] = m
+                stale.clear()
+                blocked = [b | m for b, m in zip(blocked, below_at)]
             none, low = at_most_one_free(unc, blocked)
             if low:
                 a = (low & -low).bit_length() - 1
@@ -650,7 +719,7 @@ def _exact_search(layout: _Layout, max_transcript: int) -> SolveOutcome:
         branch_counter += 1
 
     while True:
-        conflict, branch_a, branch_opts = propagate()
+        conflict, branch_a, branch_opts = yield from propagate()
         if conflict is None and branch_a is None:
             picks = [[] for _ in range(ncells)]
             for cell, color, _ in trail:

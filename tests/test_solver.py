@@ -389,21 +389,28 @@ def test_pinned_search(g, q, guesses, winner, refuted, digest):
 def test_pinned_small_graph_sweep():
     # every game the one-guess hg_exact sweep plays on the 44 labelled
     # connected graphs with at most four vertices, under one digest of
-    # the full outcome texts: winners, certificates and transcripts
+    # the full outcome texts: winners, certificates and transcripts; the
+    # adversary outcomes, which the exact search alone decides, also have
+    # a digest of their own, and every certificate must win
     digest = hashlib.sha256()
+    adversary = hashlib.sha256()
     calls = 0
     for n in range(1, 5):
         for g in connected_graphs(n):
             q = 2
             while True:
                 out = players_win(g, ColorBudget.uniform(n, q), 1, max_transcript=10**9)
-                digest.update(outcome_to_text(out).encode())
+                text = outcome_to_text(out).encode()
+                digest.update(text)
                 calls += 1
                 if out.winner == ADVERSARY:
+                    adversary.update(text)
                     break
+                assert _certificate_is_winning(out), (g.edges, q)
                 q += 1
     assert calls == 111
-    assert digest.hexdigest() == "a978feaa5dee79dfb9ec29d1b4bad5be7a0af165bb8e7fe2ea499fc2f4610cab"
+    assert digest.hexdigest() == "ec613fd13ceabe357cbdb027b0b74a1050b2e2f3b000bb21fd50aa96049221bc"
+    assert adversary.hexdigest() == "9b4dafc7f1bf365767fd89fe9093d7d65e8db19e53a6b2628b085cc2ed6f4d42"
 
 
 def test_tree_verdicts_match_exhaustive_oracles():
@@ -417,17 +424,31 @@ def test_tree_verdicts_match_exhaustive_oracles():
     assert not naive_star_players_win(3, 3, 1)
 
 
+def _gives_up(layout):
+    """A local search that spends its budget at once and finds nothing."""
+    return iter(())
+
+
+def _losing_tables(*failed_runs):
+    """A local search whose runs of these flip counts fail, and which then
+    returns entries that all guess colors 0 and 1, which (2, 2, 2) defeats."""
+
+    def search(layout):
+        yield from failed_runs
+        return [list(range(k)) for k in layout.capacity]
+
+    return search
+
+
 @pytest.mark.parametrize(
     "found",
-    [
-        lambda *layout: None,
-        # every entry guesses colors 0 and 1, which (2, 2, 2) defeats
-        lambda layout: [list(range(k)) for k in layout.capacity],
-    ],
-    ids=["gives-up", "losing-tables"],
+    [_gives_up, _losing_tables(), _losing_tables(100, 100)],
+    ids=["gives-up", "losing-tables", "losing-tables-late"],
 )
 def test_exact_search_when_local_search_fails(monkeypatch, found):
-    # the fallback is the exact search as it was: the same certificate
+    # the fallback is the exact search as it was: the same certificate,
+    # also when a rejected strategy arrives after the exact search took
+    # its first 200 steps (of the 23,539 it needs here)
     monkeypatch.setattr(solver, "_local_search", found)
     out = players_win(graph(3, (0, 1), (0, 2)), ColorBudget.uniform(3, 5), 2)
     assert out.winner == PLAYERS
@@ -439,7 +460,7 @@ def test_exact_search_when_local_search_fails(monkeypatch, found):
 def test_exact_search_alone_matches_oracles(monkeypatch):
     # with the local search giving up, players verdicts come from the exact
     # search too, so both of its sides meet an independent check
-    monkeypatch.setattr(solver, "_local_search", lambda *layout: None)
+    monkeypatch.setattr(solver, "_local_search", _gives_up)
     for n in (1, 2, 3):
         for g in connected_graphs(n):
             for q in (1, 2, 3, 4):
@@ -530,11 +551,53 @@ def test_hg_p5():
 
 def test_no_local_search_when_counting_refutes(monkeypatch):
     # K4 at 9 colors, two guesses: 2916 cells x 2 slots < 6561 assignments
+    # the stub fails at the call, before its search could be started
     def fail(*args):
         raise AssertionError("local search ran")
 
     monkeypatch.setattr(solver, "_local_search", fail)
     assert players_win(complete(4), ColorBudget.uniform(4, 9), 2).winner == ADVERSARY
+
+
+_QUICK_REFUTATIONS = [(paw(), 4, 1), (diamond(), 4, 1)] + [(g, 6, 2) for g in _labellings(path(3))]
+
+
+@pytest.mark.parametrize(
+    "g, q, guesses",
+    _QUICK_REFUTATIONS,
+    ids=["paw", "diamond"] + ["p3-two-guess-" + "-".join(f"{u}{v}" for u, v in sorted(g.edges))
+                              for g, _, _ in _QUICK_REFUTATIONS[2:]],
+)
+def test_adversary_verdict_stops_the_local_search(monkeypatch, g, q, guesses):
+    # the exact search refutes these within a few dozen steps, so the local
+    # search spends at most two of its runs on them, not its whole budget
+    local_search = solver._local_search
+    resumed = []
+
+    def spy(layout):
+        for flips in local_search(layout):  # no covering exists: it returns None
+            yield flips
+            resumed.append(flips)
+
+    monkeypatch.setattr(solver, "_local_search", spy)
+    budget = ColorBudget.uniform(g.vertex_count, q)
+    out = players_win(g, budget, guesses, max_transcript=10**9)
+    assert out.winner == ADVERSARY
+    assert len(resumed) <= 1
+    monkeypatch.setattr(solver, "_local_search", _gives_up)
+    assert outcome_to_text(out) == outcome_to_text(players_win(g, budget, guesses, max_transcript=10**9))
+
+
+def test_exact_search_won_first_is_deterministic(monkeypatch):
+    # the exact search wins this paw at 3 colors before the local search's
+    # first run of 81 flips fails, so the certificate is the exact search's
+    g = graph(4, (0, 1), (0, 2), (0, 3), (2, 3))
+    budget = ColorBudget.uniform(4, 3)
+    first, second = (players_win(g, budget, 1) for _ in range(2))
+    assert first.winner == PLAYERS and _certificate_is_winning(first)
+    assert outcome_to_text(first) == outcome_to_text(second)
+    monkeypatch.setattr(solver, "_local_search", _gives_up)
+    assert outcome_to_text(first) == outcome_to_text(players_win(g, budget, 1))
 
 
 _CLIQUE_WINS = [((g * n,) * n, g) for n in range(1, 5) for g in (1, 2)] + [
@@ -560,9 +623,10 @@ def test_local_search_wins_cliques(monkeypatch, sizes, guesses):
     local_search = solver._local_search
     found = []
 
-    def spy(*layout):
-        found.append(local_search(*layout))
-        return found[-1]
+    def spy(layout):
+        entries = yield from local_search(layout)
+        found.append(entries)
+        return entries
 
     monkeypatch.setattr(solver, "_local_search", spy)
     out = players_win(complete(len(sizes)), ColorBudget(sizes), guesses)
