@@ -25,20 +25,27 @@ raises IndeterminateComparisonError.  That cannot happen at
 DIGIT_GUARD: the nearest term up to the index cap, a(22) =
 sylvester(23), is about 486k bits under it.
 
-Exact values print in full.  Integers of 600 or more digits are
-rendered by divide and conquer on powers of two into a `decimal.Decimal`
-(Knuth, TAOCP vol. 2, 4.4), whose str takes linear time, instead of
-through int.__str__, which is quadratic in CPython before 3.12.  The
-result never passes through int.__str__ above 600 digits, so it does not
-depend on the process's int-to-str digit limit, and nothing global is
-read or changed.
+Exact values print in full, and never through int.__str__ above 600
+digits: it is quadratic in CPython before 3.12 and subject to the
+int-to-str digit limit.  A sequence term or cycle-length bound past that
+size gets its digits from one more run of its own chain on
+`decimal.Decimal` (Sylvester's step, or the squaring of 64 and 25), in
+a fixed local context wide enough that every step is exact; a step that
+would round raises instead.  libmpdec multiplies large numbers fast and
+Decimal.__str__ is linear, so the 426,881 digits of a(21) cost about
+0.03 s on top of its binary chain.  The value itself stays an int or
+Fraction, and the digits ride along as text.  Any other integer of 600
+or more digits, such as one passed to BigBound.from_exact, is rendered
+by divide and conquer on powers of two into a Decimal (Knuth, TAOCP
+vol. 2, 4.4).  Neither path reads the process's int-to-str limit or
+decimal context, and nothing global is changed.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
@@ -78,6 +85,9 @@ def _pad_up(x):
 _STR_BITS = 1990
 # leaves of the power-of-two split convert to Decimal directly
 _LEAF_BITS = 128
+# integer arithmetic on Decimal at this context is exact: a step that
+# would round raises Inexact instead
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
 def _decimal_text(v: int) -> str:
@@ -110,17 +120,13 @@ def _decimal_text(v: int) -> str:
         hi = x >> w2
         return build(x - (hi << w2), w2) + build(hi, w - w2) * pow2(w2)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(_EXACT):
         return str(build(v, v.bit_length()))
 
 
 def _log2_interval_of_int(v: int):
-    lo = _pad_down(mpmath.log(mpmath.mpf(v), 2))
-    hi = _pad_up(mpmath.log(mpmath.mpf(v), 2))
-    return lo, hi
+    mid = mpmath.log(mpmath.mpf(v), 2)
+    return _pad_down(mid), _pad_up(mid)
 
 
 def _log2_interval_of_exact(v: ExactValue):
@@ -140,6 +146,8 @@ class BigBound:
     exact: Optional[ExactValue] = None
     log2_lo: Optional[object] = None
     log2_hi: Optional[object] = None
+    # decimal text of exact, when the value was built along with it
+    digits: Optional[str] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_exact(cls, value: ExactValue) -> "BigBound":
@@ -166,6 +174,8 @@ class BigBound:
             return self.log2_lo, self.log2_hi
 
     def to_text(self) -> str:
+        if self.digits is not None:
+            return self.digits
         if self.is_exact:
             if isinstance(self.exact, Fraction):
                 return f"{_decimal_text(self.exact.numerator)}/{_decimal_text(self.exact.denominator)}"
@@ -222,6 +232,11 @@ def _check_index(n: int) -> None:
         raise ValueError(f"sequence index capped at {_SEQ_LIMIT}")
 
 
+def _sylvester_step(x):
+    """Sylvester's x -> x^2 - x + 1, on int, or exactly on Decimal under _EXACT."""
+    return x * x - x + 1
+
+
 def _sylvester_term(n: int) -> BigBound:
     """x_n of x_0 = 1, x_1 = 2, x_{k+1} = x_k^2 - x_k + 1.
 
@@ -237,7 +252,7 @@ def _sylvester_term(n: int) -> BigBound:
         return BigBound.from_exact(1)
     x, k = 2, 1
     while k < n and x.bit_length() <= min(_WORK_BITS, GUARD_BITS):
-        x = x * x - x + 1
+        x = _sylvester_step(x)
         k += 1
     # exact test; only a guard near or under _WORK_BITS trips it
     if x.bit_length() > GUARD_BITS:
@@ -252,9 +267,16 @@ def _sylvester_term(n: int) -> BigBound:
                 f"which straddles the {GUARD_BITS}-bit guard"
             )
         while k < n:
-            x = x * x - x + 1
+            x = _sylvester_step(x)
             k += 1
-    return BigBound.from_exact(x)
+    if x.bit_length() < _STR_BITS:
+        return BigBound.from_exact(x)
+    # the digits from the same chain run on Decimal
+    with decimal.localcontext(_EXACT):
+        d = decimal.Decimal(2)
+        for _ in range(n - 1):
+            d = _sylvester_step(d)
+        return BigBound(exact=x, digits=str(d))
 
 
 def _sylvester_log2(n: int, k: int, x: int) -> BigBound:
@@ -339,8 +361,15 @@ def circ_bound(c: int) -> BigBound:
     # numerator digits are the binding size: 64^(2^(d-1)) has about
     # 1.8 * 2^(d-1) decimal digits
     if exponent_log2 <= 60 and (2**exponent_log2) * 6 <= GUARD_BITS:
-        value = Fraction(64, 25) ** (2**exponent_log2) + Fraction(1, 2)
-        return BigBound.from_exact(value)
+        # 2 * 64^N + 25^N over 2 * 25^N, in lowest terms; a power of two
+        # as exponent makes ** a chain of squarings on either type
+        n = 2**exponent_log2
+        value = Fraction(64, 25) ** n + Fraction(1, 2)
+        if value.numerator.bit_length() < _STR_BITS:
+            return BigBound.from_exact(value)
+        with decimal.localcontext(_EXACT):
+            p, q = decimal.Decimal(64) ** n, decimal.Decimal(25) ** n
+            return BigBound(exact=value, digits=f"{2 * p + q}/{2 * q}")
     with mpmath.workprec(_PREC):
         base_lo, base_hi = _log2_interval_of_exact(Fraction(64, 25))
         exp = mpmath.ldexp(1, exponent_log2)

@@ -1,5 +1,7 @@
 """Sequences, theta, and the closed-form bounds with sound comparisons."""
 
+import decimal
+import functools
 import math
 import random
 import subprocess
@@ -348,17 +350,83 @@ def test_decimal_text_matches_str(v):
     assert _decimal_text(v) == expected
 
 
+@functools.lru_cache(maxsize=None)
+def _plain_str(v: int) -> str:
+    """str(v) with the int-to-str limit lifted; quadratic, so once per value."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_seq(multiplier: int) -> tuple:
+    # up to the last exact terms, a(22) = sylvester(23)
+    return tuple(_plain_terms(multiplier, 25 - multiplier))
+
+
+@pytest.mark.parametrize(
+    "fn, multiplier, n",
+    [(two_guess_seq, 2, n) for n in (11, 15, 19, 21, 22)]
+    + [(sylvester, 1, n) for n in (20, 21, 23)],
+)
+def test_large_terms_print_their_plain_digits(fn, multiplier, n):
+    # the digits of a term past _STR_BITS (all but a(11)) come from a
+    # Decimal run of the recurrence; the reference is the product form,
+    # printed by str()
+    value = fn(n)
+    expected = _plain_seq(multiplier)[n]
+    assert value.exact == expected
+    assert (value.digits is not None) == (expected.bit_length() >= _STR_BITS)
+    assert value.to_text() == _plain_str(expected)
+
+
+@pytest.mark.parametrize("c", [5, 6])
+def test_large_circ_bounds_print_their_plain_digits(c):
+    e = 2 ** ((c * c) // 2 - 1)
+    value = circ_bound(c)
+    assert value.exact == Fraction(2 * 64**e + 25**e, 2 * 25**e)
+    assert value.digits is not None
+    assert value.to_text() == f"{_plain_str(2 * 64**e + 25**e)}/{_plain_str(2 * 25**e)}"
+
+
+def test_digits_leave_equality_and_hash_alone():
+    term = two_guess_seq(21)
+    plain = BigBound.from_exact(term.exact)
+    assert term.digits is not None and plain.digits is None
+    assert term == plain
+    assert hash(term) == hash(plain)
+    # the power-of-two split renders the same int to the same text
+    assert plain.to_text() == term.to_text()
+
+
 def test_to_text_leaves_int_str_limit_alone():
-    # a(15) has 6,671 digits, over the default limit of 4300
+    # a(15) has 6,671 digits, over the default limit of 4300; a(21) and
+    # circ_bound(6) take theirs from the Decimal chain, and a(15) passed
+    # to from_exact goes through the power-of-two split
     saved = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
-        text = two_guess_seq(15).to_text()
-        fraction = circ_bound(6).to_text()
+        # a fresh decimal context, so that a change an earlier call left
+        # behind cannot hide one made here
+        with decimal.localcontext(decimal.Context()):
+            ctx = decimal.getcontext()
+            before = (ctx.prec, ctx.Emax, ctx.traps[decimal.Inexact])
+            text = two_guess_seq(15).to_text()
+            split = BigBound.from_exact(two_guess_seq(15).exact).to_text()
+            big = two_guess_seq(21).to_text()
+            fraction = circ_bound(6).to_text()
+            ctx = decimal.getcontext()
+            after = (ctx.prec, ctx.Emax, ctx.traps[decimal.Inexact])
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(saved)
+    assert after == before
     assert len(text) == 6671
+    assert split == text
+    assert len(big) == 426881
     assert fraction.count("/") == 1
 
 
