@@ -16,8 +16,12 @@ winning strategy for X, or a subgraph embedding).
 
 Every dodge step picks the smallest available color, every enumeration
 runs in lexicographic order, and terminal blocks and leaves are chosen
-by smallest index, so all defeats are deterministic.  Oracles are
-immutable after construction and their engines are pure.  Every
+by smallest index, so all defeats are deterministic.  The cut-vertex
+split does not enumerate part 1: it reads part 1's colorings as bits of
+game.lex_masks, built once per oracle, so a defeat costs one shift per
+table entry rather than one table lookup per coloring and vertex.
+Oracles are immutable after construction and their engines are pure
+(the split's masks are a cache filled by its first defeat).  Every
 engine reads the subgame it delegates to through game.reindex, with the
 subgraph and vertex map fixed when the oracle is built.
 
@@ -43,6 +47,7 @@ from .game import (
     enumerate_assignments,
     guesses_at,
     is_defeating,
+    lex_masks,
     merge_two_guess,
     reindex,
 )
@@ -327,11 +332,15 @@ def oracle_lemma_rus(
 
     Premises (caller-asserted): the adversary wins the one-guess game on
     part 1 at budget ell + 1, and the two-guess game on part 2 at budget
-    ell + 1.  The defeat enumerates part-1 colorings to find two
-    assignments that agree around v, miss every part-1 player, and
-    differ at v; the two-color argument then finishes part 2.  Either
-    premise failing surfaces as PremiseViolationError whose witness is a
-    winning player strategy for the corresponding part.
+    ell + 1.  The defeat finds two part-1 colorings that agree around
+    v, miss every part-1 player, and differ at v, the lexicographically
+    first such pair at the smallest view of v; the two-color argument
+    then finishes part 2.  Part-1 colorings are bits of the part-1
+    game's lex masks, built on the first defeat: the players other than
+    v cover the union of their entries' guessed-color masks, and each
+    of v's entries, one per view, is intersected with what survives.
+    Either premise failing surfaces as PremiseViolationError whose
+    witness is a winning player strategy for the corresponding part.
 
     premise2 optionally replaces the exhaustive two-guess sub-oracle
     factory for part 2 minus v (used by the pipeline builders).
@@ -370,69 +379,71 @@ def oracle_lemma_rus(
     pos1 = {u: i for i, u in enumerate(part1)}
     vpos = pos1[v]
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
+    budget1 = budget.restrict(kept1)
     budget2 = budget.restrict(kept2)
     construction = (
         f"cut-split v={v} part1={part1} part2={part2} ell={ell}",
     ) + _indent(sub2.construction)
 
-    def part1_witness(strategy, guess_of_alpha):
+    def part1_witness(strategy, v_guesses):
         """Players-win certificate on part 1 implied by a failed search.
 
         Part-1 players keep their tables (their views lie inside part 1);
-        v guesses guess_of_alpha(its view).  Used as the premise
+        v guesses v_guesses[i] at its entry i.  Used as the premise
         violation witness; it defeats the contradiction argument, so no
         assignment beats it.
         """
-        tables = []
-        for new_u, old_u in enumerate(kept1):
-            if old_u == v:
-                rows = [
-                    (guess_of_alpha(alpha),)
-                    for alpha in product(range(ell + 1), repeat=len(nv1))
-                ]
-                tables.append(tuple(rows))
-            else:
-                tables.append(strategy.tables[old_u])
-        return Strategy(
-            g1_graph, ColorBudget.uniform(len(kept1), ell + 1), 1, tuple(tables)
-        )
+        tables = [
+            tuple((c,) for c in v_guesses) if old_u == v else strategy.tables[old_u]
+            for old_u in kept1
+        ]
+        return Strategy(g1_graph, budget1, 1, tuple(tables))
+
+    masks = []  # part 1's lex masks, built by the first defeat
 
     def engine(strategy, log):
-        guards.check("enumeration", (ell + 1) ** len(part1))
-        scratch = [0] * g.vertex_count
-        groups = {}
-        found_any = False
-        for phi in product(range(ell + 1), repeat=len(part1)):
-            for u, c in zip(part1, phi):
-                scratch[u] = c
-            # part-1 players other than v see only part-1 colors
-            if any(
-                guesses_at(strategy, u, scratch)[0] == scratch[u] for u in others1
-            ):
-                continue
-            found_any = True
-            alpha = tuple(phi[pos1[u]] for u in nv1)
-            groups.setdefault(alpha, {}).setdefault(phi[vpos], phi)
-        if not found_any:
+        guards.check("enumeration", budget1.product())
+        if not masks:
+            masks.append(lex_masks(g1_graph, budget1))
+        lex = masks[0]
+        stride, pattern, lowest = lex.stride, lex.color_pattern, lex.lowest
+        # part-1 colorings some part-1 player other than v guesses right
+        # (they see only part-1 colors, so their g1 entries are their g ones)
+        covered = 0
+        for i, u in enumerate(part1):
+            if u != v:
+                p, s = pattern[i], stride[i]
+                for low, (c,) in zip(lowest[i], strategy.tables[u]):
+                    covered |= p << (low + c * s)
+        survivors = ((1 << budget1.product()) - 1) ^ covered
+        if not survivors:
             raise PremiseViolationError(
                 f"adversary wins the one-guess game on part 1 at {ell + 1} colors",
-                witness=part1_witness(strategy, lambda alpha: 0),
+                witness=part1_witness(strategy, [0] * len(lowest[vpos])),
             )
-        star = None
-        for alpha in sorted(groups):
-            if len(groups[alpha]) >= 2:
-                star = alpha
+        # v's entries are its views alpha in sorted order; the first one
+        # that extends to two colors at v is the star
+        p, s = pattern[vpos], stride[vpos]
+        unique = []
+        for low in lowest[vpos]:
+            firsts = {}
+            for c in range(ell + 1):
+                m = survivors & (p << (low + c * s))
+                if m:
+                    firsts[c] = (m & -m).bit_length() - 1
+                    if len(firsts) == 2:
+                        break
+            if len(firsts) == 2:
                 break
-        if star is None:
-            unique = {alpha: next(iter(ext)) for alpha, ext in groups.items()}
+            unique.append(next(iter(firsts), 0))
+        else:
             raise PremiseViolationError(
                 f"adversary wins the one-guess game on part 1 at {ell + 1} colors",
-                witness=part1_witness(
-                    strategy, lambda alpha: unique.get(alpha, 0)
-                ),
+                witness=part1_witness(strategy, unique),
             )
-        gammas = sorted(groups[star])[:2]
-        phis = [groups[star][c] for c in gammas]
+        gammas = sorted(firsts)
+        phis = [tuple(r // stride[i] % (ell + 1) for i in range(len(part1))) for r in firsts.values()]
+        star = tuple(phis[0][pos1[u]] for u in nv1)
         _note(log, f"cut-split view {star} at {v} extends to colors {tuple(gammas)}")
         fixed = {u: phis[0][pos1[u]] for u in others1}
         induced2 = reindex(strategy, g2_graph, budget2, kept2, fixed)
@@ -506,7 +517,7 @@ def oracle_lemma_blocks(
     uses its premise oracle directly (one-guess tables are re-read as
     two-guess tables with singleton entries); otherwise the terminal
     block with the smallest vertex tuple is peeled via the cut-vertex
-    split, whose part-1 enumeration absorbs the recursion.
+    split, whose search over all part-1 colorings absorbs the recursion.
     """
     if ell < 1:
         raise ValueError("need ell >= 1")

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import index
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph
 from .guards import DEFAULT_GUARDS, Guards
@@ -171,6 +171,64 @@ def is_defeating(strategy: Strategy, assignment) -> bool:
         if assignment[v] in guesses_at(strategy, v, assignment):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# assignment masks
+# ---------------------------------------------------------------------------
+
+class LexMasks(NamedTuple):
+    """Table entries as sets of assignments, in lexicographic order.
+
+    Bit r of a mask is the r-th assignment of enumerate_assignments, so
+    vertex v's color adds stride[v] to the rank.  The members of entry i
+    of v with own color col are color_pattern[v] << (lowest[v][i] + col
+    * stride[v]), and all members of that entry are cell_pattern[v] <<
+    lowest[v][i].
+    """
+
+    stride: tuple
+    cell_pattern: tuple  # the members of v's entry 0
+    color_pattern: tuple  # those of them where v wears color 0
+    lowest: tuple  # lowest[v][i]: rank of the first member of entry i
+
+
+def _repunit(q: int, s: int) -> int:
+    """Bits 0, s, 2s, ..., (q-1)s."""
+    return ((1 << q * s) - 1) // ((1 << s) - 1)
+
+
+def lex_masks(g: Graph, budget: ColorBudget) -> LexMasks:
+    """The assignment-mask layout of a game, built without enumerating it.
+
+    Entry 0 of v with own color 0 holds the assignments that wear 0 on
+    v's closed neighborhood and anything elsewhere: the product of the
+    repunits of the other vertices (their bit sets are disjoint, so the
+    product is their sums of shifts).  Entry i differs only in its
+    neighbors' colors, which shift every member by the same amount.
+    """
+    n = g.vertex_count
+    qs = budget.sizes
+    stride = [0] * n
+    step = 1
+    for v in reversed(range(n)):
+        stride[v] = step
+        step *= qs[v]
+    cell_pattern, color_pattern, lowest = [], [], []
+    for v in range(n):
+        nbrs = g.neighbors(v)
+        pattern = 1
+        for w in range(n):
+            if w != v and w not in nbrs:
+                pattern *= _repunit(qs[w], stride[w])
+        color_pattern.append(pattern)
+        cell_pattern.append(pattern * _repunit(qs[v], stride[v]))
+        # entry order is the mixed radix of the neighbors, last fastest
+        ranks = [0]
+        for u in nbrs:
+            ranks = [r + c * stride[u] for r in ranks for c in range(qs[u])]
+        lowest.append(tuple(ranks))
+    return LexMasks(tuple(stride), tuple(cell_pattern), tuple(color_pattern), tuple(lowest))
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ Three methods run; steps 2 and 3 in alternating slices:
 Assignments are bits of Python ints.  In lexicographic order the
 assignments of one entry (and of one entry and own color) are a
 per-vertex bit pattern shifted by the entry's lowest member, so a choice
-covers ``uncovered & (pattern << shift)``.  The local search keeps its
+covers ``uncovered & (pattern << shift)``; game.lex_masks is the one
+definition of that layout.  The local search keeps its
 cover counts as bit-sliced planes over the same masks.  The exact
 search keeps its state incremental, so a step costs what it changes
 rather than the size of the game:
@@ -134,6 +135,7 @@ from .game import (
     Strategy,
     enumerate_assignments,
     is_defeating,
+    lex_masks,
     reindex,
     strategy_to_text,
     table_size,
@@ -452,7 +454,8 @@ class _Layout:
     Cells are the per-vertex dense tables flattened into one id space, and
     cells_of[a] is assignment a's covering cell at each vertex.  The
     members of cell c with own color col are color_pattern[v] shifted by
-    lowest[c] + col * stride[v], v the owner; see the module docstring.
+    lowest[c] + col * stride[v], v the owner: game.lex_masks, with lowest
+    flattened to cell ids.
     """
 
     def __init__(self, g: Graph, budget: ColorBudget, guess_count: int, guards: Guards) -> None:
@@ -487,29 +490,13 @@ class _Layout:
                 row.append(offsets[v] + idx)
             cells_of.append(row)
 
-        stride = [0] * n
-        step = 1
-        for v in reversed(range(n)):
-            stride[v] = step
-            step *= qs[v]
-        cell_pattern = [0] * n  # members of the vertex's first cell
-        color_pattern = [0] * n  # those of them with own color 0
-        lowest = [-1] * ncells  # lowest member of each cell
-        for a in range(len(assigns)):
-            row = cells_of[a]
-            for v in range(n):
-                c = row[v]
-                if lowest[c] < 0:
-                    lowest[c] = a
-                if c == offsets[v]:
-                    cell_pattern[v] |= 1 << a
-                    if assigns[a][v] == 0:
-                        color_pattern[v] |= 1 << a
+        lex = lex_masks(g, budget)
+        lowest = [rank for ranks in lex.lowest for rank in ranks]
 
         self.g, self.budget, self.guess_count = g, budget, guess_count
         self.assigns, self.cells_of, self.offsets = assigns, cells_of, offsets
         self.cell_owner, self.capacity, self.weight = cell_owner, capacity, weight
-        self.stride, self.cell_pattern, self.color_pattern, self.lowest = stride, cell_pattern, color_pattern, lowest
+        self.stride, self.cell_pattern, self.color_pattern, self.lowest = lex.stride, lex.cell_pattern, lex.color_pattern, lowest
 
     def outcome(self, picks_by_cell) -> SolveOutcome:
         """The players' outcome whose entries hold these picks (none: color 0)."""
@@ -760,6 +747,8 @@ def _exact_search(layout: _Layout, max_transcript: int):
 
 def find_defeating_assignment(g: Graph, strategy: Strategy, guards: Guards = DEFAULT_GUARDS):
     """First assignment (lex order) every vertex gets wrong, or None."""
+    # A plain scan on purpose: it confirms the wins the local search finds
+    # on game.lex_masks, so it must not read those masks itself.
     if strategy.graph != g:
         raise ValueError("strategy is for a different graph")
     guards.check("assignment", strategy.budget.product())

@@ -18,14 +18,21 @@ not.
 
 The longest-cycle oracle tries every cyclic ordering of every vertex
 subset, so it shares nothing with the backtracking circumference search.
+
+The cut-split reference plays the cut-vertex split of
+construct.oracle_lemma_rus (with its default exhaustive part-2 premise)
+by looping over every part-1 coloring in lexicographic order and reading
+each player's guess from its table, so it shares nothing with the
+assignment masks the production engine uses.
 """
 
 from functools import reduce
 from itertools import combinations, permutations, product
 from operator import and_
 
-from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, table_size
-from hatcheck.graphs import Graph
+from hatcheck.errors import PremiseViolationError
+from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, merge_two_guess, reindex, table_size
+from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import DEFAULT_GUARDS, Guards
 
 
@@ -163,3 +170,77 @@ def naive_circumference(g: Graph) -> int:
                 if all(g.has_edge(ring[i - 1], ring[i]) for i in range(size)):
                     return size
     return 0
+
+
+def naive_cut_split_defeat(g: Graph, v: int, part1, part2, ell: int, strategy: Strategy):
+    """(assignment, log) of the cut-vertex split at v against a one-guess
+    strategy at uniform ell + 1, or PremiseViolationError as the oracle
+    raises it (same message, same witness tables)."""
+    q = ell + 1
+    part1, part2 = tuple(sorted(part1)), tuple(sorted(part2))
+    nv1 = tuple(u for u in g.neighbors(v) if u in part1)
+
+    def guess(u, colors):
+        idx = 0
+        for w in g.neighbors(u):
+            idx = idx * q + colors[w]
+        return strategy.tables[u][idx][0]
+
+    def part1_violation(guess_of_alpha):
+        g1, kept1 = induced_subgraph(g, part1)
+        tables = tuple(
+            tuple((guess_of_alpha(alpha),) for alpha in product(range(q), repeat=len(nv1)))
+            if u == v else strategy.tables[u]
+            for u in kept1
+        )
+        witness = Strategy(g1, ColorBudget.uniform(len(part1), q), 1, tables)
+        return PremiseViolationError(f"adversary wins the one-guess game on part 1 at {q} colors", witness=witness)
+
+    # first surviving part-1 coloring per (view of v, color of v)
+    groups = {}
+    colors = [0] * g.vertex_count
+    for phi in product(range(q), repeat=len(part1)):
+        for u, c in zip(part1, phi):
+            colors[u] = c
+        if all(guess(u, colors) != colors[u] for u in part1 if u != v):
+            alpha = tuple(colors[u] for u in nv1)
+            groups.setdefault(alpha, {}).setdefault(colors[v], dict(zip(part1, phi)))
+    if not groups:
+        raise part1_violation(lambda alpha: 0)
+    stars = [alpha for alpha in sorted(groups) if len(groups[alpha]) >= 2]
+    if not stars:
+        raise part1_violation(lambda alpha: min(groups.get(alpha, {0: None})))
+    gammas = sorted(groups[stars[0]])[:2]
+    phis = [groups[stars[0]][c] for c in gammas]
+    log = [f"cut-split view {stars[0]} at {v} extends to colors {tuple(gammas)}"]
+
+    # part 2: every other vertex guesses from v's two colors at once, the
+    # exhaustive two-guess scan dodges them all, and v dodges its own guess
+    fixed = {u: c for u, c in phis[0].items() if u != v}
+    g2, kept2 = induced_subgraph(g, part2)
+    v2 = kept2.index(v)
+    on_part2 = reindex(strategy, g2, ColorBudget.uniform(len(part2), q), kept2, fixed)
+    rest = tuple(i for i in range(len(part2)) if i != v2)
+    h2, _ = induced_subgraph(g2, rest)
+    h2_budget = ColorBudget.uniform(len(rest), q)
+    merged = merge_two_guess(*(reindex(on_part2, h2, h2_budget, rest, {v2: c}) for c in gammas))
+    for tail in product(range(q), repeat=len(rest)):
+        if all(tail[i] not in merged.tables[i][merged.entry_index(i, tail)] for i in range(len(rest))):
+            break
+    else:
+        raise PremiseViolationError(
+            f"adversary wins the two-guess game on part 2 minus the cut vertex at {q} colors",
+            witness=merged,
+        )
+    log.append(f"  exhaustive hit {tail}")
+    out = [0] * g.vertex_count
+    for u, c in phis[0].items():
+        out[u] = c
+    for i, u in enumerate(rest):
+        out[kept2[u]] = tail[i]
+    vguess = guess(v, out)
+    pick = 1 if vguess == gammas[0] else 0
+    log.append(f"two-color vertex {v2}: determined guess {vguess}, assign {gammas[pick]}")
+    for u, c in phis[pick].items():
+        out[u] = c
+    return tuple(out), tuple(log)

@@ -1,9 +1,11 @@
 """Constructive adversary builders: every argument defeats what it claims."""
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
+import hatcheck.construct as construct
 from hatcheck.construct import (
     circ_budget_hosts_blocks,
     oracle_closure,
@@ -15,7 +17,7 @@ from hatcheck.construct import (
     oracle_theorem_circ,
     oracle_theorem_tary,
 )
-from hatcheck.errors import PremiseViolationError
+from hatcheck.errors import GuardExceededError, PremiseViolationError
 from hatcheck.game import (
     ColorBudget,
     Strategy,
@@ -25,10 +27,12 @@ from hatcheck.game import (
     strategy_space_size,
 )
 from hatcheck.graphs import Graph, RootedTree, closure, connected_graphs, contains_tary_tree
+from hatcheck.guards import Guards
 from hatcheck.rng import SplitMix64
 from hatcheck.solver import find_defeating_assignment
 
 from conftest import bowtie, cactus, complete, cycle, graph, path, star, winkler_strategy
+from naive_oracle import naive_cut_split_defeat
 
 
 def _assert_defeats_all(oracle, trials=200, seed=2026):
@@ -232,6 +236,128 @@ def test_rus_part2_premise_violation_witness_checks():
     witness = info.value.witness
     assert witness.graph.vertex_count == 1 and witness.guess_count == 2
     assert find_defeating_assignment(witness.graph, witness) is None
+
+
+def _outcome(defeat_traced, strategy):
+    """(assignment, log), or the premise violation's message and witness."""
+    try:
+        return defeat_traced(strategy)
+    except PremiseViolationError as exc:
+        w = exc.witness
+        return str(exc), w.graph, w.budget, w.guess_count, tuple(tuple(t) for t in w.tables)
+
+
+_SPLITS = {
+    "bowtie": (bowtie(), 2, (0, 1, 2), (2, 3, 4)),
+    "p3-middle": (path(3), 1, (0, 1), (1, 2)),
+    "degenerate-part2": (complete(2), 0, (0, 1), (0,)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, ell, trials",
+    [
+        ("bowtie", 2, 60),
+        ("bowtie", 3, 40),
+        ("bowtie", 6, 20),
+        ("bowtie", 19, 3),
+        ("p3-middle", 1, 60),
+        ("p3-middle", 2, 60),
+        ("degenerate-part2", 1, 60),
+        ("degenerate-part2", 2, 60),
+    ],
+)
+def test_rus_matches_naive_cut_split(name, ell, trials):
+    # the masks pick the same part-1 pair as the plain loop over part-1
+    # colorings, so assignment, log and any witness agree byte for byte
+    g, v, part1, part2 = _SPLITS[name]
+    orc = oracle_lemma_rus(g, v, part1, part2, ell)
+    naive = partial(naive_cut_split_defeat, g, v, part1, part2, ell)
+    rng = SplitMix64(1000 + ell)
+    for _ in range(trials):
+        strategy = random_strategy(g, orc.budget, 1, rng)
+        assert _outcome(orc.defeat_traced, strategy) == _outcome(naive, strategy)
+
+
+@pytest.mark.parametrize("make, ell, trials", [(cactus, 2, 60), (cactus, 6, 20), (bowtie, 2, 30)])
+def test_blocks_matches_naive_cut_split(make, ell, trials):
+    # cactus() is also the block workload's triangle-plus-path graph; both
+    # graphs are one component whose block (0, 1, 2) is peeled at cut 2,
+    # so a defeat is that split's, with its log nested by two spaces
+    g = make()
+    orc = oracle_lemma_blocks(g, ell)
+    assert orc.construction[2] == f"    cut-split v=2 part1=(2, 3, 4) part2=(0, 1, 2) ell={ell}"
+
+    def naive(strategy):
+        out, log = naive_cut_split_defeat(g, 2, (2, 3, 4), (0, 1, 2), ell, strategy)
+        return out, tuple("  " + ln for ln in log)
+
+    rng = SplitMix64(2000 + ell)
+    for _ in range(trials):
+        strategy = random_strategy(g, orc.budget, 1, rng)
+        assert _outcome(orc.defeat_traced, strategy) == _outcome(naive, strategy)
+
+
+def test_rus_premise_witnesses_match_naive_cut_split():
+    # the instances of the two part-1 premise tests above: no part-1
+    # coloring survives (the paw), and survivors but no view with two
+    # colors at v (P3 at two colors, among seeded strategies)
+    g = graph(4, (0, 1), (0, 2), (1, 2), (2, 3))
+    orc = oracle_lemma_rus(g, 2, (0, 1, 2), (2, 3), 1)
+    naive = partial(naive_cut_split_defeat, g, 2, (0, 1, 2), (2, 3), 1)
+    match = tuple((c1,) for c1 in (0, 1) for _ in (0, 1))
+    oppose = tuple((1 - c0,) for c0 in (0, 1) for _ in (0, 1))
+    strategy = Strategy(g, orc.budget, 1, (match, oppose, ((0,),) * 8, ((0,),) * 2))
+    got = _outcome(orc.defeat_traced, strategy)
+    assert got[0].endswith("one-guess game on part 1 at 2 colors")
+    assert got == _outcome(naive, strategy)
+    # the same pair plays Winkler's strategy only while 2 wears 0 and
+    # guesses 0 otherwise: (1, 1, 1) is the one survivor, so the views
+    # of 2 other than (1, 1) have none, and 2 guesses 0 there
+    match = ((0,), (0,), (1,), (0,))
+    oppose = ((1,), (0,), (0,), (0,))
+    strategy = Strategy(g, orc.budget, 1, (match, oppose, ((0,),) * 8, ((0,),) * 2))
+    got = _outcome(orc.defeat_traced, strategy)
+    assert got[0].endswith("one-guess game on part 1 at 2 colors")
+    assert got[-1][2] == ((0,), (0,), (0,), (1,))
+    assert got == _outcome(naive, strategy)
+
+    g = path(3)
+    orc = oracle_lemma_rus(g, 1, (0, 1), (1, 2), 1)
+    naive = partial(naive_cut_split_defeat, g, 1, (0, 1), (1, 2), 1)
+    rng = SplitMix64(3)
+    messages = set()
+    for _ in range(50):
+        strategy = random_strategy(g, orc.budget, 1, rng)
+        got = _outcome(orc.defeat_traced, strategy)
+        assert got == _outcome(naive, strategy)
+        if isinstance(got[0], str):
+            messages.add(got[0])
+    assert any(m.endswith("one-guess game on part 1 at 2 colors") for m in messages)
+
+
+def test_rus_guard_refuses_at_defeat_and_builds_no_masks(monkeypatch):
+    # building stays cheap; a part 1 over the enumeration guard is refused
+    # when a defeat needs it, before any mask exists
+    built = []
+    real = construct.lex_masks
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct, "lex_masks", counting)
+    refused = oracle_lemma_rus(bowtie(), 2, (0, 1, 2), (2, 3, 4), 6, guards=Guards(enumeration=342))
+    rng = SplitMix64(5)
+    with pytest.raises(GuardExceededError):
+        refused.defeat(random_strategy(refused.graph, refused.budget, 1, rng))
+    assert built == []
+    # at the default guards the masks are built once, by the first defeat
+    orc = oracle_lemma_rus(bowtie(), 2, (0, 1, 2), (2, 3, 4), 6)
+    assert built == []
+    for _ in range(3):
+        orc.defeat(random_strategy(orc.graph, orc.budget, 1, rng))
+    assert len(built) == 1
 
 
 def test_rus_split_validation():

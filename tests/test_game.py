@@ -17,6 +17,7 @@ from hatcheck.game import (
     guess_set_count,
     guesses_at,
     is_defeating,
+    lex_masks,
     merge_two_guess,
     nth_guess_set,
     random_strategy,
@@ -121,6 +122,54 @@ def test_defeat_monotone_under_budget_extension():
         lifted = Strategy(g, big, 1, tuple(tables))
         for a in defeats:
             assert is_defeating(lifted, a)
+
+
+# ---------------------------------------------------------------------------
+# assignment masks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _small_games(draw):
+    n = draw(st.integers(0, 4))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), ColorBudget(tuple(sizes))
+
+
+@given(_small_games())
+def test_lex_masks_match_enumerated_ranks(game):
+    # every (entry, color) mask is the set of ranks, in enumerate_assignments
+    # order, of the assignments that read that entry and wear that color
+    g, budget = game
+    lex = lex_masks(g, budget)
+    reader = Strategy(g, budget, 1, tuple(((0,),) * table_size(g, budget, v) for v in range(g.vertex_count)))
+    members = {}
+    for rank, a in enumerate(enumerate_assignments(budget)):
+        assert rank == sum(c * s for c, s in zip(a, lex.stride))
+        for v in range(g.vertex_count):
+            key = (v, reader.entry_index(v, a), a[v])
+            members[key] = members.get(key, 0) | 1 << rank
+    for v in range(g.vertex_count):
+        assert len(lex.lowest[v]) == table_size(g, budget, v)
+        for i, low in enumerate(lex.lowest[v]):
+            cell = 0
+            for col in range(budget[v]):
+                mask = lex.color_pattern[v] << (low + col * lex.stride[v])
+                assert mask == members[v, i, col]
+                cell |= mask
+            assert lex.cell_pattern[v] << low == cell
+
+
+def test_lex_masks_of_an_isolated_vertex_and_a_neighbor():
+    # vertex 2 sees nothing, so its one entry holds every assignment
+    g = graph(3, (0, 1))
+    lex = lex_masks(g, ColorBudget((2, 3, 2)))
+    assert lex.stride == (6, 2, 1)
+    assert lex.lowest == ((0, 2, 4), (0, 6), (0,))
+    assert lex.color_pattern[2] == sum(1 << r for r in range(0, 12, 2))
+    assert lex.cell_pattern[2] == (1 << 12) - 1
+    assert lex.color_pattern[0] == 0b11
 
 
 # ---------------------------------------------------------------------------
