@@ -15,21 +15,20 @@ Three methods run; steps 2 and 3 in alternating slices:
    search of step 3 refutes at its root.
 2. Local search for a players win: seeded min-conflicts (Minton et
    al., AIJ 1992; WalkSAT, Selman, Kautz and Cohen, 1994) over full
-   entries, with Luby restarts and a flip budget proportional to the
-   assignment count; see _local_search.  A strategy it finds is
+   entries, restarted after Luby-sequence run lengths for as long as
+   the exact search runs; see _local_search.  A strategy it finds is
    returned only after find_defeating_assignment sweeps every
-   assignment, so a players verdict never rests on the search.  When
-   the budget runs out the search leaves nothing behind.
+   assignment, so a players verdict never rests on the search.
 3. The exact search.  After each failed run of the local search it
    takes one step (one pass of its propagation loop) per flip of that
-   run, and once the flip budget is spent it runs to its end; whichever
-   search finishes first decides, so a players certificate comes from
-   either one.  Running complete methods side by side bounds what the
-   slower one costs (Luby, Sinclair and Zuckerman, IPL 1993): an
-   adversary verdict the exact search reaches in a few dozen steps no
-   longer waits for the whole flip budget.  The exact search itself is
-   unchanged by step 2, so adversary verdicts, their transcripts and
-   refuted counts are those of an exhaustive search.
+   run; whichever search finishes first decides, so a players
+   certificate comes from either one.  Running the two side by side
+   bounds what the slower one costs (Luby, Sinclair and Zuckerman, IPL
+   1993): the local search spends at most the exact search's own steps
+   plus one run, and an adversary verdict the exact search reaches in a
+   few dozen steps waits for no more than that.  The exact search
+   itself is unchanged by step 2, so adversary verdicts, their
+   transcripts and refuted counts are those of an exhaustive search.
    It runs on a canonical relabelling of the game, built at its first
    step, so a game the local search wins in its first run never builds
    it: of all the permutations of the vertices, the one whose
@@ -42,10 +41,8 @@ Three methods run; steps 2 and 3 in alternating slices:
    pruning).  A certificate is mapped back through game.reindex and
    each transcript witness vertex by vertex, so outcomes are in the
    caller's labels.  Steps 1 and 2 stay in the caller's labels: whether
-   the local search finds a win is a draw that differs by labelling.
-   It wins the bowtie at four colors in 3 of its 15 labellings, the
-   canonical one not among them, and the exact search does not finish
-   that game.
+   the local search finds a win is a draw that differs by labelling,
+   so the labelling changes how long a players win takes to find.
    The exact search backtracks over covering choices:
 
    * each uncovered assignment contributes one candidate (cell, color)
@@ -189,7 +186,6 @@ def outcome_to_text(outcome: SolveOutcome) -> str:
 
 # local search constants; outcomes depend on them, so they are fixed
 _SEARCH_SEED = 0x6861_7463_6865_636B
-_FLIPS_PER_ASSIGNMENT = 16
 _NOISE_PER_256 = 16  # chance of a random swap
 _NOVELTY_PER_256 = 200  # chance of the second-best swap, see below
 
@@ -223,7 +219,7 @@ def _local_search(layout: _Layout):
     """Seeded min-conflicts search for a covering, as a generator.
 
     It yields the flip count of each run that fails and returns the picks
-    per cell of the covering it finds, or None once its budget is spent.
+    per cell of the covering it finds; it has no end of its own.
 
     Every entry holds capacity distinct colors.  A step picks a uniformly
     random uncovered assignment and swaps, in one of its cells, one
@@ -234,8 +230,7 @@ def _local_search(layout: _Layout):
     the assignment changed later than the best's, when the second best
     is taken with probability _NOVELTY_PER_256 / 256 (Novelty, McAllester,
     Selman and Kautz, AAAI 1997).  Runs restart from fresh random entries
-    after Luby-sequence lengths (unit: the assignment count) until
-    _FLIPS_PER_ASSIGNMENT flips per assignment are spent.
+    after Luby-sequence lengths (unit: the assignment count).
 
     Cover counts are bit-sliced: planes[i] holds bit i of every
     assignment's count, so the uncovered and the covered-once
@@ -257,12 +252,10 @@ def _local_search(layout: _Layout):
             planes[i] = p ^ m
             m &= p if up else ~p
 
-    flips_left = _FLIPS_PER_ASSIGNMENT * a_count
     flip = 0
     u = run = 1  # Luby's sequence by reluctant doubling (Knuth)
-    while flips_left > 0:
-        length = min(flips_left, run * a_count)
-        flips_left -= length
+    while True:
+        length = run * a_count
         u, run = (u + 1, 1) if u & -u == run else (u, 2 * run)
         entries = []
         planes = [0] * len(qs).bit_length()
@@ -322,7 +315,6 @@ def _local_search(layout: _Layout):
             changed[c] = flip
             flip += 1
         yield length
-    return None
 
 
 def at_most_one_free(unc: int, blocked) -> tuple:
@@ -398,10 +390,9 @@ def players_win(
             try:
                 flips = next(local)
             except StopIteration as stop:
-                if stop.value is not None:
-                    outcome = layout.outcome(stop.value)
-                    if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
-                        return outcome
+                outcome = layout.outcome(stop.value)
+                if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
+                    return outcome
                 break
             # one exact step per flip of the failed run
             outcome = _advance(exact, flips)

@@ -3,18 +3,21 @@
 import hashlib
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete, connected_graphs, cycle, diamond, graph, path, paw, star, winkler_strategy
 from hatcheck import solver
+from hatcheck.cli import entry
 from hatcheck.errors import GuardExceededError
 from hatcheck.game import (
     ColorBudget,
     Strategy,
     enumerate_assignments,
     is_defeating,
+    strategy_from_text,
     table_size,
 )
 from hatcheck.graphs import Graph
@@ -424,9 +427,11 @@ def test_tree_verdicts_match_exhaustive_oracles():
     assert not naive_star_players_win(3, 3, 1)
 
 
-def _gives_up(layout):
-    """A local search that spends its budget at once and finds nothing."""
-    return iter(())
+def _never_wins(layout):
+    """A local search whose first run fails after 1 << 62 flips, so the
+    exact search runs to its end in that run's slice."""
+    while True:
+        yield 1 << 62
 
 
 def _losing_tables(*failed_runs):
@@ -442,8 +447,8 @@ def _losing_tables(*failed_runs):
 
 @pytest.mark.parametrize(
     "found",
-    [_gives_up, _losing_tables(), _losing_tables(100, 100)],
-    ids=["gives-up", "losing-tables", "losing-tables-late"],
+    [_never_wins, _losing_tables(), _losing_tables(100, 100)],
+    ids=["never-wins", "losing-tables", "losing-tables-late"],
 )
 def test_exact_search_when_local_search_fails(monkeypatch, found):
     # the fallback is the exact search as it was: the same certificate,
@@ -458,9 +463,9 @@ def test_exact_search_when_local_search_fails(monkeypatch, found):
 
 
 def test_exact_search_alone_matches_oracles(monkeypatch):
-    # with the local search giving up, players verdicts come from the exact
+    # with the local search never winning, players verdicts come from the exact
     # search too, so both of its sides meet an independent check
-    monkeypatch.setattr(solver, "_local_search", _gives_up)
+    monkeypatch.setattr(solver, "_local_search", _never_wins)
     for n in (1, 2, 3):
         for g in connected_graphs(n):
             for q in (1, 2, 3, 4):
@@ -539,14 +544,62 @@ def test_verdict_matches_highs(g, q, guesses):
 
 
 def test_two_guess_star_won_at_six_colors():
-    # the local search finds no win here; the exact search does
+    # the exact search wins here, after 30 failed runs of the local search
     out = players_win(star(3), ColorBudget.uniform(4, 6), 2)
     assert out.winner == PLAYERS and _certificate_is_winning(out)
 
 
-def test_hg_p5():
-    # the adversary side is the exact search's refutation of P5@3
+def test_two_guess_c4_won_at_six_colors(capsys):
+    # the local search wins here after 20 failed runs, 38 flips per
+    # assignment; the exact search alone does not finish it in minutes
+    c4 = Path(__file__).resolve().parent.parent / "scripts" / "graphs" / "c4.graph"
+    assert entry(["solve", str(c4), "--budget", "6", "--guesses", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "winner: players" in lines
+    table = lines[lines.index("certificate:") + 1:]
+    g, budget = cycle(4), ColorBudget.uniform(4, 6)
+    certificate = strategy_from_text("\n".join(line for line in table if line.startswith("  ")), g, budget)
+    assert find_defeating_assignment(g, certificate) is None
+    assert _highs_players_win(g, budget, 2)
+
+
+def test_bowtie_won_at_four_colors_in_canonical_labels():
+    # the labelling of the bowtie that the local search finds hardest: it
+    # wins after 14 failed runs, and the exact search alone does not finish
+    g = graph(5, (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4))
+    out = players_win(g, ColorBudget.uniform(5, 4), 1)
+    assert out.winner == PLAYERS and _certificate_is_winning(out)
+
+
+def _resumptions(search, log):
+    """search, logging what each resumption of it yields, and None for the
+    one that finishes it."""
+    while True:
+        try:
+            value = next(search)
+        except StopIteration as stop:
+            log.append(None)
+            return stop.value
+        log.append(value)
+        yield value
+
+
+def test_hg_p5(monkeypatch):
+    # the adversary side is the exact search's refutation of P5@3.  The
+    # local search runs beside it for as long as it runs, so its flips come
+    # to at most the exact search's own steps plus one run
+    local_search, canonical_search = solver._local_search, solver._canonical_search
+    runs, steps = [], []  # of the latest players_win call
+
+    def exact_spy(*args):
+        runs.clear()
+        steps.clear()
+        return _resumptions(canonical_search(*args), steps)
+
+    monkeypatch.setattr(solver, "_canonical_search", exact_spy)
+    monkeypatch.setattr(solver, "_local_search", lambda layout: _resumptions(local_search(layout), runs))
     assert hg_exact(path(5)) == 2
+    assert sum(runs[:-1]) < len(steps) <= sum(runs)
 
 
 def test_no_local_search_when_counting_refutes(monkeypatch):
@@ -570,12 +623,12 @@ _QUICK_REFUTATIONS = [(paw(), 4, 1), (diamond(), 4, 1)] + [(g, 6, 2) for g in _l
 )
 def test_adversary_verdict_stops_the_local_search(monkeypatch, g, q, guesses):
     # the exact search refutes these within a few dozen steps, so the local
-    # search spends at most two of its runs on them, not its whole budget
+    # search spends at most two of its runs on them
     local_search = solver._local_search
     resumed = []
 
     def spy(layout):
-        for flips in local_search(layout):  # no covering exists: it returns None
+        for flips in local_search(layout):  # no covering exists: it never returns
             yield flips
             resumed.append(flips)
 
@@ -584,7 +637,7 @@ def test_adversary_verdict_stops_the_local_search(monkeypatch, g, q, guesses):
     out = players_win(g, budget, guesses, max_transcript=10**9)
     assert out.winner == ADVERSARY
     assert len(resumed) <= 1
-    monkeypatch.setattr(solver, "_local_search", _gives_up)
+    monkeypatch.setattr(solver, "_local_search", _never_wins)
     assert outcome_to_text(out) == outcome_to_text(players_win(g, budget, guesses, max_transcript=10**9))
 
 
@@ -596,7 +649,7 @@ def test_exact_search_won_first_is_deterministic(monkeypatch):
     first, second = (players_win(g, budget, 1) for _ in range(2))
     assert first.winner == PLAYERS and _certificate_is_winning(first)
     assert outcome_to_text(first) == outcome_to_text(second)
-    monkeypatch.setattr(solver, "_local_search", _gives_up)
+    monkeypatch.setattr(solver, "_local_search", _never_wins)
     assert outcome_to_text(first) == outcome_to_text(players_win(g, budget, 1))
 
 
@@ -630,7 +683,7 @@ def test_local_search_wins_cliques(monkeypatch, sizes, guesses):
 
     monkeypatch.setattr(solver, "_local_search", spy)
     out = players_win(complete(len(sizes)), ColorBudget(sizes), guesses)
-    assert len(found) == 1 and found[0] is not None
+    assert len(found) == 1
     assert out.winner == PLAYERS and _certificate_is_winning(out)
     rows = [row for table in out.certificate.tables for row in table]
     assert rows == [tuple(sorted(entry)) for entry in found[0]]
