@@ -28,17 +28,19 @@ sylvester(23), is about 486k bits under it.
 Exact values print in full, and never through int.__str__ above 600
 digits: it is quadratic in CPython before 3.12 and subject to the
 int-to-str digit limit.  A sequence term or cycle-length bound past that
-size gets its digits from one more run of its own chain on
-`decimal.Decimal` (Sylvester's step, or the squaring of 64 and 25), in
-a fixed local context wide enough that every step is exact; a step that
-would round raises instead.  libmpdec multiplies large numbers fast and
+size gets its digits from a run of its own chain on `decimal.Decimal`
+(Sylvester's step, or the squaring of 64 and 25), in a fixed local
+context wide enough that every step is exact; a step that would round
+raises instead.  libmpdec multiplies large numbers fast and
 Decimal.__str__ is linear, so the 426,881 digits of a(21) cost about
-0.03 s on top of its binary chain.  The value itself stays an int or
-Fraction, and the digits ride along as text.  Any other integer of 600
-or more digits, such as one passed to BigBound.from_exact, is rendered
-by divide and conquer on powers of two into a Decimal (Knuth, TAOCP
-vol. 2, 4.4).  Neither path reads the process's int-to-str limit or
-decimal context, and nothing global is changed.
+0.02 s.  Such a value is deferred: it carries its digits, and its int or
+Fraction is built by the binary chain only when .exact is first read
+(0.04-0.07 s more for a(21)), so printing it never builds it.  Any other
+integer of 600 or more digits, such as one passed to
+BigBound.from_exact, is rendered by divide and conquer on powers of two
+into a Decimal (Knuth, TAOCP vol. 2, 4.4).  Neither path reads the
+process's int-to-str limit or decimal context, and nothing global is
+changed.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import isqrt
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import mpmath
 
@@ -139,15 +142,28 @@ def _log2_interval_of_exact(v: ExactValue):
     return _pad_down(nlo - dhi), _pad_up(nhi - dlo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BigBound:
-    """A non-negative value, exact or enclosed by a log2 interval."""
+    """A non-negative value, exact or enclosed by a log2 interval.
 
-    exact: Optional[ExactValue] = None
+    An exact value may be deferred: it is made with its decimal digits
+    and a build of its int or Fraction, which .exact runs on its first
+    read and keeps.  to_text and is_exact never run it, nor does
+    log2_interval when the value carries an enclosure of its own.
+    Equality, hashing and ordering read .exact, so a deferred value
+    compares as the int or Fraction it builds.
+    """
+
+    _exact: Optional[ExactValue] = None
+    # an enclosure of the value: the value itself for a log2 form, and
+    # optional for an exact value, whose enclosure is otherwise computed
+    # from .exact
     log2_lo: Optional[object] = None
     log2_hi: Optional[object] = None
-    # decimal text of exact, when the value was built along with it
-    digits: Optional[str] = field(default=None, compare=False, repr=False)
+    # a deferred exact value's decimal text, and the build of its int or
+    # Fraction that .exact runs on first read
+    digits: Optional[str] = field(default=None, repr=False)
+    _build: Optional[Callable[[], ExactValue]] = field(default=None, repr=False)
 
     @classmethod
     def from_exact(cls, value: ExactValue) -> "BigBound":
@@ -155,7 +171,7 @@ class BigBound:
             raise ValueError("bounds are non-negative")
         if isinstance(value, Fraction) and value.denominator == 1:
             value = value.numerator
-        return cls(exact=value)
+        return cls(_exact=value)
 
     @classmethod
     def from_log2(cls, lo, hi) -> "BigBound":
@@ -164,14 +180,31 @@ class BigBound:
         return cls(log2_lo=lo, log2_hi=hi)
 
     @property
+    def exact(self) -> Optional[ExactValue]:
+        if self._exact is None and self._build is not None:
+            object.__setattr__(self, "_exact", self._build())
+        return self._exact
+
+    @property
     def is_exact(self) -> bool:
-        return self.exact is not None
+        return self._exact is not None or self._build is not None
+
+    def _key(self) -> tuple:
+        return (self.exact,) if self.is_exact else (self.log2_lo, self.log2_hi)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BigBound):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def log2_interval(self):
-        with mpmath.workprec(_PREC):
-            if self.is_exact:
-                return _log2_interval_of_exact(self.exact)
+        if self.log2_lo is not None:
             return self.log2_lo, self.log2_hi
+        with mpmath.workprec(_PREC):
+            return _log2_interval_of_exact(self.exact)
 
     def to_text(self) -> str:
         if self.digits is not None:
@@ -243,10 +276,11 @@ def _sylvester_term(n: int) -> BigBound:
     Terms are exact while they fit under the digit guard and log2
     intervals beyond it.  Terms are squared exactly only up to
     _WORK_BITS.  Past that, the log2 enclosure is walked on to x_n
-    first: if it lies under GUARD_BITS, exact squaring resumes where it
-    stopped; if at or above, the walked interval is the result.  No term
-    over the guard is ever built.  An enclosure that straddles the guard
-    raises IndeterminateComparisonError.
+    first: if it lies under GUARD_BITS, the term is exact, and the exact
+    squaring resumes where it stopped once .exact is read; if at or
+    above, the walked interval is the result.  No term over the guard is
+    ever built.  An enclosure that straddles the guard raises
+    IndeterminateComparisonError.
     """
     if n == 0:
         return BigBound.from_exact(1)
@@ -266,17 +300,23 @@ def _sylvester_term(n: int) -> BigBound:
                 f"sylvester term {n} has log2 in [{tail.log2_lo}, {tail.log2_hi}], "
                 f"which straddles the {GUARD_BITS}-bit guard"
             )
-        while k < n:
-            x = _sylvester_step(x)
-            k += 1
     if x.bit_length() < _STR_BITS:
         return BigBound.from_exact(x)
-    # the digits from the same chain run on Decimal
+    # the digits from the same chain run on Decimal; the int squaring
+    # from x_k on waits for a reader of .exact
     with decimal.localcontext(_EXACT):
         d = decimal.Decimal(2)
         for _ in range(n - 1):
             d = _sylvester_step(d)
-        return BigBound(exact=x, digits=str(d))
+        digits = str(d)
+    return BigBound(digits=digits, _build=partial(_sylvester_steps, x, n - k))
+
+
+def _sylvester_steps(x: int, steps: int) -> int:
+    """x after the given number of Sylvester steps."""
+    for _ in range(steps):
+        x = _sylvester_step(x)
+    return x
 
 
 def _sylvester_log2(n: int, k: int, x: int) -> BigBound:
@@ -360,23 +400,31 @@ def circ_bound(c: int) -> BigBound:
     exponent_log2 = d - 1
     # numerator digits are the binding size: 64^(2^(d-1)) has about
     # 1.8 * 2^(d-1) decimal digits
-    if exponent_log2 <= 60 and (2**exponent_log2) * 6 <= GUARD_BITS:
-        # 2 * 64^N + 25^N over 2 * 25^N, in lowest terms; a power of two
-        # as exponent makes ** a chain of squarings on either type
-        n = 2**exponent_log2
-        value = Fraction(64, 25) ** n + Fraction(1, 2)
-        if value.numerator.bit_length() < _STR_BITS:
-            return BigBound.from_exact(value)
-        with decimal.localcontext(_EXACT):
-            p, q = decimal.Decimal(64) ** n, decimal.Decimal(25) ** n
-            return BigBound(exact=value, digits=f"{2 * p + q}/{2 * q}")
+    fits = exponent_log2 <= 60 and (2**exponent_log2) * 6 <= GUARD_BITS
+    # 2 * 64^N + 25^N over 2 * 25^N, in lowest terms: the numerator has
+    # 6N + 2 bits
+    if fits and 6 * 2**exponent_log2 + 2 < _STR_BITS:
+        return BigBound.from_exact(_circ_fraction(2**exponent_log2))
     with mpmath.workprec(_PREC):
         base_lo, base_hi = _log2_interval_of_exact(Fraction(64, 25))
         exp = mpmath.ldexp(1, exponent_log2)
         lo = _pad_down(exp * base_lo)
         # the +1/2 lifts log2 by less than 2^-60 at these magnitudes
         hi = _pad_up(exp * base_hi + mpmath.mpf(2) ** -60)
+    if not fits:
         return BigBound.from_log2(lo, hi)
+    # a power of two as exponent makes ** a chain of squarings on either
+    # type; the Fraction waits for a reader of .exact
+    n = 2**exponent_log2
+    with decimal.localcontext(_EXACT):
+        p, q = decimal.Decimal(64) ** n, decimal.Decimal(25) ** n
+        digits = f"{2 * p + q}/{2 * q}"
+    return BigBound(log2_lo=lo, log2_hi=hi, digits=digits, _build=partial(_circ_fraction, n))
+
+
+def _circ_fraction(n: int) -> Fraction:
+    """(64/25)^n + 1/2."""
+    return Fraction(64, 25) ** n + Fraction(1, 2)
 
 
 def _e_enclosure(bits: int = 180):

@@ -108,10 +108,12 @@ def _indented(text: str) -> list:
 def _bound_lines(label: str, bound: BigBound) -> list:
     """Exact integers in decimal, log2 forms as 2^<float>, plus a short
     decimal approximation for exact rationals and the interval for
-    enclosed values."""
-    out = [f"{label}: {bound.to_text()}"]
+    enclosed values.  The exact value itself is not read: a large one is
+    built only for a reader that needs it."""
+    text = bound.to_text()
+    out = [f"{label}: {text}"]
     with mpmath.workprec(_APPROX_PREC):
-        if bound.is_exact and not isinstance(bound.exact, int):
+        if "/" in text:
             lo, hi = bound.log2_interval()
             mid = (lo + hi) / 2
             out.append(f"{label}_approx: {mpmath.nstr(mpmath.mpf(2) ** mid, 12)}")

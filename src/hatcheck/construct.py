@@ -18,8 +18,9 @@ Every dodge step picks the smallest available color, every enumeration
 runs in lexicographic order, and terminal blocks and leaves are chosen
 by smallest index, so all defeats are deterministic.  The cut-vertex
 split does not enumerate part 1: it reads part 1's colorings as bits of
-game.lex_masks, built once per oracle, so a defeat costs one shift per
-table entry rather than one table lookup per coloring and vertex.
+game.lex_masks, built once per oracle, so a defeat costs one set bit per
+table entry and one multiplication per vertex rather than one table
+lookup per coloring and vertex.
 Oracles are immutable after construction and their engines are pure
 (the split's masks are a cache filled by its first defeat).  Every
 engine reads the subgame it delegates to through game.reindex, with the
@@ -408,14 +409,20 @@ def oracle_lemma_rus(
         lex = masks[0]
         stride, pattern, lowest = lex.stride, lex.color_pattern, lex.lowest
         # part-1 colorings some part-1 player other than v guesses right
-        # (they see only part-1 colors, so their g1 entries are their g ones)
+        # (they see only part-1 colors, so their g1 entries are their g
+        # ones); a player's entries cover disjoint sets, so its union is
+        # its pattern times the sum of one bit per entry
+        width = budget1.product()
         covered = 0
         for i, u in enumerate(part1):
             if u != v:
-                p, s = pattern[i], stride[i]
+                s = stride[i]
+                bits = bytearray((width + 7) >> 3)
                 for low, (c,) in zip(lowest[i], strategy.tables[u]):
-                    covered |= p << (low + c * s)
-        survivors = ((1 << budget1.product()) - 1) ^ covered
+                    r = low + c * s
+                    bits[r >> 3] |= 1 << (r & 7)
+                covered |= pattern[i] * int.from_bytes(bits, "little")
+        survivors = ((1 << width) - 1) ^ covered
         if not survivors:
             raise PremiseViolationError(
                 f"adversary wins the one-guess game on part 1 at {ell + 1} colors",

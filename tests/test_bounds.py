@@ -27,6 +27,7 @@ from hatcheck.bounds import (
     theta_estimate,
     two_guess_seq,
 )
+from hatcheck.cli import entry
 from hatcheck.errors import IndeterminateComparisonError
 
 
@@ -367,6 +368,27 @@ def _plain_seq(multiplier: int) -> tuple:
     return tuple(_plain_terms(multiplier, 25 - multiplier))
 
 
+@functools.lru_cache(maxsize=None)
+def _product_digits(multiplier: int, n: int) -> str:
+    """Decimal text of x_n of x_{k+1} = 1 + multiplier * prod(x_0..x_k).
+
+    The product form run exactly on Decimal, whose multiplication and
+    str() are fast where str() of a large int is quadratic.
+    """
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        x = prod = decimal.Decimal(1)
+        for _ in range(n):
+            x = 1 + multiplier * prod
+            prod *= x
+        return str(x)
+
+
+# terms up to this size are also printed by str(), which cross-checks
+# _product_digits; the larger ones would spend seconds in it
+_STR_REFERENCE_BITS = 2**19
+
+
 @pytest.mark.parametrize(
     "fn, multiplier, n",
     [(two_guess_seq, 2, n) for n in (11, 15, 19, 21, 22)]
@@ -375,12 +397,15 @@ def _plain_seq(multiplier: int) -> tuple:
 def test_large_terms_print_their_plain_digits(fn, multiplier, n):
     # the digits of a term past _STR_BITS (all but a(11)) come from a
     # Decimal run of the recurrence; the reference is the product form,
-    # printed by str()
+    # as an int and as Decimal digits
     value = fn(n)
     expected = _plain_seq(multiplier)[n]
     assert value.exact == expected
     assert (value.digits is not None) == (expected.bit_length() >= _STR_BITS)
-    assert value.to_text() == _plain_str(expected)
+    digits = _product_digits(multiplier, n)
+    if expected.bit_length() <= _STR_REFERENCE_BITS:
+        assert digits == _plain_str(expected)
+    assert value.to_text() == digits
 
 
 @pytest.mark.parametrize("c", [5, 6])
@@ -400,6 +425,37 @@ def test_digits_leave_equality_and_hash_alone():
     assert hash(term) == hash(plain)
     # the power-of-two split renders the same int to the same text
     assert plain.to_text() == term.to_text()
+
+
+def test_bound_reports_never_build_exact_values(monkeypatch, capsys):
+    # `hatcheck bound` prints a large exact value from its digits; the
+    # binary value is built only when .exact is read, once
+    builds = []
+    for name in ("_sylvester_steps", "_circ_fraction"):
+        def spy(*args, _build=getattr(bounds, name)):
+            builds.append(args)
+            return _build(*args)
+
+        monkeypatch.setattr(bounds, name, spy)
+    for query in (["--seq", "a", "--n", "21"], ["--seq", "sylvester", "--n", "21"], ["--circ", "6"]):
+        assert entry(["bound", *query]) == 0
+    assert "value_approx: 6.7411401255e+53508" in capsys.readouterr().out
+    assert builds == []
+
+    e = 2 ** ((6 * 6) // 2 - 1)
+    for value, expected in (
+        (two_guess_seq(21), _plain_seq(2)[21]),
+        (sylvester(21), _plain_seq(1)[21]),
+        (circ_bound(6), (2 * 64**e + 25**e, 2 * 25**e)),
+    ):
+        assert value.is_exact and builds == []
+        got = value.exact
+        assert len(builds) == 1 and value.exact is got
+        builds.clear()
+        if isinstance(expected, tuple):
+            assert (got.numerator, got.denominator) == expected
+        else:
+            assert type(got) is int and got == expected
 
 
 def test_to_text_leaves_int_str_limit_alone():

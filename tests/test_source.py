@@ -69,3 +69,20 @@ def test_no_private_names_imported_across_modules():
         if alias.name.startswith("_")
     ]
     assert not found, f"private names imported from other hatcheck modules: {found}"
+
+
+def test_bound_lines_never_read_exact():
+    # `hatcheck bound` prints a large exact value from its digits; a read
+    # of .exact in _bound_lines would build its binary value on every
+    # query (the ell derivation's read is a real one and is not checked)
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_bound_lines"
+    ]
+    reads = [
+        node.lineno for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "exact"
+    ]
+    assert not reads, f"cli._bound_lines reads .exact at lines {reads}"
