@@ -26,7 +26,7 @@ from .bounds import (
     two_guess_seq,
 )
 from .construct import (
-    circ_budget_hosts_blocks,
+    circ_block_depth,
     oracle_closure,
     oracle_exhaustive,
     oracle_lemma_blocks,
@@ -351,15 +351,10 @@ def _pipeline_result(orc, bound: BigBound, what: str, guards: Guards, lines: lis
 def _derive_circ(g: Graph, args, guards: Guards, lines: list):
     ell = args.ell
     if ell is None:
-        # the smallest budget a(depth) that hosts every block certificate
-        for depth in range(1, 21):
-            seq_val = two_guess_seq(depth)
-            if not seq_val.is_exact:
-                break
-            ell = int(seq_val.exact) - 1
-            if circ_budget_hosts_blocks(g, ell):
-                break
-        # when none does, the construction reports the last one's shortfall
+        # a(k) increases with k, so a(deepest block certificate) is the
+        # smallest budget a(k) that hosts them all; past a(20) the
+        # construction reports the shortfall
+        ell = int(two_guess_seq(min(circ_block_depth(g), 20)).exact) - 1
     orc, bound = oracle_theorem_circ(g, guards, ell=ell)
     lines.append(f"ell: {ell}")
     return _pipeline_result(orc, bound, "circumference-pipeline budget", guards, lines)

@@ -653,14 +653,12 @@ def _hosts(need, ell: int) -> bool:
     return need.is_exact and need.exact <= ell + 1
 
 
-def circ_budget_hosts_blocks(g: Graph, ell: int) -> bool:
-    """True if ell + 1 colors host the closure adversary on every block
-    certificate of oracle_theorem_circ(g, ell=ell): the premise it
-    otherwise refuses with ValueError."""
-    return all(
-        _hosts(two_guess_seq(dfs_treedepth_certificate(sub).depth), ell)
-        for sub in _block_premise_graphs(g)
-    )
+def circ_block_depth(g: Graph) -> int:
+    """The depth of the deepest block certificate of oracle_theorem_circ(g),
+    1 when it has none: ell + 1 colors host the closure adversary on
+    every block, the premise it otherwise refuses with ValueError,
+    exactly when they reach a(depth)."""
+    return max((dfs_treedepth_certificate(sub).depth for sub in _block_premise_graphs(g)), default=1)
 
 
 def oracle_theorem_circ(

@@ -6,6 +6,18 @@ assignment must be covered by at least one vertex whose table entry (at
 the neighborhood coloring that assignment induces) contains the vertex's
 own color.  Entries hold at most guess_count colors.
 
+The three methods below run on one canonical relabelling of the game:
+of all the permutations of the vertices, the one whose relabelled
+(sorted edge list, budget tuple) is lexicographically greatest, the
+first such in itertools order.  Brute force finds it, which is cheap up
+to six vertices; past six the relabelling is the identity.  So
+isomorphic games run the same search, and the outcome, its cost and its
+refuted count belong to the isomorphism class (a canonical form in the
+sense of McKay and Piperno, JSC 2014, without their pruning).  The
+outcome is mapped back once, at the end: a certificate through
+game.reindex and each transcript witness vertex by vertex, so outcomes
+are in the caller's labels.
+
 Three methods run; steps 2 and 3 in alternating slices:
 
 1. Counting at the root.  A color at an entry covers at most the
@@ -29,20 +41,6 @@ Three methods run; steps 2 and 3 in alternating slices:
    few dozen steps waits for no more than that.  The exact search
    itself is unchanged by step 2, so adversary verdicts, their
    transcripts and refuted counts are those of an exhaustive search.
-   It runs on a canonical relabelling of the game, built at its first
-   step, so a game the local search wins in its first run never builds
-   it: of all the permutations of the vertices, the one whose
-   relabelled (sorted edge list, budget tuple) is lexicographically
-   greatest, the first such in itertools order.  Brute force finds it,
-   which is cheap up to six vertices; past six the relabelling is the
-   identity.  So isomorphic games run the same exact search, and its
-   cost and refuted count belong to the isomorphism class (a canonical
-   form in the sense of McKay and Piperno, JSC 2014, without their
-   pruning).  A certificate is mapped back through game.reindex and
-   each transcript witness vertex by vertex, so outcomes are in the
-   caller's labels.  Steps 1 and 2 stay in the caller's labels: whether
-   the local search finds a win is a draw that differs by labelling,
-   so the labelling changes how long a players win takes to find.
    The exact search backtracks over covering choices:
 
    * each uncovered assignment contributes one candidate (cell, color)
@@ -156,9 +154,10 @@ class SolveOutcome:
     capacity prunes, the first assignment still uncovered there).  The
     transcript keeps at most max_transcript entries; refuted counts
     every refuted branch.  Certificates and witnesses are in the
-    caller's labels.  The search runs on the canonical form, so on at
-    most six vertices refuted is a property of the isomorphism class of
-    (graph, budget): every labelling refutes as many branches.
+    caller's labels.  On at most six vertices the outcome in canonical
+    labels is a property of the isomorphism class of (graph, budget):
+    every labelling gets the same certificate, or refutes as many
+    branches with the same witnesses.
     """
 
     graph: Graph
@@ -380,8 +379,14 @@ def players_win(
     guards.check("assignment", budget.product())
     guards.check("table", total_table_size(g, budget))
 
-    layout = _Layout(g, budget, guess_count, guards)
-    exact = _canonical_search(layout, guards, max_transcript)
+    # vertex v is canonical vertex perm[v]; max keeps the first greatest
+    # permutation
+    perm = tuple(range(n))
+    if n <= _CANON_MAX_VERTICES:
+        perm = max(permutations(perm), key=lambda p: _relabelled(g, budget, p))
+    edges, sizes = _relabelled(g, budget, perm)
+    layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), guess_count, guards)
+    exact = _exact_search(layout, max_transcript)
     # counting at the root: entries that cover fewer assignments than
     # there are lose, and the exact search refutes at once
     if sum(c * w for c, w in zip(layout.capacity, layout.weight)) >= len(layout.assigns):
@@ -390,15 +395,25 @@ def players_win(
             try:
                 flips = next(local)
             except StopIteration as stop:
-                outcome = layout.outcome(stop.value)
+                outcome = _in_labels(layout.outcome(stop.value), g, budget, perm)
                 if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
                     return outcome
                 break
             # one exact step per flip of the failed run
             outcome = _advance(exact, flips)
             if outcome is not None:
-                return outcome
-    return _advance(exact, -1)
+                return _in_labels(outcome, g, budget, perm)
+    return _in_labels(_advance(exact, -1), g, budget, perm)
+
+
+def _in_labels(outcome: SolveOutcome, g: Graph, budget: ColorBudget, perm) -> SolveOutcome:
+    """A canonical outcome in the labels of (g, budget), whose vertex v is
+    canonical vertex perm[v]."""
+    certificate = outcome.certificate
+    if certificate is not None:
+        certificate = reindex(certificate, g, budget, perm)
+    transcript = tuple((i, tuple(canon[p] for p in perm)) for i, canon in outcome.transcript)
+    return replace(outcome, graph=g, budget=budget, certificate=certificate, transcript=transcript)
 
 
 def _advance(search, steps: int) -> Optional[SolveOutcome]:
@@ -413,30 +428,6 @@ def _advance(search, steps: int) -> Optional[SolveOutcome]:
     except StopIteration as stop:
         return stop.value
     return None
-
-
-def _canonical_search(layout: _Layout, guards: Guards, max_transcript: int):
-    """The exact search on the canonical relabelling, as a generator.
-
-    Nothing is relabelled before the first step.  It yields as
-    _exact_search does and returns the outcome in the layout's labels.
-    """
-    g, budget = layout.g, layout.budget
-    n = g.vertex_count
-    # vertex v is canonical vertex perm[v]; max keeps the first greatest
-    # permutation
-    perm = identity = tuple(range(n))
-    if n <= _CANON_MAX_VERTICES:
-        perm = max(permutations(perm), key=lambda p: _relabelled(g, budget, p))
-    if perm != identity:
-        edges, sizes = _relabelled(g, budget, perm)
-        layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), layout.guess_count, guards)
-    outcome = yield from _exact_search(layout, max_transcript)
-    if outcome.winner == PLAYERS:
-        certificate = reindex(outcome.certificate, g, budget, perm)
-        return SolveOutcome(g, budget, layout.guess_count, PLAYERS, certificate=certificate)
-    transcript = tuple((i, tuple(canon[p] for p in perm)) for i, canon in outcome.transcript)
-    return replace(outcome, graph=g, budget=budget, transcript=transcript)
 
 
 class _Layout:

@@ -368,15 +368,16 @@ def _plain_seq(multiplier: int) -> tuple:
     return tuple(_plain_terms(multiplier, 25 - multiplier))
 
 
+# Decimal arithmetic with no rounding: its multiplication and str() are
+# fast where str() of a large int is quadratic
+_EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
 @functools.lru_cache(maxsize=None)
 def _product_digits(multiplier: int, n: int) -> str:
-    """Decimal text of x_n of x_{k+1} = 1 + multiplier * prod(x_0..x_k).
-
-    The product form run exactly on Decimal, whose multiplication and
-    str() are fast where str() of a large int is quadratic.
-    """
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    with decimal.localcontext(exact):
+    """Decimal text of x_n of x_{k+1} = 1 + multiplier * prod(x_0..x_k),
+    from the product form run on exact Decimal."""
+    with decimal.localcontext(_EXACT_DECIMAL):
         x = prod = decimal.Decimal(1)
         for _ in range(n):
             x = 1 + multiplier * prod
@@ -385,7 +386,7 @@ def _product_digits(multiplier: int, n: int) -> str:
 
 
 # terms up to this size are also printed by str(), which cross-checks
-# _product_digits; the larger ones would spend seconds in it
+# _product_digits and _circ_digits; the larger ones would spend seconds in it
 _STR_REFERENCE_BITS = 2**19
 
 
@@ -408,13 +409,27 @@ def test_large_terms_print_their_plain_digits(fn, multiplier, n):
     assert value.to_text() == digits
 
 
+def _circ_digits(e: int) -> str:
+    """Decimal text of (2 * 64^e + 25^e) / (2 * 25^e), from powers of 4
+    and 5 on exact Decimal."""
+    with decimal.localcontext(_EXACT_DECIMAL):
+        p, q = decimal.Decimal(4) ** (3 * e), decimal.Decimal(5) ** (2 * e)
+        return f"{2 * p + q}/{2 * q}"
+
+
 @pytest.mark.parametrize("c", [5, 6])
 def test_large_circ_bounds_print_their_plain_digits(c):
     e = 2 ** ((c * c) // 2 - 1)
     value = circ_bound(c)
-    assert value.exact == Fraction(2 * 64**e + 25**e, 2 * 25**e)
+    numerator, denominator = 2 * 64**e + 25**e, 2 * 25**e
+    # the numerator is odd and prime to 5, so this fraction is in lowest
+    # terms as it stands
+    assert (value.exact.numerator, value.exact.denominator) == (numerator, denominator)
     assert value.digits is not None
-    assert value.to_text() == f"{_plain_str(2 * 64**e + 25**e)}/{_plain_str(2 * 25**e)}"
+    digits = _circ_digits(e)
+    if numerator.bit_length() <= _STR_REFERENCE_BITS:
+        assert digits == f"{_plain_str(numerator)}/{_plain_str(denominator)}"
+    assert value.to_text() == digits
 
 
 def test_digits_leave_equality_and_hash_alone():

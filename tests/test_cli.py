@@ -9,10 +9,11 @@ import pytest
 from hatcheck import construct
 from hatcheck.cli import _DERIVERS, _load_graph, build_parser, entry
 from hatcheck.construct import AdversaryOracle
-from hatcheck.game import ColorBudget, is_defeating, random_strategy
+from hatcheck.game import ColorBudget, is_defeating, random_strategy, strategy_from_text
 from hatcheck.graphs import Graph
 from hatcheck.guards import DEFAULT_GUARDS
 from hatcheck.rng import SplitMix64
+from hatcheck.solver import find_defeating_assignment
 
 GRAPHS = Path(__file__).resolve().parent.parent / "scripts" / "graphs"
 
@@ -150,7 +151,7 @@ def test_solve_per_vertex_budget(capsys):
         (("k1", "--guesses", "2", "--budget", "3", "--dump"), "8884bcbb98dd48c2c4378ff2106ed0630bf383b47162977c21ef0feb4751808b"),
         (("k2", "--budget", "2"), "d1a8f4814e38afcd0de84b67346d5387426b109e1c920658ac7608ecb59be327"),
         (("k3", "--guesses", "2", "--budget", "6"), "a2e8e08f22493fefc56f2d5fdc0e47cc70a5e4a78cf342576c3291a81799a4fc"),
-        (("p3", "--budget", "2,3,2"), "7161ded5d7dc3154611ff7f4d8954941aaed231f8181797df510a7285fbeeddc"),
+        (("p3", "--budget", "2,3,2"), "fa6b39eb2b9057e6df42b69712acaa624382930015c1c942dc32eb2616814c0b"),
     ],
     ids=["p4-dump", "k1-two-guess-dump", "k2", "k3-two-guess", "p3-per-vertex"],
 )
@@ -158,6 +159,14 @@ def test_pinned_solve_reports(capsys, argv, digest):
     code, out = run(capsys, "solve", graph_path(argv[0]), *argv[1:])
     assert code == 0
     assert hashlib.sha256(strip_timing(out).encode()).hexdigest() == digest
+    lines = strip_timing(out).splitlines()
+    if "winner: players" in lines:
+        # a pinned certificate must win
+        g, _ = _load_graph(graph_path(argv[0]))
+        budget_line = next(line for line in lines if line.startswith("budget:"))
+        budget = ColorBudget(tuple(int(q) for q in budget_line.split()[1:]))
+        certificate = strategy_from_text("\n".join(lines[lines.index("certificate:") + 1:]), g, budget)
+        assert find_defeating_assignment(g, certificate) is None
 
 
 def test_solve_budget_length_mismatch(capsys):

@@ -6,8 +6,9 @@ from functools import partial
 import pytest
 
 import hatcheck.construct as construct
+from hatcheck.bounds import two_guess_seq
 from hatcheck.construct import (
-    circ_budget_hosts_blocks,
+    circ_block_depth,
     oracle_closure,
     oracle_exhaustive,
     oracle_lemma_blocks,
@@ -486,8 +487,9 @@ def test_circ_ell_too_small():
         oracle_theorem_circ(complete(3), ell=6)  # a(3) = 43 > 7
 
 
-def test_circ_budget_hosts_blocks_is_the_closure_premise():
-    # the boolean holds exactly when the construction accepts the budget
+def test_circ_block_depth_is_the_closure_premise():
+    # ell + 1 colors reach a(depth) exactly when the construction accepts
+    # them
     graphs = [g for n in range(1, 5) for g in connected_graphs(n)]
     graphs += [bowtie(), cactus(), Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])]
     for g in graphs:
@@ -498,7 +500,8 @@ def test_circ_budget_hosts_blocks_is_the_closure_premise():
             except ValueError as err:
                 assert "cannot host" in str(err)
                 accepted = False
-            assert circ_budget_hosts_blocks(g, ell) == accepted, (sorted(g.edges), ell)
+            hosts = two_guess_seq(circ_block_depth(g)).exact <= ell + 1
+            assert hosts == accepted, (sorted(g.edges), ell)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hatcheck.game import (
     Strategy,
     enumerate_assignments,
     is_defeating,
+    reindex,
     strategy_from_text,
     table_size,
 )
@@ -55,15 +56,25 @@ def _canonical(g: Graph, budget: ColorBudget) -> tuple:
 
 
 def _in_canonical_labels(outcome: SolveOutcome) -> SolveOutcome:
-    """The outcome with each transcript witness moved to canonical labels."""
+    """The outcome moved to canonical labels: its game, its certificate
+    and each transcript witness."""
     perm = _canonical(outcome.graph, outcome.budget)
+    n = len(perm)
+    kept = [0] * n  # canonical vertex i is vertex kept[i]
+    for v, i in enumerate(perm):
+        kept[i] = v
+    g = graph(n, *((perm[u], perm[v]) for u, v in outcome.graph.edges))
+    budget = ColorBudget(tuple(outcome.budget[v] for v in kept))
+    certificate = outcome.certificate
+    if certificate is not None:
+        certificate = reindex(certificate, g, budget, kept)
     transcript = []
     for branch_id, assignment in outcome.transcript:
-        canon = [0] * len(perm)
+        canon = [0] * n
         for v, c in zip(perm, assignment):
             canon[v] = c
         transcript.append((branch_id, tuple(canon)))
-    return replace(outcome, transcript=tuple(transcript))
+    return replace(outcome, graph=g, budget=budget, certificate=certificate, transcript=tuple(transcript))
 
 
 def _labellings(tree: Graph) -> list:
@@ -134,8 +145,9 @@ def test_outcome_independent_of_labels(g, data):
     assert (first.graph, second.graph) == (g, h)
     if first.winner == PLAYERS:
         assert _certificate_is_winning(first) and _certificate_is_winning(second)
-    else:
-        assert _in_canonical_labels(first) == replace(_in_canonical_labels(second), graph=g, budget=first.budget)
+    # in canonical labels the two are one outcome: the same certificate,
+    # or the same transcript
+    assert _in_canonical_labels(first) == _in_canonical_labels(second)
 
 
 def test_one_call_through_the_public_name(monkeypatch):
@@ -153,6 +165,42 @@ def test_one_call_through_the_public_name(monkeypatch):
     assert len(calls) == 1
     assert solver.players_win(path(3), ColorBudget.uniform(3, 5), 2).winner == PLAYERS
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "g, q, guesses, winner",
+    [
+        (path(3), 5, 2, PLAYERS),  # the local search wins
+        (graph(4, (0, 1), (0, 2), (0, 3), (2, 3)), 3, 1, PLAYERS),  # the exact search wins
+        (path(3), 3, 1, ADVERSARY),
+    ],
+    ids=["local-search-win", "exact-search-win", "adversary"],
+)
+def test_one_layout_per_call(monkeypatch, g, q, guesses, winner):
+    # every method runs on the one layout of the canonical form
+    built = []
+    layout = solver._Layout
+
+    def spy(*args):
+        built.append(args[0])
+        return layout(*args)
+
+    monkeypatch.setattr(solver, "_Layout", spy)
+    out = players_win(g, ColorBudget.uniform(g.vertex_count, q), guesses)
+    assert out.winner == winner
+    assert built == [_in_canonical_labels(out).graph]
+
+
+def test_games_past_six_vertices():
+    # past six vertices the relabelling is the identity, so these games
+    # are solved in their own labels
+    out = players_win(path(7), ColorBudget.uniform(7, 2), 1)
+    assert out.winner == PLAYERS and _certificate_is_winning(out)
+    edgeless = Graph(7, frozenset())
+    out = players_win(edgeless, ColorBudget.uniform(7, 2), 1, max_transcript=10**9)
+    assert out.winner == ADVERSARY
+    assert out.refuted == len(out.transcript) == 64
+    assert (out.graph, out.budget) == (edgeless, ColorBudget.uniform(7, 2))
 
 
 def test_outcome_to_text():
@@ -346,9 +394,9 @@ def test_table_size_accounting():
 # ---------------------------------------------------------------------------
 # pinned search: kernel changes must keep the branch order, forced moves and
 # conflicts, so winners, certificates and full transcripts stay identical.
-# Every labelling of a game runs the exact search of its canonical form, so
-# all labellings of a tree pin one count and, in canonical labels, one
-# transcript
+# Every labelling of a game is solved on its canonical form, so all
+# labellings of a tree pin one count and, in canonical labels, one
+# transcript, and certificates are pinned in canonical labels too
 # ---------------------------------------------------------------------------
 
 _TREE_PINS = [
@@ -366,9 +414,9 @@ _PINNED = [
     for name, tree, refuted, digest in _TREE_PINS
     for g in _labellings(tree)
 ] + [
-    # the local search's certificate
+    # the local search's certificate, the one every labelling of P3 gets
     pytest.param(graph(3, (0, 1), (0, 2)), 5, 2, PLAYERS, 0,
-                 "c3d95f92e1db3eb136123eb9488a45e7322d4869abe68ac8caf7431ae81cc644", id="p3-two-guess"),
+                 "166b221724c9564aecb96f42810b3d1ada46afdff70698752824df610ccf4a3b", id="p3-two-guess"),
     pytest.param(complete(4), 9, 2, ADVERSARY, 1,
                  "7638dc6b9af68b343e32bc5f61719400163245698ed4b65ea427c5d581988d93", id="k4-two-guess"),
 ]
@@ -412,7 +460,7 @@ def test_pinned_small_graph_sweep():
                 assert _certificate_is_winning(out), (g.edges, q)
                 q += 1
     assert calls == 111
-    assert digest.hexdigest() == "ec613fd13ceabe357cbdb027b0b74a1050b2e2f3b000bb21fd50aa96049221bc"
+    assert digest.hexdigest() == "99b137048e47f9b9dc6dba38209819369aed70f8f35fe8099e06d8d0815ee75b"
     assert adversary.hexdigest() == "9b4dafc7f1bf365767fd89fe9093d7d65e8db19e53a6b2628b085cc2ed6f4d42"
 
 
@@ -550,7 +598,7 @@ def test_two_guess_star_won_at_six_colors():
 
 
 def test_two_guess_c4_won_at_six_colors(capsys):
-    # the local search wins here after 20 failed runs, 38 flips per
+    # the local search wins here after 30 failed runs, 64 flips per
     # assignment; the exact search alone does not finish it in minutes
     c4 = Path(__file__).resolve().parent.parent / "scripts" / "graphs" / "c4.graph"
     assert entry(["solve", str(c4), "--budget", "6", "--guesses", "2"]) == 0
@@ -564,8 +612,9 @@ def test_two_guess_c4_won_at_six_colors(capsys):
 
 
 def test_bowtie_won_at_four_colors_in_canonical_labels():
-    # the labelling of the bowtie that the local search finds hardest: it
-    # wins after 14 failed runs, and the exact search alone does not finish
+    # the bowtie's canonical form, which every labelling of it is solved
+    # on: the local search wins after 14 failed runs, and the exact search
+    # alone does not finish
     g = graph(5, (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4))
     out = players_win(g, ColorBudget.uniform(5, 4), 1)
     assert out.winner == PLAYERS and _certificate_is_winning(out)
@@ -588,15 +637,15 @@ def test_hg_p5(monkeypatch):
     # the adversary side is the exact search's refutation of P5@3.  The
     # local search runs beside it for as long as it runs, so its flips come
     # to at most the exact search's own steps plus one run
-    local_search, canonical_search = solver._local_search, solver._canonical_search
+    local_search, exact_search = solver._local_search, solver._exact_search
     runs, steps = [], []  # of the latest players_win call
 
     def exact_spy(*args):
         runs.clear()
         steps.clear()
-        return _resumptions(canonical_search(*args), steps)
+        return _resumptions(exact_search(*args), steps)
 
-    monkeypatch.setattr(solver, "_canonical_search", exact_spy)
+    monkeypatch.setattr(solver, "_exact_search", exact_spy)
     monkeypatch.setattr(solver, "_local_search", lambda layout: _resumptions(local_search(layout), runs))
     assert hg_exact(path(5)) == 2
     assert sum(runs[:-1]) < len(steps) <= sum(runs)
@@ -672,7 +721,8 @@ _CLIQUE_WINS = [((g * n,) * n, g) for n in range(1, 5) for g in (1, 2)] + [
 def test_local_search_wins_cliques(monkeypatch, sizes, guesses):
     # each win must come from the local search: the exact search alone
     # does not finish K4@4 or two-guess K4@8, so a local-search change
-    # that loses a clique fails here
+    # that loses a clique fails here.  The search runs on the canonical
+    # form, which sorts a clique's budget in descending order
     local_search = solver._local_search
     found = []
 
@@ -685,7 +735,7 @@ def test_local_search_wins_cliques(monkeypatch, sizes, guesses):
     out = players_win(complete(len(sizes)), ColorBudget(sizes), guesses)
     assert len(found) == 1
     assert out.winner == PLAYERS and _certificate_is_winning(out)
-    rows = [row for table in out.certificate.tables for row in table]
+    rows = [row for table in _in_canonical_labels(out).certificate.tables for row in table]
     assert rows == [tuple(sorted(entry)) for entry in found[0]]
 
 
