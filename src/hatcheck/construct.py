@@ -220,15 +220,16 @@ def oracle_lemma_is(
 
     def engine(strategy, log):
         fixed = {}
+        qs = strategy.budget.sizes
         for u in u_tuple:
-            nbrs = g.neighbors(u)
+            nbrs, table = g.neighbors(u), strategy.tables[u]
             guards.check("enumeration", ell ** len(nbrs))
             guessed = set()
             for sigma in product(range(ell), repeat=len(nbrs)):
                 idx = 0
                 for w, c in zip(nbrs, sigma):
-                    idx = idx * strategy.budget[w] + c
-                guessed.update(strategy.tables[u][idx])
+                    idx = idx * qs[w] + c
+                guessed.update(table[idx])
             fixed[u] = _smallest_missing(guessed)
             _note(log, f"dodge u={u} color={fixed[u]} (saw {len(guessed)} guesses)")
         view = reindex(strategy, sub.graph, sub.budget, rest, fixed)

@@ -19,21 +19,20 @@ Every adversary argument pins some hat colors and plays the rest as a
 smaller or re-wired game.  reindex is the one view for that step: new
 vertex i plays old vertex kept[i], with pinned neighbors read from the
 fixed colors, unseen new neighbors ignored and out-of-budget guesses
-mapped to color 0.
+mapped to color 0.  Views read through: their tables, like sampled ones
+and merge_two_guess's, are LazyTables, which compute an entry on its
+first read, so a defeat pays only for the entries it reads.
 
 Strategy(...) checks every table; that is the trust boundary, and
 strategy_from_text goes through it.  Producers whose tables are valid
 by construction (reindex, merge_two_guess, enumeration, sampling) build
 through the unchecked Strategy._unchecked instead.
 
-random_strategy draws tables lazily.  Its SampledTables hold, entry
-for entry, what the cell-by-cell loop nth_guess_set(q, g,
-rng.below(count)) would have drawn, but an entry is drawn only when it
-is first read.  below takes exactly one output per draw, so draw k from
-a splitmix64 state s is mix(s + (k+1)*GAMMA) (the counter form, see
-rng): cell i of a table that starts at state s is draw i, and the
-generator moves on by exactly the strategy's cell count.  The stream
-and every report are the loop's.
+A SampledTable holds, entry for entry, what nth_guess_set(q, g,
+rng.below(count)) over every cell in turn would draw.  below takes one
+output per draw, and draw k from splitmix64 state s is mix(s +
+(k+1)*GAMMA) (see rng), so cell i of a table that starts at s is draw i
+however late it is read; rng then moves on by the strategy's cells.
 
 Low-level helpers here accept the empty graph (all checks are then
 vacuous); the solver layer imposes its own >= 1 vertex preconditions.
@@ -42,7 +41,8 @@ vacuous); the solver layer imposes its own >= 1 vertex preconditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from math import prod
 from operator import index
 from typing import Iterator, NamedTuple
 
@@ -66,10 +66,7 @@ class ColorBudget:
         return ColorBudget((q,) * vertex_count)
 
     def product(self) -> int:
-        p = 1
-        for q in self.sizes:
-            p *= q
-        return p
+        return prod(self.sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -78,17 +75,13 @@ class ColorBudget:
         return self.sizes[v]
 
     def contains(self, assignment) -> bool:
-        return len(assignment) == len(self.sizes) and all(
-            0 <= c < q for c, q in zip(assignment, self.sizes)
-        )
+        return len(assignment) == len(self.sizes) and all(0 <= c < q for c, q in zip(assignment, self.sizes))
 
     def restrict(self, vertices) -> "ColorBudget":
         return ColorBudget(tuple(self.sizes[v] for v in vertices))
 
 
-def enumerate_assignments(
-    budget: ColorBudget, guards: Guards = DEFAULT_GUARDS
-) -> Iterator:
+def enumerate_assignments(budget: ColorBudget, guards: Guards = DEFAULT_GUARDS) -> Iterator:
     """All assignments within budget, in lexicographic order."""
     guards.check("enumeration", budget.product())
     return product(*[range(q) for q in budget.sizes])
@@ -123,7 +116,7 @@ class Strategy:
                     raise ValueError(f"guess color out of budget at vertex {v}")
 
     def _check_shape(self) -> None:
-        if len(self.budget) != self.graph.vertex_count:
+        if len(self.budget.sizes) != self.graph.vertex_count:
             raise ValueError("budget length must match vertex count")
         if self.guess_count not in (1, 2):
             raise ValueError("guess_count must be 1 or 2")
@@ -136,24 +129,23 @@ class Strategy:
         strategy = object.__new__(cls)
         # one attribute at a time, as __init__ does: touching __dict__
         # would give every instance a full dict instead of inline values
-        for name, value in dict(graph=graph, budget=budget, guess_count=guess_count, tables=tables).items():
-            object.__setattr__(strategy, name, value)
+        object.__setattr__(strategy, "graph", graph)
+        object.__setattr__(strategy, "budget", budget)
+        object.__setattr__(strategy, "guess_count", guess_count)
+        object.__setattr__(strategy, "tables", tables)
         strategy._check_shape()
         return strategy
 
     def entry_index(self, v: int, assignment) -> int:
         """Mixed-radix index of the neighborhood coloring seen by v."""
-        idx = 0
+        qs, idx = self.budget.sizes, 0
         for u in self.graph.neighbors(v):
-            idx = idx * self.budget[u] + assignment[u]
+            idx = idx * qs[u] + assignment[u]
         return idx
 
 
 def table_size(g: Graph, budget: ColorBudget, v: int) -> int:
-    size = 1
-    for u in g.neighbors(v):
-        size *= budget[u]
-    return size
+    return prod(map(budget.sizes.__getitem__, g.neighbors(v)))
 
 
 def total_table_size(g: Graph, budget: ColorBudget) -> int:
@@ -168,7 +160,7 @@ def guesses_at(strategy: Strategy, v: int, assignment) -> tuple:
 def is_defeating(strategy: Strategy, assignment) -> bool:
     """True if every vertex misses its own color."""
     for v in range(strategy.graph.vertex_count):
-        if assignment[v] in guesses_at(strategy, v, assignment):
+        if assignment[v] in strategy.tables[v][strategy.entry_index(v, assignment)]:
             return False
     return True
 
@@ -232,14 +224,84 @@ def lex_masks(g: Graph, budget: ColorBudget) -> LexMasks:
 
 
 # ---------------------------------------------------------------------------
-# re-indexing
+# lazy tables and re-indexing
 # ---------------------------------------------------------------------------
 
-def _clip(entry: tuple, q: int) -> tuple:
-    """A guess set seen under budget q: colors >= q become color 0."""
-    if entry[-1] < q:
+class LazyTable(dict):
+    """A guess table that computes entry i as _entry(i) on its first read.
+
+    SampledTable draws it, a reindex view clips a parent entry, a merge
+    view unites two.  Reads as the tuple of all entries: len, indexing
+    (negative too), iteration, reversed, `in` and == against tuples and
+    tables.  A dict, so that re-reading an entry costs one lookup and a
+    view reads through to its parent's kept entries.  Not hashable.
+    """
+
+    __slots__ = ("_size",)
+
+    def __missing__(self, i):
+        if not 0 <= i < self._size:
+            i = index(i)
+            if not -self._size <= i < self._size:
+                raise IndexError("table index out of range")
+            return self[i % self._size]
+        entry = self[i] = self._entry(i)
         return entry
-    return tuple(sorted({c if c < q else 0 for c in entry}))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._size))
+
+    def __reversed__(self):
+        return map(self.__getitem__, range(self._size - 1, -1, -1))
+
+    def __contains__(self, entry) -> bool:
+        return any(e == entry for e in self)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, LazyTable)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
+class _View(LazyTable):
+    """A reindex view's table: entry i is the parent entry rows[base + sum
+    of digit * stride] over the (radix, stride) digits of i, last neighbor
+    first, seen under budget q (colors >= q become color 0)."""
+
+    __slots__ = ("_rows", "_base", "_digits", "_q")
+
+    def __init__(self, rows, base: int, digits: tuple, q: int, size: int) -> None:
+        self._rows, self._base, self._digits, self._q, self._size = rows, base, digits, q, size
+
+    def _entry(self, i):
+        x = self._base
+        for radix, stride in self._digits:
+            x += i % radix * stride
+            i //= radix
+        entry, q = self._rows[x], self._q
+        return entry if entry[-1] < q else tuple(sorted({c if c < q else 0 for c in entry}))
+
+
+class _Union(LazyTable):
+    """A merge view's table: entry i is the sorted union of entry i of a and b."""
+
+    __slots__ = ("_a", "_b")
+
+    def __init__(self, a, b) -> None:
+        self._a, self._b, self._size = a, b, len(a)
+
+    def _entry(self, i):
+        return tuple(sorted({*self._a[i], *self._b[i]}))
 
 
 def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=None) -> Strategy:
@@ -254,24 +316,26 @@ def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=N
     pinned colors, defeats the original strategy.  Raises ValueError
     when the new game breaks any of these preconditions.  The identity
     view (same graph and budget, kept = 0..n-1, nothing fixed) is the
-    strategy itself.
+    strategy itself.  Other views cost O(degree) per vertex to build: an
+    entry is read from the old table when the view's entry is first read.
     """
     g, b = strategy.graph, strategy.budget
     fixed = fixed or {}
     n = graph.vertex_count
     if not fixed and graph == g and budget == b and tuple(kept) == tuple(range(n)):
         return strategy
-    if len(kept) != n or len(budget) != n:
+    if len(kept) != n or len(budget.sizes) != n:
         raise ValueError("need one kept vertex and one budget entry per new vertex")
     pos = {old: new for new, old in enumerate(kept)}
     if len(pos) != n or not all(0 <= old < g.vertex_count for old in kept):
         raise ValueError("kept vertices must be distinct vertices of the old graph")
-    if any(budget[i] > b[old] for i, old in enumerate(kept)):
+    qs, old_qs = budget.sizes, b.sizes
+    if any(qs[i] > old_qs[old] for i, old in enumerate(kept)):
         raise ValueError("target budget must be pointwise <= the old one")
     for u, c in fixed.items():
         if u in pos or not 0 <= u < g.vertex_count:
             raise ValueError(f"fixed vertex {u} must be an old vertex that is not kept")
-        if not 0 <= c < b[u]:
+        if not 0 <= c < old_qs[u]:
             raise ValueError(f"fixed color {c} out of budget at vertex {u}")
     tables = []
     for i, old in enumerate(kept):
@@ -285,25 +349,19 @@ def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=N
                 stride[pos[u]] = place
             else:
                 raise ValueError(f"vertex {old} sees vertex {u}, which is neither fixed nor a kept neighbor")
-            place *= b[u]
-        idxs = [base]
-        for j, w in stride.items():
-            idxs = [x + c * w for x in idxs for c in range(budget[j])]
-        rows = strategy.tables[old]
-        tables.append(tuple(_clip(rows[x], budget[i]) for x in idxs))
+            place *= old_qs[u]
+        digits = tuple((qs[j], stride[j]) for j in reversed(stride))
+        tables.append(_View(strategy.tables[old], base, digits, qs[i], prod(qs[j] for j in stride)))
     return Strategy._unchecked(graph, budget, strategy.guess_count, tuple(tables))
 
 
 def merge_two_guess(a: Strategy, b: Strategy) -> Strategy:
-    """Entrywise union of two 1-guess strategies on the same game."""
+    """Entrywise union of two 1-guess strategies on the same game, read through."""
     if a.graph != b.graph or a.budget != b.budget:
         raise ValueError("strategies must share graph and budget")
     if a.guess_count != 1 or b.guess_count != 1:
         raise ValueError("merge expects two 1-guess strategies")
-    tables = tuple(
-        tuple(tuple(sorted(set(ea) | set(eb))) for ea, eb in zip(ta, tb))
-        for ta, tb in zip(a.tables, b.tables)
-    )
+    tables = tuple(_Union(ta, tb) for ta, tb in zip(a.tables, b.tables))
     return Strategy._unchecked(a.graph, a.budget, 2, tables)
 
 
@@ -325,9 +383,7 @@ def strategy_from_text(text: str, graph: Graph, budget: ColorBudget) -> Strategy
     if not lines or not lines[0].startswith("guesses "):
         raise ValueError("missing 'guesses g' header")
     guess_count = int(lines[0].split()[1])
-    tables = [
-        [None] * table_size(graph, budget, v) for v in range(graph.vertex_count)
-    ]
+    tables = [[None] * table_size(graph, budget, v) for v in range(graph.vertex_count)]
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) < 2:
@@ -375,98 +431,42 @@ def guess_set_choices(q: int, guess_count: int) -> tuple:
 
 
 def strategy_space_size(g: Graph, budget: ColorBudget, guess_count: int) -> int:
-    size = 1
-    for v in range(g.vertex_count):
-        size *= guess_set_count(budget[v], guess_count) ** table_size(g, budget, v)
-    return size
+    qs = budget.sizes
+    return prod(guess_set_count(qs[v], guess_count) ** table_size(g, budget, v) for v in g.vertices())
 
 
 def enumerate_strategies(g: Graph, budget: ColorBudget, guess_count: int) -> Iterator[Strategy]:
     """Every strategy of the game, in lexicographic table order."""
-    cells = []
-    for v in range(g.vertex_count):
-        choices = guess_set_choices(budget[v], guess_count)
-        cells.extend([choices] * table_size(g, budget, v))
     shape = [table_size(g, budget, v) for v in range(g.vertex_count)]
+    cells = [c for v, size in enumerate(shape) for c in [guess_set_choices(budget[v], guess_count)] * size]
+    starts = [0, *accumulate(shape)]
     for flat in product(*cells):
-        tables = []
-        pos = 0
-        for v in range(g.vertex_count):
-            tables.append(tuple(flat[pos : pos + shape[v]]))
-            pos += shape[v]
-        yield Strategy._unchecked(g, budget, guess_count, tuple(tables))
+        tables = tuple(flat[starts[v] : starts[v + 1]] for v in range(len(shape)))
+        yield Strategy._unchecked(g, budget, guess_count, tables)
 
 
-class SampledTable(dict):
-    """One vertex's table of a sampled strategy, drawn entry by entry.
+class SampledTable(LazyTable):
+    """A sampled table: entry i is nth_guess_set(q, guess_count, x %
+    count) for the i-th draw x from state (see rng)."""
 
-    Reads as the tuple the sequential sampler would have built: entry i
-    is nth_guess_set(q, guess_count, x % count) for the i-th draw x from
-    state (see rng).  An entry is drawn on its first read and kept; len,
-    indexing (negative too), iteration, `in` and == against tuples and
-    tables all see the full table.  It is a dict only so that reading a
-    drawn entry costs one dict lookup (adversaries re-read cells through
-    reindex); __missing__ draws the others.  Not hashable.
-    """
-
-    __slots__ = ("_state", "_q", "_guess_count", "_count", "_size")
+    __slots__ = ("_state", "_q", "_guess_count", "_count")
 
     def __init__(self, state: int, q: int, guess_count: int, count: int, size: int) -> None:
-        self._state = state
-        self._q = q
-        self._guess_count = guess_count
-        self._count = count
-        self._size = size
+        self._state, self._q, self._guess_count, self._count, self._size = state, q, guess_count, count, size
 
-    def __missing__(self, i):
-        if not 0 <= i < self._size:
-            i = index(i)
-            if not -self._size <= i < self._size:
-                raise IndexError("table index out of range")
-            return self[i % self._size]
+    def _entry(self, i):
         # mix(state + (i+1)*GAMMA), inlined: this is the sampler's inner loop
         z = (self._state + (i + 1) * GAMMA) & MASK
         z = ((z ^ (z >> 30)) * MUL1) & MASK
         z = ((z ^ (z >> 27)) * MUL2) & MASK
         c = (z ^ (z >> 31)) % self._count
-        entry = self[i] = (c,) if c < self._q else nth_guess_set(self._q, self._guess_count, c)
-        return entry
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self._size))
-
-    def __reversed__(self):
-        return map(self.__getitem__, range(self._size - 1, -1, -1))
-
-    def __contains__(self, entry) -> bool:
-        return any(e == entry for e in self)
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, SampledTable)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __repr__(self) -> str:
-        return f"SampledTable({tuple(self)!r})"
+        return (c,) if c < self._q else nth_guess_set(self._q, self._guess_count, c)
 
 
-def random_strategy(
-    g: Graph, budget: ColorBudget, guess_count: int, rng: SplitMix64
-) -> Strategy:
+def random_strategy(g: Graph, budget: ColorBudget, guess_count: int, rng: SplitMix64) -> Strategy:
     """One draw per table cell over all admissible guess sets (uniform up
-    to below's bias, see rng).
-
-    The tables are SampledTables: they hold the entries the sequential
-    loop `nth_guess_set(q, guess_count, rng.below(count))` over every
-    cell, vertex by vertex, would give, and rng moves on by exactly the
-    draws that loop takes, but an entry costs only when it is read.
+    to below's bias, see rng), as SampledTables: an entry is drawn when
+    it is first read, and rng moves on by exactly the strategy's cells.
     """
     tables = []
     for v in range(g.vertex_count):

@@ -411,7 +411,9 @@ def _in_labels(outcome: SolveOutcome, g: Graph, budget: ColorBudget, perm) -> So
     canonical vertex perm[v]."""
     certificate = outcome.certificate
     if certificate is not None:
-        certificate = reindex(certificate, g, budget, perm)
+        # reindex reads through; a certificate stays plain, hashable tuples
+        view = reindex(certificate, g, budget, perm)
+        certificate = Strategy._unchecked(g, budget, view.guess_count, tuple(tuple(t) for t in view.tables))
     transcript = tuple((i, tuple(canon[p] for p in perm)) for i, canon in outcome.transcript)
     return replace(outcome, graph=g, budget=budget, certificate=certificate, transcript=transcript)
 

@@ -24,6 +24,11 @@ construct.oracle_lemma_rus (with its default exhaustive part-2 premise)
 by looping over every part-1 coloring in lexicographic order and reading
 each player's guess from its table, so it shares nothing with the
 assignment masks the production engine uses.
+
+The view referees are the eager copies game.reindex and
+game.merge_two_guess made before they read through: every entry of the
+new game is computed, and every parent entry it covers read, when the
+view is built.
 """
 
 from functools import reduce
@@ -244,3 +249,37 @@ def naive_cut_split_defeat(g: Graph, v: int, part1, part2, ell: int, strategy: S
     for u, c in phis[pick].items():
         out[u] = c
     return tuple(out), tuple(log)
+
+
+def eager_reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=None) -> Strategy:
+    """game.reindex as a full copy, for views that meet its preconditions."""
+    g, b = strategy.graph, strategy.budget
+    fixed = fixed or {}
+    pos = {old: new for new, old in enumerate(kept)}
+    tables = []
+    for i, old in enumerate(kept):
+        # old entry index = base + sum over new neighbors j of stride[j] * color(j)
+        stride = dict.fromkeys(graph.neighbors(i), 0)
+        base, place = 0, 1
+        for u in reversed(g.neighbors(old)):
+            if u in fixed:
+                base += fixed[u] * place
+            else:
+                stride[pos[u]] = place
+            place *= b[u]
+        idxs = [base]
+        for j, w in stride.items():
+            idxs = [x + c * w for x in idxs for c in range(budget[j])]
+        rows, q = strategy.tables[old], budget[i]
+        # a guess outside the new budget becomes color 0
+        tables.append(tuple(tuple(sorted({c if c < q else 0 for c in rows[x]})) for x in idxs))
+    return Strategy(graph, budget, strategy.guess_count, tuple(tables))
+
+
+def eager_merge_two_guess(a: Strategy, b: Strategy) -> Strategy:
+    """game.merge_two_guess as a full copy: the entrywise sorted union."""
+    tables = tuple(
+        tuple(tuple(sorted(set(ea) | set(eb))) for ea, eb in zip(ta, tb))
+        for ta, tb in zip(a.tables, b.tables)
+    )
+    return Strategy(a.graph, a.budget, 2, tables)

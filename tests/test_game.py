@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bowtie, complete, cycle, graph, path, star, winkler_strategy
+from hatcheck.construct import oracle_exhaustive, oracle_lemma_is
 from hatcheck.errors import GuardExceededError
 from hatcheck.game import (
     ColorBudget,
+    LazyTable,
     SampledTable,
     Strategy,
     enumerate_assignments,
@@ -26,10 +28,12 @@ from hatcheck.game import (
     strategy_space_size,
     strategy_to_text,
     table_size,
+    total_table_size,
 )
 from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import Guards
 from hatcheck.rng import GAMMA, MASK, SplitMix64, mix
+from naive_oracle import eager_merge_two_guess, eager_reindex
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +133,11 @@ def test_defeat_monotone_under_budget_extension():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _small_games(draw):
-    n = draw(st.integers(0, 4))
+def _small_games(draw, min_vertices=0, min_colors=1):
+    n = draw(st.integers(min_vertices, 4))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(min_colors, 3), min_size=n, max_size=n))
     return Graph.from_edges(n, edges), ColorBudget(tuple(sizes))
 
 
@@ -323,6 +327,78 @@ def test_reindex_rejects_dropped_neighbor_that_is_not_fixed():
     sub, kept = induced_subgraph(g, (0, 1))
     with pytest.raises(ValueError, match="neither fixed nor a kept neighbor"):
         reindex(s, sub, b.restrict(kept), kept)
+
+
+@st.composite
+def _views(draw, g, budget):
+    """reindex arguments (graph, budget, kept, fixed) of a valid view of a
+    game: some vertices pinned, the rest kept in any order, every kept
+    edge kept, new edges added at random and budgets lowered."""
+    n = g.vertex_count
+    pinned = draw(st.sets(st.sampled_from(range(n)), max_size=n - 1)) if n > 1 else set()
+    fixed = {u: draw(st.integers(0, budget[u] - 1)) for u in sorted(pinned)}
+    kept = tuple(draw(st.permutations([v for v in range(n) if v not in fixed])))
+    pos = {old: new for new, old in enumerate(kept)}
+    m = len(kept)
+    seen = {(pos[u], pos[w]) for u, w in g.edges if u in pos and w in pos}
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    added = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    # budgets shrink towards the old ones, so that most views see several colors
+    view_budget = ColorBudget(tuple(budget[old] + 1 - draw(st.integers(1, budget[old])) for old in kept))
+    return Graph.from_edges(m, seen | added), view_budget, kept, fixed
+
+
+def assert_same_entries(view, referee):
+    """Same game, and the same entry at every index, read last to first."""
+    assert (view.graph, view.budget, view.guess_count) == (referee.graph, referee.budget, referee.guess_count)
+    for table, expect in zip(view.tables, referee.tables, strict=True):
+        assert len(table) == len(expect)
+        assert [table[i] for i in reversed(range(len(table)))] == list(reversed(expect))
+
+
+@given(_small_games(min_vertices=1, min_colors=2), st.integers(1, 2), st.integers(0, 2 ** 64 - 1), st.data())
+def test_views_match_the_eager_referee(game, guess_count, seed, data):
+    # views over a fresh SampledTable (nothing drawn yet), over plain
+    # tuples, a view of a view (as oracle_closure builds), and the merge
+    # of two views that pin different colors (as the two-color lemma does)
+    g, budget = game
+    sampled = random_strategy(g, budget, guess_count, SplitMix64(seed))
+    twin = random_strategy(g, budget, guess_count, SplitMix64(seed))
+    plain = Strategy(g, budget, guess_count, tuple(tuple(t) for t in twin.tables))
+    args = data.draw(_views(g, budget))
+    view, referee = reindex(sampled, *args), eager_reindex(plain, *args)
+    assert_same_entries(view, referee)
+    assert_same_entries(reindex(plain, *args), referee)
+    inner = data.draw(_views(view.graph, view.budget))
+    nested = reindex(reindex(random_strategy(g, budget, guess_count, SplitMix64(seed)), *args), *inner)
+    assert_same_entries(nested, eager_reindex(referee, *inner))
+    if guess_count == 1 and args[3]:
+        graph_, budget_, kept, fixed = args
+        other = {u: data.draw(st.integers(0, budget[u] - 1)) for u in fixed}
+        fresh = random_strategy(g, budget, 1, SplitMix64(seed))
+        merged = merge_two_guess(reindex(fresh, *args), reindex(fresh, graph_, budget_, kept, other))
+        expect = eager_merge_two_guess(referee, eager_reindex(plain, graph_, budget_, kept, other))
+        assert_same_entries(merged, expect)
+
+
+def test_a_peel_defeat_draws_only_what_it_reads():
+    # P4 at 5 colors has 60 table entries; peeling {0, 2} reads 2 + 4 of
+    # them, and the view of vertices 1 and 3 one entry each
+    g = path(4)
+    sub = oracle_exhaustive(Graph.from_edges(2, []), ColorBudget.uniform(2, 2), 1)
+    orc = oracle_lemma_is(g, (0, 2), 2, 2, sub)
+    total = total_table_size(g, orc.budget)
+    assert total == 60
+    rng = SplitMix64(11)
+    for _ in range(20):
+        s = random_strategy(g, orc.budget, 1, rng)
+        view = reindex(s, Graph.from_edges(2, []), ColorBudget.uniform(2, 2), (1, 3), {0: 0, 2: 0})
+        assert sum(dict.__len__(t) for t in s.tables) == 0  # building a view draws nothing
+        assert sum(dict.__len__(t) for t in view.tables) == 0
+        assignment = orc.defeat(s)
+        drawn = sum(dict.__len__(t) for t in s.tables)
+        assert 0 < drawn <= 8 < total
+        assert is_defeating(s, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +594,49 @@ def test_next_u64_is_mix_of_next_state(seed, n):
             rng.below(bad)
 
 
+def assert_reads_as_a_tuple(table):
+    """The tuple protocol of a LazyTable of at least two entries."""
+    plain = tuple(table)
+    size = len(plain)
+    assert isinstance(table, LazyTable)
+    assert len(table) == size >= 2
+    assert table[-1] == plain[size - 1] and table[-size] == plain[0]
+    assert list(reversed(table)) == list(reversed(plain))
+    assert table == plain and plain == table and not table != plain
+    assert table != plain[:-1] and table != list(plain)
+    assert plain[1] in table and (9,) not in table
+    with pytest.raises(IndexError):
+        table[size]
+    with pytest.raises(IndexError):
+        table[-size - 1]
+    with pytest.raises(TypeError):
+        hash(table)
+
+
 def test_sampled_table_reads_as_a_tuple():
     rng = SplitMix64(4)
     s = random_strategy(path(2), ColorBudget((3, 4)), 2, rng)
     table = s.tables[1]
-    plain = tuple(table)
-    assert isinstance(table, SampledTable)
-    assert len(table) == len(plain) == 3
-    assert table[-1] == plain[2] and table[-3] == plain[0]
-    assert list(reversed(table)) == list(reversed(plain))
-    assert table == plain and plain == table and not table != plain
-    assert table != plain[:2] and table != list(plain)
+    assert isinstance(table, SampledTable) and len(table) == 3
+    assert_reads_as_a_tuple(table)
     twin = random_strategy(path(2), ColorBudget((3, 4)), 2, SplitMix64(4)).tables[1]
     assert twin == table and twin is not table and table != s.tables[0]
-    assert plain[1] in table and (9,) not in table
     assert s == Strategy(s.graph, s.budget, 2, tuple(tuple(t) for t in s.tables))
-    with pytest.raises(IndexError):
-        table[3]
-    with pytest.raises(IndexError):
-        table[-4]
-    with pytest.raises(TypeError):
-        hash(table)
+
+
+def test_view_tables_read_as_tuples():
+    # vertex 0 of the view sees new vertex 1 (3 entries); vertex 1 also
+    # sees the pinned vertex 2, whose color the two views differ in
+    s = random_strategy(path(3), ColorBudget((3, 4, 3)), 1, SplitMix64(4))
+    views = [reindex(s, path(2), ColorBudget((2, 3)), (0, 1), {2: c}) for c in (0, 1)]
+    assert len(views[0].tables[0]) == 3
+    assert_reads_as_a_tuple(views[0].tables[0])
+    merged = merge_two_guess(*views)
+    assert len(merged.tables[0]) == 3
+    assert_reads_as_a_tuple(merged.tables[0])
+    assert merged.tables[1] == tuple(
+        tuple(sorted({*a, *b})) for a, b in zip(views[0].tables[1], views[1].tables[1])
+    )
 
 
 def test_strategy_text_roundtrip():

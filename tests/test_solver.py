@@ -1,6 +1,8 @@
 """Exact game solving: players_win, hg_exact, hg2_exact, refutation."""
 
 import hashlib
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
@@ -203,6 +205,17 @@ def test_games_past_six_vertices():
     assert (out.graph, out.budget) == (edgeless, ColorBudget.uniform(7, 2))
 
 
+def test_certificate_in_other_labels_is_plain_data():
+    # the canonical form of P3 puts its centre last, so a certificate for
+    # a P3 that puts it first is mapped back through reindex
+    g = star(2)
+    assert _canonical(g, ColorBudget.uniform(3, 2)) != (0, 1, 2)
+    out = players_win(g, ColorBudget.uniform(3, 2), 1)
+    assert out.winner == PLAYERS and _certificate_is_winning(out)
+    assert all(type(table) is tuple for table in out.certificate.tables)
+    assert hash(out.certificate) == hash(replace(out.certificate)) and hash(out) == hash(replace(out))
+
+
 def test_outcome_to_text():
     out = players_win(complete(2), ColorBudget.uniform(2, 2), 1)
     text = outcome_to_text(out)
@@ -258,6 +271,18 @@ def test_hg_p4_against_naive():
     out = players_win(path(4), ColorBudget.uniform(4, 2), 1)
     assert out.winner == PLAYERS and _certificate_is_winning(out)
     assert hg_exact(path(4)) == 2
+
+
+def test_small_graph_script_runs_as_the_readme_shows():
+    # README: PYTHONPATH=src python3 scripts/hg_small_graphs.py ...
+    root = Path(__file__).resolve().parent.parent
+    env = {"PYTHONPATH": str(root / "src"), "PATH": ""}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "hg_small_graphs.py"), "--max-n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "-- n=1: hg=1:1" in done.stdout and "-- n=2: hg=2:1" in done.stdout
 
 
 def test_hg_small_graph_values():
