@@ -446,9 +446,7 @@ def ceil_e_times(t: int) -> int:
 
 def _check_nested(h: int, t: int) -> None:
     if h * math.log2(t) > _NESTED_LIMIT_BITS:
-        raise OverflowError(
-            f"t**h for t={t}, h={h} exceeds the nested-log range"
-        )
+        raise ValueError(f"t**h for t={t}, h={h} exceeds the nested-log range")
 
 
 def n_h_t_recursive(h: int, t: int) -> BigBound:

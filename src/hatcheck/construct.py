@@ -22,15 +22,29 @@ game.lex_masks, built once per oracle, so a defeat costs one set bit per
 table entry and one multiplication per vertex rather than one table
 lookup per coloring and vertex.
 Oracles are immutable after construction and their engines are pure
-(the split's masks are a cache filled by its first defeat).  Every
-engine reads the subgame it delegates to through game.reindex, with the
-subgraph and vertex map fixed when the oracle is built.
+(the split's masks are a cache filled by its first defeat).
 
 Scope (graph, guess count, budget) is checked once, where a strategy
-enters through defeat or defeat_traced.  A composing oracle checks each
-sub-oracle's shape when it is built, and its engine hands that
-sub-oracle a reindex view of exactly its graph and budget, so internal
-hops call the sub-engine directly without checking again.
+enters through defeat or defeat_traced, and a composing oracle checks
+each sub-oracle's shape when it is built.  Its engine hands the
+sub-oracle a game.reindex view of exactly that graph and budget, and
+no internal hop, view included, checks again.  What makes views valid:
+
+- is: _expect fits sub to induced_subgraph(g, rest) at ell < ell^r + 1,
+  the builder checks U, and a dodge color, the smallest missing of at
+  most ell^r guesses, is <= ell^r < ell^r + 1;
+- two colors: _expect fits sub2 to g minus v at ell + 1, the builder
+  checks v, the pair is below v's budget (max(pair) + 1, or ell + 1 in
+  the split), and merge_two_guess unites two 1-guess views of sub2's game;
+- rus: by the builder's checks the pinned rest of part 1 is disjoint
+  from part 2 and holds all its outside neighbors; pins are digits < ell + 1;
+- blocks: a component is closed under neighbors, and its oracle is
+  built on, or fitted by _expect to, induced_subgraph(g, comp);
+- closure: a step keeps remove_leaf's vertices, restricts the budget
+  alike and pins the leaf below its budget (the InternalError check);
+- circ premise: the closure of sub_g's DFS certificate contains sub_g,
+  and _hosts checks every closure budget, <= a(depth), against ell + 1;
+- solver._in_labels: a permutation; the game is the canonical one relabelled.
 """
 
 from __future__ import annotations

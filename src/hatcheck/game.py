@@ -26,7 +26,8 @@ first read, so a defeat pays only for the entries it reads.
 Strategy(...) checks every table; that is the trust boundary, and
 strategy_from_text goes through it.  Producers whose tables are valid
 by construction (reindex, merge_two_guess, enumeration, sampling) build
-through the unchecked Strategy._unchecked instead.
+through the unchecked Strategy._unchecked instead, and views trust
+their callers' arguments, which construct's oracles fix when built.
 
 A SampledTable holds, entry for entry, what nth_guess_set(q, g,
 rng.below(count)) over every cell in turn would draw.  below takes one
@@ -307,36 +308,25 @@ class _Union(LazyTable):
 def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=None) -> Strategy:
     """View a strategy as one for a smaller or re-wired game.
 
-    New vertex i plays old vertex kept[i].  Every old neighbor of
-    kept[i] is either pinned by fixed (old vertex -> color) or kept as a
-    new neighbor of i; new neighbors the old vertex never saw are
-    ignored.  budget must be pointwise <= the old budget of the kept
+    New vertex i plays old vertex kept[i] (kept: distinct old vertices,
+    one per new vertex).  Every old neighbor of kept[i] is either pinned
+    by fixed (an old vertex not kept -> a color in its old budget) or
+    kept as a new neighbor of i; new neighbors the old vertex never saw
+    are ignored.  budget must be pointwise <= the old budget of the kept
     vertices; a guess outside it can never be right there and becomes
     color 0.  So an assignment that defeats the view, extended by the
-    pinned colors, defeats the original strategy.  Raises ValueError
-    when the new game breaks any of these preconditions.  The identity
-    view (same graph and budget, kept = 0..n-1, nothing fixed) is the
-    strategy itself.  Other views cost O(degree) per vertex to build: an
-    entry is read from the old table when the view's entry is first read.
+    pinned colors, defeats the original strategy.  These preconditions
+    are the caller's; the one ValueError is for an old neighbor neither
+    fixed nor kept.  The identity view (same graph and budget, kept =
+    0..n-1, nothing fixed) is the strategy itself.  Other views cost
+    O(degree) per vertex to build and read an old entry on first read.
     """
     g, b = strategy.graph, strategy.budget
     fixed = fixed or {}
-    n = graph.vertex_count
-    if not fixed and graph == g and budget == b and tuple(kept) == tuple(range(n)):
+    if not fixed and graph == g and budget == b and tuple(kept) == tuple(range(graph.vertex_count)):
         return strategy
-    if len(kept) != n or len(budget.sizes) != n:
-        raise ValueError("need one kept vertex and one budget entry per new vertex")
     pos = {old: new for new, old in enumerate(kept)}
-    if len(pos) != n or not all(0 <= old < g.vertex_count for old in kept):
-        raise ValueError("kept vertices must be distinct vertices of the old graph")
     qs, old_qs = budget.sizes, b.sizes
-    if any(qs[i] > old_qs[old] for i, old in enumerate(kept)):
-        raise ValueError("target budget must be pointwise <= the old one")
-    for u, c in fixed.items():
-        if u in pos or not 0 <= u < g.vertex_count:
-            raise ValueError(f"fixed vertex {u} must be an old vertex that is not kept")
-        if not 0 <= c < old_qs[u]:
-            raise ValueError(f"fixed color {c} out of budget at vertex {u}")
     tables = []
     for i, old in enumerate(kept):
         # old entry index = base + sum over new neighbors j of stride[j] * color(j)
@@ -356,11 +346,8 @@ def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=N
 
 
 def merge_two_guess(a: Strategy, b: Strategy) -> Strategy:
-    """Entrywise union of two 1-guess strategies on the same game, read through."""
-    if a.graph != b.graph or a.budget != b.budget:
-        raise ValueError("strategies must share graph and budget")
-    if a.guess_count != 1 or b.guess_count != 1:
-        raise ValueError("merge expects two 1-guess strategies")
+    """Entrywise union of two 1-guess strategies on one graph and budget,
+    read through; the preconditions are the caller's."""
     tables = tuple(_Union(ta, tb) for ta, tb in zip(a.tables, b.tables))
     return Strategy._unchecked(a.graph, a.budget, 2, tables)
 

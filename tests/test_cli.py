@@ -10,10 +10,12 @@ from hatcheck import construct
 from hatcheck.cli import _DERIVERS, _load_graph, build_parser, entry
 from hatcheck.construct import AdversaryOracle
 from hatcheck.game import ColorBudget, is_defeating, random_strategy, strategy_from_text
-from hatcheck.graphs import Graph
+from hatcheck.graphs import Graph, graph_to_text
 from hatcheck.guards import DEFAULT_GUARDS
 from hatcheck.rng import SplitMix64
 from hatcheck.solver import find_defeating_assignment
+
+from conftest import complete
 
 GRAPHS = Path(__file__).resolve().parent.parent / "scripts" / "graphs"
 
@@ -219,6 +221,20 @@ def test_bound_requires_one_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--seq", "a"), "error: --seq needs --n"),
+        (("--tary", "70", "2"), "error: t**h for t=2, h=70 exceeds the nested-log range"),
+    ],
+    ids=["seq-without-n", "tary-past-nested-range"],
+)
+def test_bound_rejects_bad_arguments(capsys, argv, message):
+    code, out = run(capsys, "bound", *argv)
+    assert code == 2
+    assert message in out
+
+
 # pinned reports: the largest exact terms and fractions the bound command
 # prints (up to 427k digits) and log-form terms on both sides of the
 # exact/log switch up to the index cap, so a change to how values are
@@ -362,6 +378,16 @@ def test_verify_tary_square(capsys):
     assert "defeated: 100/100" in out
 
 
+def test_verify_tary_chain_past_guard_bits_is_a_guard_refusal(capsys, tmp_path):
+    path = tmp_path / "k5.graph"
+    path.write_text(graph_to_text(complete(5)))
+    code, out = run(capsys, "verify", str(path), "--lemma", "tary", "--branching", "3", "--height", "2")
+    assert code == 3
+    assert "bound: 2^1.2472516267483419e+23\n" in out
+    assert "bound_log2_interval: [1.2472516267483419e+23, 1.2472516267483419e+23]\n" in out
+    assert "error: guard 'assignment' exceeded: needed subtree-pipeline budget" in out
+
+
 def test_verify_dump_shows_construction(capsys):
     code, out = run(
         capsys, "verify", graph_path("bowtie"), "--lemma", "rus", "--trials", "5",
@@ -488,8 +514,13 @@ def test_exit_guard_small_limits(capsys, monkeypatch):
         (("solve", "p3", "--budget", "2,x"), "error: budget must be integers, got '2,x'"),
         (("verify", "k2", "--lemma", "rus", "--trials", "0"), "error: --trials must be positive"),
         (("verify", "k2", "--lemma", "rus", "--trials", "many"), "error: --trials must be an integer or 'exhaustive'"),
+        (("verify", "p3", "--lemma", "two", "--vertex", "9"), "error: --vertex 9 out of range"),
+        (
+            ("verify", "c4", "--lemma", "tary", "--height", "70"),
+            "error: t**h for t=3, h=70 exceeds the nested-log range",
+        ),
     ],
-    ids=["budget-not-integer", "trials-zero", "trials-not-integer"],
+    ids=["budget-not-integer", "trials-zero", "trials-not-integer", "vertex-out-of-range", "tary-past-nested-range"],
 )
 def test_exit_parse_bad_arguments(capsys, argv, message):
     command, name, *rest = argv
@@ -581,6 +612,18 @@ def test_exit_premise_violation_embedding(capsys):
     )
     assert code == 5
     assert "witness_embedding: 1 0 2" in out
+
+
+def test_exit_premise_violation_without_witness(capsys, monkeypatch, tmp_path):
+    # K9 has minimum degree 8 = 2 * 2^2; with the subtree search over the
+    # tree_size guard the violation carries no embedding
+    monkeypatch.setenv("HATCHECK_GUARDS", ",,,,6")
+    path = tmp_path / "k9.graph"
+    path.write_text(graph_to_text(complete(9)))
+    code, out = run(capsys, "verify", str(path), "--lemma", "tary", "--branching", "2", "--height", "2")
+    assert code == 5
+    assert "premise_violation: minimum degree 8 forces a 2-ary subtree of height 2\n" in out
+    assert "witness_" not in out
 
 
 # ---------------------------------------------------------------------------

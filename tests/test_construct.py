@@ -546,6 +546,24 @@ def test_tary_embedded_tree_is_refused():
     assert g.has_edge(root, a) and g.has_edge(root, b)
 
 
+def test_tary_chain_past_guard_bits_builds_no_oracle():
+    # K5 has no ternary subtree of height 2 (13 vertices), and peeling its
+    # five singleton classes pushes the threshold past GUARD_BITS
+    orc, bound = oracle_theorem_tary(complete(5), 3, 2)
+    assert orc is None
+    assert bound.to_text() == "2^1.2472516267483419e+23"
+
+
+def test_tary_build_checks_premises_when_the_search_is_skipped():
+    # a tree_size guard below the subtree size skips the up-front search
+    with pytest.raises(PremiseViolationError, match="maximum degree at most 1 in the base case") as info:
+        oracle_theorem_tary(star(2), 2, 1, Guards(tree_size=2))
+    assert info.value.witness == (0, 1, 2)
+    with pytest.raises(PremiseViolationError, match="minimum degree 8 forces a 2-ary subtree of height 2") as info:
+        oracle_theorem_tary(complete(9), 2, 2, Guards(tree_size=6))
+    assert info.value.witness is None
+
+
 def test_tary_free_graphs_have_a_small_degree_vertex():
     # the peel step never stalls: a nonempty graph without the subtree
     # always offers a vertex of degree below 2 * t^h

@@ -307,18 +307,6 @@ def test_reindex_identity_view_is_the_strategy():
     assert reindex(s, g, b, (0, 1, 2)[::-1]) is not s
 
 
-def test_reindex_rejects_fixed_color_out_of_budget():
-    s = winkler_strategy()
-    with pytest.raises(ValueError, match="out of budget"):
-        fix(s, {1: 2})
-
-
-def test_reindex_rejects_budget_above_the_old_one():
-    s = winkler_strategy()
-    with pytest.raises(ValueError, match="pointwise"):
-        reindex(s, s.graph, ColorBudget((2, 3)), (0, 1))
-
-
 def test_reindex_rejects_dropped_neighbor_that_is_not_fixed():
     # vertex 1 of P3 sees vertex 2, which is neither kept nor fixed
     g = path(3)
@@ -649,18 +637,22 @@ def test_strategy_text_roundtrip():
             assert strategy_from_text(strategy_to_text(s), g, b) == s
 
 
+_WINKLER_TEXT = strategy_to_text(winkler_strategy())
+
+
 @pytest.mark.parametrize(
-    "line, message",
+    "text, message",
     [
-        ("-1 1 0", "names no table entry"),
-        ("2 0 0", "names no table entry"),
-        ("0 1 1", "repeats an entry"),
-        ("0", "needs a vertex and an entry index"),
+        (_WINKLER_TEXT + "-1 1 0\n", "names no table entry"),
+        (_WINKLER_TEXT + "2 0 0\n", "names no table entry"),
+        (_WINKLER_TEXT + "0 1 1\n", "repeats an entry"),
+        (_WINKLER_TEXT + "0\n", "needs a vertex and an entry index"),
+        (_WINKLER_TEXT.split("\n", 1)[1], "missing 'guesses g' header"),
+        (_WINKLER_TEXT.rsplit("\n", 2)[0], "incomplete strategy text"),
     ],
-    ids=["negative-vertex", "vertex-out-of-range", "repeated-entry", "short-line"],
+    ids=["negative-vertex", "vertex-out-of-range", "repeated-entry", "short-line", "no-header", "missing-entry"],
 )
-def test_strategy_text_rejects_bad_lines(line, message):
-    text = strategy_to_text(winkler_strategy()) + line + "\n"
+def test_strategy_text_rejects_bad_lines(text, message):
     with pytest.raises(ValueError, match=message):
         strategy_from_text(text, complete(2), ColorBudget.uniform(2, 2))
 

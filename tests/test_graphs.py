@@ -56,8 +56,18 @@ def test_parse_single_vertex():
 
 
 def test_parse_errors_are_distinct():
+    with pytest.raises(MalformedLineError, match="empty input"):
+        parse_graph(" \n\n")
     with pytest.raises(MalformedLineError):
         parse_graph("nope")
+    with pytest.raises(MalformedLineError, match="header must be two integers"):
+        parse_graph("2 x\n")
+    with pytest.raises(MalformedLineError, match="must be non-negative"):
+        parse_graph("-1 0\n")
+    with pytest.raises(MalformedLineError, match="edge line must be 'u v'"):
+        parse_graph("3 1\n0 1 2")
+    with pytest.raises(MalformedLineError, match="edge line must be two integers"):
+        parse_graph("2 1\n0 y")
     with pytest.raises(MalformedLineError):
         parse_graph("2 2\n0 1")
     with pytest.raises(VertexRangeError):
