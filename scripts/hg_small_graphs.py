@@ -13,7 +13,12 @@ does not finish.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
+
+# run from a plain checkout: the package sources come first, as under pytest
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hatcheck.graphs import connected_graphs
 from hatcheck.solver import hg2_exact, hg_exact

@@ -9,8 +9,13 @@ safety margin of the closed form at each n.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import mpmath
+
+# run from a plain checkout: the package sources come first, as under pytest
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hatcheck.bounds import theta_estimate, two_guess_seq
 

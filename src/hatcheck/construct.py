@@ -54,7 +54,7 @@ from functools import partial
 from itertools import combinations, product
 from typing import Callable, Optional
 
-from .bounds import GUARD_BITS, ceil_e_times, n_h_t_recursive, two_guess_seq
+from .bounds import GUARD_BITS, ceil_e_times, circ_bound, n_h_t_recursive, two_guess_seq
 from .errors import GuardExceededError, InternalError, PremiseViolationError
 from .game import (
     ColorBudget,
@@ -687,13 +687,19 @@ def oracle_theorem_circ(
     a(d) colors and the block composition finishes at uniform budget
     a(d).  Returns (oracle, bound) with bound = a(d); the oracle is None
     if the budget is too large to materialize or a guard refuses the
-    construction.  Passing ell overrides the budget (ell + 1 colors) so
-    the same composition can be exercised at small scale; ell + 1 must
-    still cover a(depth) for every block certificate.
+    construction.  Past the sequence cap (d > 64, so c >= 12) the
+    oracle is None and the bound is circ_bound(c), the closed form
+    (64/25)^(2^(d-1)) + 1/2 >= a(d).  Passing ell overrides the budget
+    (ell + 1 colors) so the same composition can be exercised at small
+    scale; ell + 1 must still cover a(depth) for every block certificate.
     """
     c = circumference(g, guards)
     d = (c * c) // 2 if c >= 3 else 2
-    bound = two_guess_seq(d)
+    try:
+        bound = two_guess_seq(d)
+    except ValueError:
+        # d is past the sequence cap (c >= 12), and a(d) past any guard
+        return None, circ_bound(c)
     if ell is None:
         if not bound.is_exact:
             return None, bound

@@ -6,11 +6,12 @@ assignment must be covered by at least one vertex whose table entry (at
 the neighborhood coloring that assignment induces) contains the vertex's
 own color.  Entries hold at most guess_count colors.
 
-The three methods below run on one canonical relabelling of the game:
-of all the permutations of the vertices, the one whose relabelled
-(sorted edge list, budget tuple) is lexicographically greatest, the
-first such in itertools order.  Brute force finds it, which is cheap up
-to six vertices; past six the relabelling is the identity.  So
+The two searches below (steps 2 and 3) run on one canonical
+relabelling of the game: of all the permutations of the vertices, the
+one whose relabelled (sorted edge list, budget tuple) is
+lexicographically greatest, the first such in itertools order.  Brute
+force finds it, which is cheap up to six vertices; past six the
+relabelling is the identity.  So
 isomorphic games run the same search, and the outcome, its cost and its
 refuted count belong to the isomorphism class (a canonical form in the
 sense of McKay and Piperno, JSC 2014, without their pruning).  The
@@ -20,11 +21,14 @@ are in the caller's labels.
 
 Three methods run; steps 2 and 3 in alternating slices:
 
-1. Counting at the root.  A color at an entry covers at most the
-   entry's weight of assignments (its members with that own color), so
-   when capacity times weight, summed over the entries, is less than the
-   assignment count the players lose.  Step 2 is then skipped, and the
-   search of step 3 refutes at its root.
+1. Counting at the root, before any layout is built.  A color at an
+   entry covers at most the entry's weight of assignments (its members
+   with that own color), so when capacity times weight, summed over the
+   entries, is less than the assignment count A the players lose.  The
+   sum is that of min(guess_count, q_v) * A / q_v over the vertices, so
+   the call returns at once, in any labels, the refutation the search
+   of step 3 would make at its root: one refuted branch, witnessed by
+   assignment 0 (all zeros).
 2. Local search for a players win: seeded min-conflicts (Minton et
    al., AIJ 1992; WalkSAT, Selman, Kautz and Cohen, 1994) over full
    entries, restarted after Luby-sequence run lengths for as long as
@@ -193,16 +197,21 @@ _NOVELTY_PER_256 = 200  # chance of the second-best swap, see below
 _CANON_MAX_VERTICES = 6
 
 
-def _nth_set_bit(x: int, r: int) -> int:
-    """Index of set bit number r (from 0, lowest first) of x."""
+def _nth_set_bit(x: int, r: int, levels=None) -> int:
+    """Index of set bit number r (from 0, lowest first) of x.
+
+    The bisection halves from the largest power of two below x's bit
+    length.  levels: _bisection_levels of at least that bit length, so
+    that a caller that asks many times builds the masks once.
+    """
     if r < 4:  # a few lowest-bit clears beat the bisection
         for _ in range(r):
             x &= x - 1
         return (x & -x).bit_length() - 1
     base = 0
-    half = 1 << (x.bit_length() - 1).bit_length() >> 1
-    while half:
-        low = x & ((1 << half) - 1)
+    bits = x.bit_length()
+    for half, mask in (levels or _bisection_levels(bits))[(bits - 1).bit_length()]:
+        low = x & mask
         k = low.bit_count()
         if r < k:
             x = low
@@ -210,8 +219,15 @@ def _nth_set_bit(x: int, r: int) -> int:
             r -= k
             x >>= half
             base += half
-        half >>= 1
     return base
+
+
+def _bisection_levels(bits: int) -> list:
+    """levels[m]: the (half, (1 << half) - 1) pairs for half = 2^(m-1),
+    ..., 2, 1, the bisection of an int of bit length b with
+    (b - 1).bit_length() == m, for every b up to bits."""
+    pairs = [(1 << j, (1 << (1 << j)) - 1) for j in reversed(range((bits - 1).bit_length()))]
+    return [pairs[len(pairs) - n:] for n in range(len(pairs) + 1)]
 
 
 def _local_search(layout: _Layout):
@@ -233,23 +249,20 @@ def _local_search(layout: _Layout):
 
     Cover counts are bit-sliced: planes[i] holds bit i of every
     assignment's count, so the uncovered and the covered-once
-    assignments are masks and a swap's score is two popcounts.  The
-    members of (cell c, color col) are pattern[c] << lowest[c] + col *
-    step[c], as in the exact search.
+    assignments are masks and a swap's score is two popcounts of a mask
+    shifted down to a pattern.  The members of (cell c, color col) are
+    pattern[c] << lowest[c] + col * step[c], as in the exact search.
     """
     assigns, cells_of, cell_owner = layout.assigns, layout.cells_of, layout.cell_owner
     capacity, lowest, qs = layout.capacity, layout.lowest, layout.budget.sizes
     a_count = len(assigns)
     full = (1 << a_count) - 1
+    levels = _bisection_levels(a_count)
     rng = SplitMix64(_SEARCH_SEED)
+    below, next_u64 = rng.below, rng.next_u64
     pattern = [layout.color_pattern[v] for v in cell_owner]
     step = [layout.stride[v] for v in cell_owner]
     order = 1 << 40  # above every flip index: a swap's score outranks its age
-
-    def count(planes, m, up):
-        for i, p in enumerate(planes):
-            planes[i] = p ^ m
-            m &= p if up else ~p
 
     flip = 0
     u = run = 1  # Luby's sequence by reluctant doubling (Knuth)
@@ -261,58 +274,64 @@ def _local_search(layout: _Layout):
         for c, cap in enumerate(capacity):
             pool = list(range(qs[cell_owner[c]]))
             for i in range(cap):
-                j = i + rng.below(len(pool) - i)
+                j = i + below(len(pool) - i)
                 pool[i], pool[j] = pool[j], pool[i]
-                count(planes, pattern[c] << lowest[c] + pool[i] * step[c], True)
+                up = pattern[c] << lowest[c] + pool[i] * step[c]
+                for b, p in enumerate(planes):  # add 1 where up is set
+                    planes[b] = p ^ up
+                    up &= p
             entries.append(pool[:cap])
         changed = [-1] * len(capacity)  # flip at which each cell last changed
         for left in range(length, -1, -1):  # flips left in this run
-            covered = 0
-            for p in planes:
-                covered |= p
-            unc = full ^ covered
+            higher = 0
+            for p in planes[1:]:
+                higher |= p
+            unc = full ^ (planes[0] | higher)
             if not unc:
                 return entries
             if not left:
                 break
-            a = _nth_set_bit(unc, rng.below(unc.bit_count()))
+            a = _nth_set_bit(unc, below(unc.bit_count()), levels)
             row = cells_of[a]
             colors = assigns[a]
-            if (rng.next_u64() & 255) < _NOISE_PER_256:
-                c = row[rng.below(len(row))]
-                k = rng.below(capacity[c])
+            if (next_u64() & 255) < _NOISE_PER_256:
+                c = row[below(len(row))]
+                k = below(capacity[c])
             else:
-                once = planes[0]
-                for p in planes[1:]:
-                    once &= ~p
-                # the best and second-best swap by (score, age) key, the
-                # earlier one winning ties
-                first = second = None
+                once = planes[0] & ~higher
+                # the best and second-best swap (c, k) by (score, age) key,
+                # the earlier one winning ties
+                best = second = -1 << 99  # below every key
+                c = k = None
                 newest = -1
-                for c, col in zip(row, colors):
-                    age = changed[c]
+                for c1, col in zip(row, colors):
+                    age = changed[c1]
                     if age > newest:
                         newest = age
-                    pat = pattern[c]
-                    base = lowest[c]
-                    st = step[c]
-                    make = (unc & pat << base + col * st).bit_count() * order - age
-                    for k, old in enumerate(entries[c]):
-                        key = make - (once & pat << base + old * st).bit_count() * order
-                        if first is None or key > first[0]:
-                            first, second = (key, c, k), first
-                        elif second is None or key > second[0]:
-                            second = (key, c, k)
-                _, c, k = first
-                if changed[c] == newest and (rng.next_u64() & 255) < _NOVELTY_PER_256:
-                    _, c, k = second
+                    pat = pattern[c1]
+                    base = lowest[c1]
+                    st = step[c1]
+                    make = (unc >> base + col * st & pat).bit_count() * order - age
+                    for k1, old in enumerate(entries[c1]):
+                        key = make - (once >> base + old * st & pat).bit_count() * order
+                        if key > best:
+                            best, c, k, second, c2, k2 = key, c1, k1, best, c, k
+                        elif key > second:
+                            second, c2, k2 = key, c1, k1
+                if changed[c] == newest and (next_u64() & 255) < _NOVELTY_PER_256:
+                    c, k = c2, k2
             col = colors[cell_owner[c]]
-            pat = pattern[c]
-            count(planes, pat << lowest[c] + entries[c][k] * step[c], False)
-            count(planes, pat << lowest[c] + col * step[c], True)
+            pat, base, st = pattern[c], lowest[c], step[c]
+            down = pat << base + entries[c][k] * st
+            up = pat << base + col * st
             entries[c][k] = col
             changed[c] = flip
             flip += 1
+            for b, p in enumerate(planes):  # take 1 where down is set, add 1 where up is
+                p_down = p ^ down
+                down &= ~p
+                planes[b] = p_down ^ up
+                up &= p_down
         yield length
 
 
@@ -376,8 +395,15 @@ def players_win(
         raise ValueError("budget length must match vertex count")
     if guess_count not in (1, 2):
         raise ValueError("guess_count must be 1 or 2")
-    guards.check("assignment", budget.product())
+    a_count = budget.product()
+    guards.check("assignment", a_count)
     guards.check("table", total_table_size(g, budget))
+    guards.check("enumeration", a_count)  # the layout enumerates them all
+    # counting at the root: entries that cover fewer assignments than
+    # there are lose, as the exact search would find at its first step
+    if sum(min(guess_count, q) * (a_count // q) for q in budget.sizes) < a_count:
+        root = ((0, (0,) * n),) if max_transcript > 0 else ()
+        return SolveOutcome(g, budget, guess_count, ADVERSARY, transcript=root, transcript_truncated=not root, refuted=1)
 
     # vertex v is canonical vertex perm[v]; max keeps the first greatest
     # permutation
@@ -387,22 +413,19 @@ def players_win(
     edges, sizes = _relabelled(g, budget, perm)
     layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), guess_count, guards)
     exact = _exact_search(layout, max_transcript)
-    # counting at the root: entries that cover fewer assignments than
-    # there are lose, and the exact search refutes at once
-    if sum(c * w for c, w in zip(layout.capacity, layout.weight)) >= len(layout.assigns):
-        local = _local_search(layout)
-        while True:
-            try:
-                flips = next(local)
-            except StopIteration as stop:
-                outcome = _in_labels(layout.outcome(stop.value), g, budget, perm)
-                if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
-                    return outcome
-                break
-            # one exact step per flip of the failed run
-            outcome = _advance(exact, flips)
-            if outcome is not None:
-                return _in_labels(outcome, g, budget, perm)
+    local = _local_search(layout)
+    while True:
+        try:
+            flips = next(local)
+        except StopIteration as stop:
+            outcome = _in_labels(layout.outcome(stop.value), g, budget, perm)
+            if find_defeating_assignment(g, outcome.certificate, guards=guards) is None:
+                return outcome
+            break
+        # one exact step per flip of the failed run
+        outcome = _advance(exact, flips)
+        if outcome is not None:
+            return _in_labels(outcome, g, budget, perm)
     return _in_labels(_advance(exact, -1), g, budget, perm)
 
 
@@ -436,43 +459,38 @@ class _Layout:
     """A game's covering instance, in the labels it is given.
 
     Cells are the per-vertex dense tables flattened into one id space, and
-    cells_of[a] is assignment a's covering cell at each vertex.  The
-    members of cell c with own color col are color_pattern[v] shifted by
-    lowest[c] + col * stride[v], v the owner: game.lex_masks, with lowest
-    flattened to cell ids.
+    cells_of[a] is assignment a's covering cell at each vertex.  It is
+    built by columns: v's column starts as [offsets[v]] and is expanded
+    over the vertices in lexicographic order, each of its entries followed
+    by its copies plus digit * radix for each color digit of the vertex,
+    the radix being the vertex's place value in v's entry index (0 off
+    v's neighborhood).  The members of cell c with own color col are
+    color_pattern[v] shifted by lowest[c] + col * stride[v], v the owner:
+    game.lex_masks, with lowest flattened to cell ids.
     """
 
     def __init__(self, g: Graph, budget: ColorBudget, guess_count: int, guards: Guards) -> None:
         n = g.vertex_count
         qs = budget.sizes
-        total_assignments = budget.product()
+        a_count = budget.product()
         assigns = list(enumerate_assignments(budget, guards))
 
-        offsets = []
-        ncells = 0
+        offsets, cell_owner, capacity, weight, columns = [], [], [], [], []
         for v in range(n):
-            offsets.append(ncells)
-            ncells += table_size(g, budget, v)
-        cell_owner = [0] * ncells
-        for v in range(n):
-            for i in range(table_size(g, budget, v)):
-                cell_owner[offsets[v] + i] = v
-
-        capacity = [min(guess_count, qs[cell_owner[c]]) for c in range(ncells)]
-        weight = [0] * ncells
-        for c in range(ncells):
-            v = cell_owner[c]
-            weight[c] = total_assignments // (qs[v] * table_size(g, budget, v))
-
-        cells_of = []
-        for colors in assigns:
-            row = []
-            for v in range(n):
-                idx = 0
-                for u in g.neighbors(v):
-                    idx = idx * qs[u] + colors[u]
-                row.append(offsets[v] + idx)
-            cells_of.append(row)
+            size = table_size(g, budget, v)
+            offsets.append(len(cell_owner))
+            cell_owner += [v] * size
+            capacity += [min(guess_count, qs[v])] * size
+            weight += [a_count // (qs[v] * size)] * size
+            radix = [0] * n  # mixed radix of the neighbors, last fastest
+            for u in g.neighbors(v):
+                radix[u] = size = size // qs[u]
+            column = [offsets[v]]
+            for w in range(n):
+                digits = [d * radix[w] for d in range(qs[w])]
+                column = [x + d for x in column for d in digits]
+            columns.append(column)
+        cells_of = list(zip(*columns))
 
         lex = lex_masks(g, budget)
         lowest = [rank for ranks in lex.lowest for rank in ranks]

@@ -25,6 +25,11 @@ by looping over every part-1 coloring in lexicographic order and reading
 each player's guess from its table, so it shares nothing with the
 assignment masks the production engine uses.
 
+The layout referee builds the solver's covering layout one assignment,
+vertex and neighbor at a time, and finds each cell's lowest member by
+scanning the assignments, so it shares neither the column build of
+solver._Layout nor game.lex_masks.
+
 The view referees are the eager copies game.reindex and
 game.merge_two_guess made before they read through: every entry of the
 new game is computed, and every parent entry it covers read, when the
@@ -283,3 +288,48 @@ def eager_merge_two_guess(a: Strategy, b: Strategy) -> Strategy:
         for ta, tb in zip(a.tables, b.tables)
     )
     return Strategy(a.graph, a.budget, 2, tables)
+
+
+def naive_layout(g: Graph, budget: ColorBudget, guess_count: int) -> dict:
+    """solver._Layout's cells_of, offsets, cell_owner, capacity, weight
+    and lowest, by the per-assignment loop."""
+    n = g.vertex_count
+    qs = budget.sizes
+    total_assignments = budget.product()
+    assigns = list(enumerate_assignments(budget))
+
+    offsets = []
+    ncells = 0
+    for v in range(n):
+        offsets.append(ncells)
+        ncells += table_size(g, budget, v)
+    cell_owner = [0] * ncells
+    for v in range(n):
+        for i in range(table_size(g, budget, v)):
+            cell_owner[offsets[v] + i] = v
+
+    capacity = [min(guess_count, qs[cell_owner[c]]) for c in range(ncells)]
+    weight = [0] * ncells
+    for c in range(ncells):
+        v = cell_owner[c]
+        weight[c] = total_assignments // (qs[v] * table_size(g, budget, v))
+
+    cells_of = []
+    for colors in assigns:
+        row = []
+        for v in range(n):
+            idx = 0
+            for u in g.neighbors(v):
+                idx = idx * qs[u] + colors[u]
+            row.append(offsets[v] + idx)
+        cells_of.append(row)
+
+    lowest = [None] * ncells
+    for a, row in enumerate(cells_of):
+        for c in row:
+            if lowest[c] is None:
+                lowest[c] = a
+    return {
+        "cells_of": cells_of, "offsets": offsets, "cell_owner": cell_owner,
+        "capacity": capacity, "weight": weight, "lowest": lowest,
+    }

@@ -510,3 +510,15 @@ def test_theta_convergence_script_prints_large_terms():
     )
     assert done.returncode == 0, done.stderr
     assert "n=16  digits(a_n)= 13341" in done.stdout
+
+
+def test_theta_convergence_script_runs_from_a_plain_checkout(tmp_path):
+    # no PYTHONPATH, and another working directory: the script puts the
+    # checkout's src on its import path itself
+    script = Path(__file__).resolve().parent.parent / "scripts" / "theta_convergence.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--terms", "3", "--margin-terms", "2"],
+        capture_output=True, text=True, env={"PATH": ""}, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "b_n ladder:" in done.stdout

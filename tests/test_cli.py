@@ -577,6 +577,21 @@ def test_verify_circ_guard_refusal_at_the_derived_budget(capsys):
     assert "ell: 1806" in derived[1]
 
 
+def test_verify_circ_past_the_sequence_cap_is_a_guard_refusal(capsys, tmp_path):
+    # a 12-cycle's depth cap floor(144 / 2) = 72 is past the sequence cap
+    # of 64, an index the user never gave: the pipeline builds nothing and
+    # is refused as a guard refuses it, with the closed-form bound
+    c12 = tmp_path / "c12.graph"
+    c12.write_text(graph_to_text(Graph(12, frozenset((min(i, (i + 1) % 12), max(i, (i + 1) % 12)) for i in range(12)))))
+    code, out = run(capsys, "verify", str(c12), "--lemma", "circ", "--trials", "3")
+    assert code == 3
+    assert "sequence index" not in out
+    assert "error: guard 'assignment' exceeded: needed circumference-pipeline budget" in out
+    assert "bound: 2^3.2021040376794865e+21\n" in out
+    _, value = run(capsys, "bound", "--circ", "12")
+    assert "value: 2^3.2021040376794865e+21\n" in value
+
+
 def test_verify_circ_does_not_retry_other_value_errors(capsys, monkeypatch):
     import hatcheck.cli as cli_mod
 

@@ -8,7 +8,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import complete, connected_graphs, cycle, diamond, graph, path, paw, star, winkler_strategy
 from hatcheck import solver
@@ -24,7 +24,7 @@ from hatcheck.game import (
     table_size,
 )
 from hatcheck.graphs import Graph
-from hatcheck.guards import Guards
+from hatcheck.guards import Guards, guards_from_env
 from hatcheck.solver import (
     ADVERSARY,
     PLAYERS,
@@ -35,7 +35,7 @@ from hatcheck.solver import (
     outcome_to_text,
     players_win,
 )
-from naive_oracle import naive_players_win, naive_star_players_win
+from naive_oracle import naive_layout, naive_players_win, naive_star_players_win
 
 
 def _certificate_is_winning(outcome: SolveOutcome) -> bool:
@@ -170,15 +170,16 @@ def test_one_call_through_the_public_name(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g, q, guesses, winner",
+    "g, q, guesses, winner, layouts",
     [
-        (path(3), 5, 2, PLAYERS),  # the local search wins
-        (graph(4, (0, 1), (0, 2), (0, 3), (2, 3)), 3, 1, PLAYERS),  # the exact search wins
-        (path(3), 3, 1, ADVERSARY),
+        (path(3), 5, 2, PLAYERS, 1),  # the local search wins
+        (graph(4, (0, 1), (0, 2), (0, 3), (2, 3)), 3, 1, PLAYERS, 1),  # the exact search wins
+        (path(3), 3, 1, ADVERSARY, 1),
+        (complete(4), 9, 2, ADVERSARY, 0),  # counting refutes before any layout
     ],
-    ids=["local-search-win", "exact-search-win", "adversary"],
+    ids=["local-search-win", "exact-search-win", "adversary", "counting-refuted"],
 )
-def test_one_layout_per_call(monkeypatch, g, q, guesses, winner):
+def test_one_layout_per_call(monkeypatch, g, q, guesses, winner, layouts):
     # every method runs on the one layout of the canonical form
     built = []
     layout = solver._Layout
@@ -190,7 +191,7 @@ def test_one_layout_per_call(monkeypatch, g, q, guesses, winner):
     monkeypatch.setattr(solver, "_Layout", spy)
     out = players_win(g, ColorBudget.uniform(g.vertex_count, q), guesses)
     assert out.winner == winner
-    assert built == [_in_canonical_labels(out).graph]
+    assert built == [_in_canonical_labels(out).graph] * layouts
 
 
 def test_games_past_six_vertices():
@@ -274,12 +275,25 @@ def test_hg_p4_against_naive():
 
 
 def test_small_graph_script_runs_as_the_readme_shows():
-    # README: PYTHONPATH=src python3 scripts/hg_small_graphs.py ...
+    # README: python3 scripts/hg_small_graphs.py ..., here with PYTHONPATH=src
+    # set as well
     root = Path(__file__).resolve().parent.parent
     env = {"PYTHONPATH": str(root / "src"), "PATH": ""}
     done = subprocess.run(
         [sys.executable, str(root / "scripts" / "hg_small_graphs.py"), "--max-n", "2"],
         capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "-- n=1: hg=1:1" in done.stdout and "-- n=2: hg=2:1" in done.stdout
+
+
+def test_small_graph_script_runs_from_a_plain_checkout(tmp_path):
+    # no PYTHONPATH, and another working directory: the script puts the
+    # checkout's src on its import path itself
+    script = Path(__file__).resolve().parent.parent / "scripts" / "hg_small_graphs.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--max-n", "2"],
+        capture_output=True, text=True, env={"PATH": ""}, cwd=tmp_path, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "-- n=1: hg=1:1" in done.stdout and "-- n=2: hg=2:1" in done.stdout
@@ -407,6 +421,30 @@ def test_guards():
         players_win(g, ColorBudget((2000, 2000)), 1, Guards(assignment=10**6))
     with pytest.raises(GuardExceededError):
         players_win(g, ColorBudget((400, 400)), 1, Guards(table=100))
+
+
+@st.composite
+def _games(draw):
+    """A graph on up to five vertices, isolated ones allowed, and a
+    budget of 1 to 4 colors per vertex."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return graph(n, *edges), ColorBudget(tuple(sizes))
+
+
+@settings(max_examples=150)
+@given(_games(), st.sampled_from((1, 2)))
+@example((graph(4, (1, 3)), ColorBudget((3, 1, 4, 2))), 2)  # two isolated vertices
+@example((star(3), ColorBudget((2, 1, 3, 1))), 1)  # budget-1 leaves
+def test_layout_matches_the_per_assignment_build(game, guesses):
+    g, budget = game
+    layout = solver._Layout(g, budget, guesses, Guards())
+    naive = naive_layout(g, budget, guesses)
+    assert [list(row) for row in layout.cells_of] == naive["cells_of"]
+    for name in ("offsets", "cell_owner", "capacity", "weight", "lowest"):
+        assert list(getattr(layout, name)) == naive[name], name
 
 
 def test_table_size_accounting():
@@ -686,6 +724,44 @@ def test_no_local_search_when_counting_refutes(monkeypatch):
     assert players_win(complete(4), ColorBudget.uniform(4, 9), 2).winner == ADVERSARY
 
 
+# games whose entries, counted at the root, cover fewer assignments than
+# there are: sum of min(guesses, q_v) / q_v below 1
+_COUNTING_REFUTED = [
+    (complete(4), (9, 9, 9, 9), 2),
+    (complete(3), (3, 4, 5), 1),
+    (graph(3, (0, 1)), (4, 4, 3), 1),  # an isolated vertex
+    (path(3), (7, 7, 7), 2),
+    (graph(2), (3, 3), 1),  # no edges
+]
+
+
+@pytest.mark.parametrize("max_transcript", (0, 1000))
+@pytest.mark.parametrize(
+    "g, sizes, guesses", _COUNTING_REFUTED, ids=["k4-two-guess", "k3", "isolated", "p3-two-guess", "empty"],
+)
+def test_counting_before_the_layout_is_the_exact_search_at_its_root(g, sizes, guesses, max_transcript):
+    # the exact search on the game's layout refutes at its first step
+    # (its first resumption only yields), with the outcome players_win
+    # returns without a layout
+    budget = ColorBudget(sizes)
+    exact = solver._exact_search(solver._Layout(g, budget, guesses, Guards()), max_transcript)
+    root = solver._advance(exact, 2)
+    assert root is not None and root.winner == ADVERSARY
+    assert players_win(g, budget, guesses, max_transcript=max_transcript) == root
+
+
+def test_enumeration_guard_holds_without_a_layout(monkeypatch):
+    # the layout enumerates every assignment; a game counting refutes
+    # builds none and is still refused past the enumeration guard
+    monkeypatch.setenv("HATCHECK_GUARDS", ",,4095")
+    guards = guards_from_env()
+    for q in (8, 9):  # K4 at 8 colors builds a layout, at 9 counting refutes
+        with pytest.raises(GuardExceededError) as refused:
+            players_win(complete(4), ColorBudget.uniform(4, q), 2, guards)
+        assert (refused.value.guard, refused.value.needed, refused.value.limit) == ("enumeration", q**4, 4095)
+    assert players_win(complete(4), ColorBudget.uniform(4, 9), 2, Guards(enumeration=9**4)).winner == ADVERSARY
+
+
 _QUICK_REFUTATIONS = [(paw(), 4, 1), (diamond(), 4, 1)] + [(g, 6, 2) for g in _labellings(path(3))]
 
 
@@ -805,3 +881,17 @@ def test_nth_set_bit():
     for x in xs:
         bits = [i for i in range(x.bit_length()) if x >> i & 1]
         assert [solver._nth_set_bit(x, r) for r in range(len(bits))] == bits
+
+
+def test_nth_set_bit_with_levels_built_once():
+    # the local search builds the levels once for its widest mask; they
+    # serve every narrower int too
+    from hatcheck.rng import SplitMix64
+
+    rng = SplitMix64(7)
+    levels = solver._bisection_levels(400)
+    xs = [0b11111, (1 << 64) - 1, (1 << 81) | 0b1111]
+    xs += [rng.next_u64() << rng.below(300) | 1 << rng.below(399) for _ in range(20)]
+    for x in xs:
+        bits = [i for i in range(x.bit_length()) if x >> i & 1]
+        assert [solver._nth_set_bit(x, r, levels) for r in range(len(bits))] == bits
