@@ -1,10 +1,12 @@
 """Growth sequences and closed-form bounds, exact or in log2 form.
 
 Values carry one of two representations: exact (int or Fraction) while
-the stored integers stay under a digit guard, and a directed-rounding
-log2 interval beyond it.  All interval arithmetic pads endpoints
-outward, so every interval is a true enclosure, and comparisons refuse
-to order overlapping intervals instead of guessing.
+the stored integers stay under a digit guard, and a log2 interval with
+decimal.Decimal ends beyond it.  The intervals are computed in one
+40-digit decimal context, whose + - * / ln and exp round correctly, and
+each result is padded outward by 2^-90 of itself plus 2^-120, far more
+than its rounding, so every interval is a true enclosure; comparisons
+refuse to order overlapping intervals instead of guessing.
 
 Both sequences here are Sylvester's, x_0 = 1, x_1 = 2,
 x_{k+1} = x_k^2 - x_k + 1 (each term is one more than the product of
@@ -53,8 +55,6 @@ from functools import partial
 from math import isqrt
 from typing import Callable, Optional, Union
 
-import mpmath
-
 from .errors import IndeterminateComparisonError
 
 ExactValue = Union[int, Fraction]
@@ -68,19 +68,46 @@ _SEQ_LIMIT = 64
 # sequence terms are squared exactly only up to this size; past it the
 # exact/log switch is decided from a log2 enclosure (see _sylvester_term)
 _WORK_BITS = 4096
-_PREC = 120
 
-# t**h in the degenerate-tree bounds must stay an ordinary machine-scale
-# integer; beyond this the log2 exponents themselves stop being storable
-_NESTED_LIMIT_BITS = 64
+# the one working context of the log2 enclosures (see the module
+# docstring); Overflow traps rather than giving Infinity
+_CTX = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
+_PAD_REL = _CTX.power(2, -90)
+_PAD_ABS = _CTX.power(2, -120)
+_LN2 = _CTX.ln(2)
+
+# t**h in the degenerate-tree bounds stays a machine-scale integer, and
+# their log2 under 10^MAX_EMAX: at h log2 t = 53 the closed form's is
+# 8.6e+585670424961447822, at 54 the recursive one's 1.2e+1171340849922895643
+_NESTED_LIMIT_BITS = 53
 
 
 def _pad_down(x):
-    return x - abs(x) * mpmath.mpf(2) ** -90 - mpmath.mpf(2) ** -120
+    return x - abs(x) * _PAD_REL - _PAD_ABS
 
 
 def _pad_up(x):
-    return x + abs(x) * mpmath.mpf(2) ** -90 + mpmath.mpf(2) ** -120
+    return x + abs(x) * _PAD_REL + _PAD_ABS
+
+
+def _log2(v) -> decimal.Decimal:
+    return decimal.Decimal(v).ln() / _LN2
+
+
+def _nstr(x: decimal.Decimal, n: int) -> str:
+    """x to n significant digits in the layout of mpmath.nstr: the digits
+    are cut to n + 3, then rounded half up to n; fixed point when the
+    leading digit's exponent is in (-5, n), else d.ddde+X; trailing zeros
+    are stripped down to .0."""
+    ctx = decimal.Context(prec=n, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX)
+    cut = decimal.Context(prec=n + 3, rounding=decimal.ROUND_DOWN, Emax=decimal.MAX_EMAX).plus(x)
+    y = ctx.plus(cut)
+    exp = y.adjusted()
+    fixed = -5 < exp < n
+    text = f"{ctx.normalize(y if fixed else ctx.scaleb(y, -exp)):f}"
+    if "." not in text:
+        text += ".0"
+    return text if fixed else f"{text}e{exp:+d}"
 
 
 # 2^1990 < 10^600: below this, str(v) has at most 600 digits, under the
@@ -128,13 +155,16 @@ def _decimal_text(v: int) -> str:
 
 
 def _log2_interval_of_int(v: int):
-    mid = mpmath.log(mpmath.mpf(v), 2)
-    return _pad_down(mid), _pad_up(mid)
+    # only the top bits are read, since Decimal(v) is quadratic in the
+    # length of v: v >> s <= v / 2^s < (v >> s) + 1
+    s = max(0, v.bit_length() - 256)
+    top = v >> s
+    return _pad_down(s + _log2(top)), _pad_up(s + _log2(top + 1 if s else top))
 
 
 def _log2_interval_of_exact(v: ExactValue):
     if v == 0:
-        return mpmath.mpf("-inf"), mpmath.mpf("-inf")
+        return decimal.Decimal("-inf"), decimal.Decimal("-inf")
     if isinstance(v, int):
         return _log2_interval_of_int(v)
     nlo, nhi = _log2_interval_of_int(v.numerator)
@@ -203,8 +233,19 @@ class BigBound:
     def log2_interval(self):
         if self.log2_lo is not None:
             return self.log2_lo, self.log2_hi
-        with mpmath.workprec(_PREC):
+        with decimal.localcontext(_CTX):
             return _log2_interval_of_exact(self.exact)
+
+    def log2_interval_text(self) -> str:
+        """The log2 enclosure as [lo, hi], each end to 17 digits."""
+        lo, hi = self.log2_interval()
+        return f"[{_nstr(lo, 17)}, {_nstr(hi, 17)}]"
+
+    def approx_text(self) -> str:
+        """The value to 12 digits, from the middle of its log2 enclosure."""
+        lo, hi = self.log2_interval()
+        with decimal.localcontext(_CTX):
+            return _nstr(((lo + hi) / 2 * _LN2).exp(), 12)
 
     def to_text(self) -> str:
         if self.digits is not None:
@@ -213,9 +254,8 @@ class BigBound:
             if isinstance(self.exact, Fraction):
                 return f"{_decimal_text(self.exact.numerator)}/{_decimal_text(self.exact.denominator)}"
             return _decimal_text(self.exact)
-        with mpmath.workprec(_PREC):
-            mid = (self.log2_lo + self.log2_hi) / 2
-            return f"2^{mpmath.nstr(mid, 17)}"
+        with decimal.localcontext(_CTX):
+            return f"2^{_nstr((self.log2_lo + self.log2_hi) / 2, 17)}"
 
     def _precedes(self, other, strict: bool) -> bool:
         """self < other if strict, else self <= other.
@@ -321,13 +361,13 @@ def _sylvester_steps(x: int, steps: int) -> int:
 
 def _sylvester_log2(n: int, k: int, x: int) -> BigBound:
     """log2 enclosure of x_n from the exact x_k, 1 <= k <= n."""
-    with mpmath.workprec(_PREC):
+    with decimal.localcontext(_CTX):
         lo, hi = _log2_interval_of_int(x)
         while k < n:
             # x^2 (1 - 1/x) < x^2 - x + 1 < x^2, and for x >= 2,
             # log2(1 - 1/x) >= max(-1, -2^(2 - floor(log2 x))); the drop
             # allowed is that bound, but never less than 2^-60
-            drop = mpmath.mpf(2) ** -min(60, max(0, int(mpmath.floor(lo)) - 2))
+            drop = decimal.Decimal(2) ** -min(60, max(0, math.floor(lo) - 2))
             lo = _pad_down(2 * lo - drop)
             hi = _pad_up(2 * hi)
             k += 1
@@ -405,12 +445,12 @@ def circ_bound(c: int) -> BigBound:
     # 6N + 2 bits
     if fits and 6 * 2**exponent_log2 + 2 < _STR_BITS:
         return BigBound.from_exact(_circ_fraction(2**exponent_log2))
-    with mpmath.workprec(_PREC):
+    with decimal.localcontext(_CTX):
         base_lo, base_hi = _log2_interval_of_exact(Fraction(64, 25))
-        exp = mpmath.ldexp(1, exponent_log2)
+        exp = decimal.Decimal(2) ** exponent_log2
         lo = _pad_down(exp * base_lo)
         # the +1/2 lifts log2 by less than 2^-60 at these magnitudes
-        hi = _pad_up(exp * base_hi + mpmath.mpf(2) ** -60)
+        hi = _pad_up(exp * base_hi + decimal.Decimal(2) ** -60)
     if not fits:
         return BigBound.from_log2(lo, hi)
     # a power of two as exponent makes ** a chain of squarings on either
@@ -428,10 +468,13 @@ def _circ_fraction(n: int) -> Fraction:
 
 
 def _e_enclosure(bits: int = 180):
-    with mpmath.workprec(bits + 20):
-        scaled = mpmath.floor(mpmath.ldexp(mpmath.e, bits))
-        lo = Fraction(int(scaled), 1 << bits)
-        return lo, lo + Fraction(1, 1 << bits)
+    # e is the sum of 1/k!: the terms k <= 60 sum to num / 60!, and the
+    # rest to less than 1 / (60 * 60!)
+    f = math.factorial(60)
+    num = sum(f // math.factorial(k) for k in range(61))
+    lo = (num << bits) // f
+    hi = -(-((60 * num + 1) << bits) // (60 * f))
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
 def ceil_e_times(t: int) -> int:
@@ -461,15 +504,13 @@ def n_h_t_recursive(h: int, t: int) -> BigBound:
     if h == 1:
         return BigBound.from_exact(base)
     _check_nested(h, t)
-    with mpmath.workprec(_PREC):
+    with decimal.localcontext(_CTX):
         lo, hi = _log2_interval_of_int(base)
         for j in range(2, h + 1):
             k = 2 * t**j
-            k_mpf = mpmath.mpf(k)
-            mult_lo = _pad_down(k_mpf ** k)
-            mult_hi = _pad_up(k_mpf ** k)
-            lo = _pad_down(lo * mult_lo)
-            hi = _pad_up(hi * mult_hi)
+            mult = decimal.Decimal(k) ** k
+            lo = _pad_down(lo * _pad_down(mult))
+            hi = _pad_up(hi * _pad_up(mult))
         return BigBound.from_log2(lo, hi)
 
 
@@ -481,22 +522,16 @@ def n_h_t_closed(h: int, t: int) -> BigBound:
         raise ValueError("arity must be >= 2")
     _check_nested(h, t)
     th = t**h
-    with mpmath.workprec(_PREC):
-        e_lo, e_hi = _e_enclosure()
-        et_lo = _pad_down(
-            mpmath.log(mpmath.mpf(e_lo.numerator), 2)
-            - mpmath.log(mpmath.mpf(e_lo.denominator), 2)
-            + mpmath.log(mpmath.mpf(t), 2)
-        )
-        et_hi = _pad_up(
-            mpmath.log(mpmath.mpf(e_hi.numerator), 2)
-            - mpmath.log(mpmath.mpf(e_hi.denominator), 2)
-            + mpmath.log(mpmath.mpf(t), 2)
-        )
-        # E = 2^(4 t^h) * t^(4 h t^h); log2 E fits easily, E itself may not
-        log2_e_exp = 4 * th + 4 * h * th * mpmath.log(mpmath.mpf(t), 2)
-        exp_lo = _pad_down(mpmath.mpf(2) ** _pad_down(log2_e_exp))
-        exp_hi = _pad_up(mpmath.mpf(2) ** _pad_up(log2_e_exp))
+    with decimal.localcontext(_CTX):
+        # log2(e t) = (1 + ln t) / ln 2
+        log2_et = (1 + decimal.Decimal(t).ln()) / _LN2
+        et_lo, et_hi = _pad_down(log2_et), _pad_up(log2_et)
+        # E = 2^(4 t^h) * t^(4 h t^h); log2 E fits easily, E itself may
+        # not.  2^x is exp(x ln 2), whose rounding the pad of log2 E,
+        # 2^-90 of up to 2^61, dwarfs.
+        log2_e_exp = 4 * th + 4 * h * th * _log2(t)
+        exp_lo = _pad_down((_pad_down(log2_e_exp) * _LN2).exp())
+        exp_hi = _pad_up((_pad_up(log2_e_exp) * _LN2).exp())
         return BigBound.from_log2(_pad_down(exp_lo * et_lo), _pad_up(exp_hi * et_hi))
 
 

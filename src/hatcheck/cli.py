@@ -14,8 +14,6 @@ import hashlib
 import sys
 import time
 
-import mpmath
-
 from .bounds import (
     BigBound,
     circ_bound,
@@ -77,8 +75,6 @@ EXIT_VERIFY = 4
 EXIT_PREMISE = 5
 EXIT_INTERNAL = 6
 
-_APPROX_PREC = 80  # mpmath working precision for display-only arithmetic
-
 LEMMAS = ("is", "two", "rus", "blocks", "closure", "circ", "tary")
 
 
@@ -112,16 +108,10 @@ def _bound_lines(label: str, bound: BigBound) -> list:
     built only for a reader that needs it."""
     text = bound.to_text()
     out = [f"{label}: {text}"]
-    with mpmath.workprec(_APPROX_PREC):
-        if "/" in text:
-            lo, hi = bound.log2_interval()
-            mid = (lo + hi) / 2
-            out.append(f"{label}_approx: {mpmath.nstr(mpmath.mpf(2) ** mid, 12)}")
-        elif not bound.is_exact:
-            lo, hi = bound.log2_interval()
-            out.append(
-                f"{label}_log2_interval: [{mpmath.nstr(lo, 17)}, {mpmath.nstr(hi, 17)}]"
-            )
+    if "/" in text:
+        out.append(f"{label}_approx: {bound.approx_text()}")
+    elif not bound.is_exact:
+        out.append(f"{label}_log2_interval: {bound.log2_interval_text()}")
     return out
 
 

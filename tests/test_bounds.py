@@ -11,7 +11,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hatcheck import bounds
 from hatcheck.bounds import (
@@ -143,7 +143,7 @@ def test_log_form_terms_enclose_independent_log2():
             for n in range(first, 65):
                 value = fn(n)
                 assert not value.is_exact
-                lo, hi = value.log2_interval()
+                lo, hi = map(mpmath.mpf, map(str, value.log2_interval()))
                 assert lo <= lg[n - shift] <= hi, (fn.__name__, n)
                 assert hi - lo <= lo * mpmath.mpf(2) ** -50, (fn.__name__, n)
                 checked += 1
@@ -216,6 +216,17 @@ def test_circ_bound_dominates_packaged_sequence():
         assert circ_bound(c) > BigBound.from_exact(packaged)
 
 
+def test_circ_bounds_enclose_independent_log2():
+    # log2 of (64/25)^N + 1/2 with N = 2^(floor(c*c/2) - 1) is N log2(64/25)
+    # plus less than 2^-2700 from c = 5 on, far under 300-bit resolution
+    with mpmath.workprec(300):
+        for c in [*range(5, 41), 100, 65536]:
+            expected = mpmath.ldexp(1, (c * c) // 2 - 1) * mpmath.log(mpmath.mpf(64) / 25, 2)
+            lo, hi = map(mpmath.mpf, map(str, circ_bound(c).log2_interval()))
+            assert lo <= expected <= hi, c
+            assert hi - lo <= lo * mpmath.mpf(2) ** -50, c
+
+
 def test_circ_bound_domain():
     with pytest.raises(ValueError):
         circ_bound(2)
@@ -248,6 +259,46 @@ def test_closed_form_h2_t2():
     expected = (2 ** 16) * (2 ** 32) * math.log2(2 * math.e)
     assert abs(float(lo) / expected - 1) < 1e-9
     assert abs(float(hi) / expected - 1) < 1e-9
+
+
+def test_e_enclosure_is_one_step_around_e():
+    # ceil(e * t) reads this enclosure of e, from the series sum of 1/k!
+    lo, hi = bounds._e_enclosure()
+    assert hi - lo == Fraction(1, 2**180)
+    with mpmath.workprec(400):
+        assert mpmath.mpf(lo.numerator) / lo.denominator < mpmath.e < mpmath.mpf(hi.numerator) / hi.denominator
+
+
+# h log2 t up to the nested-log cap of 53, the boundary pairs included
+_TARY_PAIRS = [(h, t) for h in range(1, 8) for t in (2, 3, 4, 5, 7, 10)] + [
+    (53, 2), (33, 3), (26, 4), (17, 8), (13, 16), (10, 32), (8, 64), (7, 128),
+    (6, 256), (5, 1024), (2, 2**26), (1, 2**53),
+]
+
+
+def test_tary_bounds_enclose_independent_log2():
+    with mpmath.workprec(300):
+        for h, t in _TARY_PAIRS:
+            assert h * math.log2(t) <= 53
+            base = int(mpmath.ceil(mpmath.e * t))
+            recursive = mpmath.log(base, 2)
+            for j in range(2, h + 1):
+                k = 2 * t**j
+                recursive *= mpmath.mpf(k) ** k
+            th = t**h
+            closed = mpmath.power(2, 4 * th + 4 * h * th * mpmath.log(t, 2)) * mpmath.log(mpmath.e * t, 2)
+            # the closed form pads log2 E, up to 2^61, by 2^-90 of itself,
+            # so its enclosure is about 2^-29 wide in relative terms
+            for fn, expected, width in (
+                (n_h_t_recursive, recursive, -50), (n_h_t_closed, closed, -27),
+            ):
+                value = fn(h, t)
+                if value.is_exact:
+                    assert (h, value.exact) == (1, base)
+                    continue
+                lo, hi = map(mpmath.mpf, map(str, value.log2_interval()))
+                assert lo <= expected <= hi, (fn.__name__, h, t)
+                assert hi - lo <= lo * mpmath.mpf(2) ** width, (fn.__name__, h, t)
 
 
 def test_recursive_below_closed():
@@ -311,6 +362,36 @@ def test_fraction_normalization():
     assert BigBound.from_exact(Fraction(14, 2)).exact == 7
     with pytest.raises(ValueError):
         BigBound.from_exact(-1)
+
+
+@given(
+    st.integers(1, 10**40 - 1),
+    # exponents near the fixed-point range, and up to the t-ary range
+    st.one_of(st.integers(-400, 40), st.integers(-400, 585670424961447822)),
+    st.booleans(),
+    st.sampled_from([12, 17]),
+)
+# both ends of the fixed-point range, a cut before the rounding, a
+# rounding up past a half, and a carry into the exponent
+@example(1234, -4, False, 12)
+@example(1234, -5, False, 12)
+@example(123456789012, 11, False, 12)
+@example(123456789012, 12, False, 12)
+@example(1234567890124995, 0, False, 12)
+@example(1234567890125001, 0, False, 12)
+@example(99999999999999999999, 3, True, 17)
+def test_number_text_matches_mpmath_nstr(mantissa, exponent, negative, n):
+    # the printed 12- and 17-digit fields keep mpmath's layout.  mpmath
+    # reads x rounded to binary, and cuts its digits at about 2^-57 of
+    # its value, so within 10^-4 of a unit of the n-th digit from a
+    # half-way point it may round either way there; such values are
+    # left out
+    digits = str(mantissa)
+    x = decimal.Decimal((int(negative), tuple(map(int, digits)), exponent - len(digits) + 1))
+    assert x.adjusted() == exponent
+    assume(digits[n : n + 4].ljust(4, "0") not in ("5000", "4999"))
+    with mpmath.workprec(300):
+        assert bounds._nstr(x, n) == mpmath.nstr(mpmath.mpf(str(x)), n)
 
 
 def test_to_text_forms():

@@ -226,8 +226,9 @@ def test_bound_requires_one_selector(capsys):
     [
         (("--seq", "a"), "error: --seq needs --n"),
         (("--tary", "70", "2"), "error: t**h for t=2, h=70 exceeds the nested-log range"),
+        (("--tary", "54", "2"), "error: t**h for t=2, h=54 exceeds the nested-log range"),
     ],
-    ids=["seq-without-n", "tary-past-nested-range"],
+    ids=["seq-without-n", "tary-past-nested-range", "tary-one-past-nested-cap"],
 )
 def test_bound_rejects_bad_arguments(capsys, argv, message):
     code, out = run(capsys, "bound", *argv)
@@ -236,8 +237,9 @@ def test_bound_rejects_bad_arguments(capsys, argv, message):
 
 
 # pinned reports: the largest exact terms and fractions the bound command
-# prints (up to 427k digits) and log-form terms on both sides of the
-# exact/log switch up to the index cap, so a change to how values are
+# prints (up to 427k digits), log-form terms on both sides of the
+# exact/log switch up to the index cap, and the largest cycle and t-ary
+# bounds (h log2 t = 53 is the nested-log cap), so a change to how values are
 # computed or rendered must keep every byte
 @pytest.mark.parametrize(
     "argv, digest",
@@ -260,11 +262,13 @@ def test_bound_rejects_bad_arguments(capsys, argv, message):
         (("--circ", "6"), "57b9f05fe8455f0963dae33fa855a21e6d82433c3c7285d9a7474655198b4224"),
         (("--circ", "7"), "66da732c4c223564ae956dc4a275445c1ba88646d86b272aa889ac076a02e16b"),
         (("--circ", "8"), "03003840a9d383a00e741399312a1f4091a3faea33efe3c24d02966027f6d72f"),
+        (("--circ", "65536"), "fd5053b8a87b570e2d81e505b835a34aa74fda8544d917f983d1c275e85c1324"),
+        (("--tary", "53", "2"), "08d0dcfcb64d0e481ec960d63efbb78a3d372d99d571887113181e4b864a6e6f"),
     ],
     ids=[
         "a19", "a21", "sylvester20", "sylvester21",
         "a23", "a24", "a40", "a64", "sylvester24", "sylvester25", "sylvester46", "sylvester64",
-        "circ3", "circ4", "circ5", "circ6", "circ7", "circ8",
+        "circ3", "circ4", "circ5", "circ6", "circ7", "circ8", "circ65536", "tary53-2",
     ],
 )
 def test_pinned_bound_reports(capsys, argv, digest):
@@ -606,6 +610,25 @@ def test_verify_circ_does_not_retry_other_value_errors(capsys, monkeypatch):
     assert code == 2
     assert "error: mis-shaped sub-oracle" in out
     assert calls == [42]
+
+
+@pytest.mark.parametrize(
+    "lemma, ell, budget",
+    [("is", "3", "10 10 10 10"), ("two", "6", "2 7 7 7"), ("rus", "3", "4 4 4 4")],
+)
+def test_verify_takes_a_given_ell(capsys, monkeypatch, lemma, ell, budget):
+    # an ell at or above the derived one is used as given, and the hat
+    # guessing numbers that would derive it are not computed
+    import hatcheck.cli as cli_mod
+
+    def no_derivation(*args, **kwargs):
+        raise AssertionError("ell derived although --ell was given")
+
+    monkeypatch.setattr(cli_mod, "hg_exact", no_derivation)
+    monkeypatch.setattr(cli_mod, "hg2_exact", no_derivation)
+    code, out = run(capsys, "verify", graph_path("p4"), "--lemma", lemma, "--ell", ell, "--trials", "20")
+    assert code == 0
+    assert f"ell: {ell}\nbudget: {budget}\ndefeated: 20/20\n" in out
 
 
 def test_exit_premise_violation_with_witness(capsys):

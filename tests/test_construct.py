@@ -598,3 +598,35 @@ def test_defeat_traced_is_deterministic():
         "  exhaustive hit (0,)",
         "two-color vertex 0: determined guess 2, assign 1",
     )
+
+
+def _sub(n: int, q: int, k: int):
+    return oracle_exhaustive(Graph.from_edges(n, []), ColorBudget.uniform(n, q), k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: oracle_lemma_is(star(2), (1, 2), 0, 2, _sub(1, 2, 1)), "degree cap r must be >= 1"),
+        (lambda: oracle_lemma_is(star(2), (1, 2), 1, 1, _sub(1, 1, 1)), "need ell >= 2"),
+        (lambda: oracle_lemma_is(star(2), (1, 3), 1, 2, _sub(1, 2, 1)), "peel vertex 3 out of range"),
+        (lambda: oracle_lemma_is(star(2), (0,), 1, 2, _sub(2, 2, 1)), "peel vertex 0 has degree 2 > 1"),
+        (lambda: oracle_lemma_two_at_v(complete(2), 2, (0, 1), 2, _sub(1, 3, 2)), "v out of range"),
+        (lambda: oracle_lemma_two_at_v(complete(2), 0, (0, 1), 0, _sub(1, 1, 2)), "need ell >= 1"),
+        (lambda: oracle_lemma_rus(path(3), 1, (0, 1, 2), (1, 2), 2), "parts must intersect exactly in v"),
+        (lambda: oracle_lemma_rus(path(3), 1, (0, 1), (1,), 2), "parts must cover the graph"),
+        (lambda: oracle_lemma_rus(path(3), 1, (1,), (0, 1, 2), 2), "part 1 needs a vertex besides v"),
+        (lambda: oracle_lemma_rus(path(3), 1, (0, 1), (1, 2), 0), "need ell >= 1"),
+        (lambda: oracle_lemma_blocks(path(3), 0), "need ell >= 1"),
+        (lambda: oracle_theorem_tary(path(3), 1, 2), "need t >= 2 and h >= 1"),
+        (lambda: oracle_theorem_tary(path(3), 2, 0), "need t >= 2 and h >= 1"),
+    ],
+    ids=[
+        "is-degree-cap", "is-ell", "is-vertex-range", "is-degree", "two-vertex-range", "two-ell",
+        "rus-intersection", "rus-cover", "rus-part1-size", "rus-ell", "blocks-ell", "tary-arity",
+        "tary-height",
+    ],
+)
+def test_builders_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -427,3 +427,29 @@ def test_induced_subgraph_relabeling():
 def test_connectivity_helpers():
     assert is_connected(path(4))
     assert not is_connected(Graph(3, frozenset({(0, 1)})))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(-1, frozenset()), "vertex_count must be non-negative"),
+        (lambda: Graph(2, frozenset({(1, 0)})), r"bad edge \(1, 0\) for n=2"),
+        (lambda: Graph(2, frozenset({(0, 2)})), r"bad edge \(0, 2\) for n=2"),
+        (lambda: RootedTree((None,), 1), "root out of range"),
+        (lambda: RootedTree((1, None), 0), "root must have parent None"),
+        (lambda: RootedTree((None, None), 0), "exactly one vertex may lack a parent"),
+        (lambda: RootedTree((None, 2, 1), 0), "vertex 1 does not reach the root"),
+        (lambda: RootedTree((None, 0), 0).remove_leaf(0), "0 is not a leaf"),
+        (lambda: RootedTree((None,), 0).remove_leaf(0), "cannot remove the only vertex"),
+        (lambda: dfs_treedepth_certificate(Graph(0, frozenset())), "empty graph has no certificate"),
+        (lambda: dfs_treedepth_certificate(path(2), root=2), "root out of range"),
+    ],
+    ids=[
+        "negative-count", "unordered-edge", "edge-out-of-range", "tree-root-range",
+        "tree-root-parent", "tree-two-roots", "tree-cycle", "remove-inner", "remove-only",
+        "certificate-empty", "certificate-root-range",
+    ],
+)
+def test_structures_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -895,3 +895,19 @@ def test_nth_set_bit_with_levels_built_once():
     for x in xs:
         bits = [i for i in range(x.bit_length()) if x >> i & 1]
         assert [solver._nth_set_bit(x, r, levels) for r in range(len(bits))] == bits
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: players_win(Graph(0, frozenset()), ColorBudget(()), 1), "requires at least one vertex"),
+        (lambda: players_win(path(2), ColorBudget.uniform(3, 2), 1), "budget length must match vertex count"),
+        (lambda: players_win(path(2), ColorBudget.uniform(2, 2), 3), "guess_count must be 1 or 2"),
+        (lambda: find_defeating_assignment(path(3), winkler_strategy()), "strategy is for a different graph"),
+        (lambda: hg_exact(Graph(0, frozenset())), "need at least one vertex"),
+    ],
+    ids=["no-vertices", "budget-length", "guess-count", "other-graph", "hg-empty-graph"],
+)
+def test_solver_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

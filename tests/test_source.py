@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import hatcheck
 import hatcheck.cli
 
@@ -86,3 +88,22 @@ def test_bound_lines_never_read_exact():
         if isinstance(node, ast.Attribute) and node.attr == "exact"
     ]
     assert not reads, f"cli._bound_lines reads .exact at lines {reads}"
+
+
+def test_runtime_needs_no_mpmath():
+    # the package runs on the standard library alone; mpmath is a test
+    # referee and a script dependency, listed only in the test extra
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")
+    ]
+    assert not found, f"src/hatcheck imports mpmath at {found}"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    holders = [name for name, reqs in project["optional-dependencies"].items()
+               if any(re.match(r"mpmath\b", req) for req in reqs)]
+    assert holders == ["test"]
