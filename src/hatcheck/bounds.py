@@ -120,7 +120,7 @@ _LEAF_BITS = 128
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
-def _decimal_text(v: int) -> str:
+def decimal_text(v: int) -> str:
     """str(v) in subquadratic time and regardless of the int-to-str limit.
 
     v = hi * 2^w2 + lo is rebuilt recursively as an exact Decimal (each
@@ -252,8 +252,8 @@ class BigBound:
             return self.digits
         if self.is_exact:
             if isinstance(self.exact, Fraction):
-                return f"{_decimal_text(self.exact.numerator)}/{_decimal_text(self.exact.denominator)}"
-            return _decimal_text(self.exact)
+                return f"{decimal_text(self.exact.numerator)}/{decimal_text(self.exact.denominator)}"
+            return decimal_text(self.exact)
         with decimal.localcontext(_CTX):
             return f"2^{_nstr((self.log2_lo + self.log2_hi) / 2, 17)}"
 

@@ -17,6 +17,7 @@ import time
 from .bounds import (
     BigBound,
     circ_bound,
+    decimal_text,
     lll_degree_bound,
     n_h_t_closed,
     n_h_t_recursive,
@@ -90,7 +91,7 @@ def _load_graph(path: str):
 
 
 def _ints(xs) -> str:
-    return " ".join(map(str, xs))
+    return " ".join(map(decimal_text, xs))
 
 
 def _budget_line(budget: ColorBudget) -> str:
@@ -346,7 +347,7 @@ def _derive_circ(g: Graph, args, guards: Guards, lines: list):
         # construction reports the shortfall
         ell = int(two_guess_seq(min(circ_block_depth(g), 20)).exact) - 1
     orc, bound = oracle_theorem_circ(g, guards, ell=ell)
-    lines.append(f"ell: {ell}")
+    lines.append(f"ell: {decimal_text(ell)}")
     return _pipeline_result(orc, bound, "circumference-pipeline budget", guards, lines)
 
 

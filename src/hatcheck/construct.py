@@ -43,7 +43,7 @@ no internal hop, view included, checks again.  What makes views valid:
 - closure: a step keeps remove_leaf's vertices, restricts the budget
   alike and pins the leaf below its budget (the InternalError check);
 - circ premise: the closure of sub_g's DFS certificate contains sub_g,
-  and _hosts checks every closure budget, <= a(depth), against ell + 1;
+  and closure_premise checks every closure budget, <= a(depth), against ell + 1;
 - solver._in_labels: a permutation; the game is the canonical one relabelled.
 """
 
@@ -55,7 +55,7 @@ from itertools import combinations, product
 from typing import Callable, Optional
 
 from .bounds import GUARD_BITS, ceil_e_times, circ_bound, n_h_t_recursive, two_guess_seq
-from .errors import GuardExceededError, InternalError, PremiseViolationError
+from .errors import GuardExceededError, InternalError, PremiseViolationError, int_brief
 from .game import (
     ColorBudget,
     Strategy,
@@ -149,12 +149,8 @@ def _smallest_missing(taken) -> int:
     return c
 
 
-def _int_brief(x: int) -> str:
-    return str(x) if x.bit_length() <= 60 else f"~2^{x.bit_length() - 1}"
-
-
 def _budget_brief(budget: ColorBudget) -> str:
-    return "(" + ",".join(_int_brief(q) for q in budget.sizes) + ")"
+    return "(" + ",".join(int_brief(q) for q in budget.sizes) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +225,7 @@ def oracle_lemma_is(
     cap = ell**r + 1
     budget = ColorBudget.uniform(g.vertex_count, cap)
     construction = (
-        f"peel-independent-set U={u_tuple} r={r} ell={_int_brief(ell)} budget={_int_brief(cap)}",
+        f"peel-independent-set U={u_tuple} r={r} ell={int_brief(ell)} budget={int_brief(cap)}",
     ) + _indent(sub.construction)
 
     def engine(strategy, log):
@@ -438,13 +434,9 @@ def oracle_lemma_rus(
                     bits[r >> 3] |= 1 << (r & 7)
                 covered |= pattern[i] * int.from_bytes(bits, "little")
         survivors = ((1 << width) - 1) ^ covered
-        if not survivors:
-            raise PremiseViolationError(
-                f"adversary wins the one-guess game on part 1 at {ell + 1} colors",
-                witness=part1_witness(strategy, [0] * len(lowest[vpos])),
-            )
         # v's entries are its views alpha in sorted order; the first one
-        # that extends to two colors at v is the star
+        # that extends to two colors at v is the star; if none does (no
+        # survivors included), the else refuses
         p, s = pattern[vpos], stride[vpos]
         unique = []
         for low in lowest[vpos]:
@@ -498,9 +490,9 @@ def oracle_lemma_rus(
 def _terminal_block(comp_graph: Graph):
     """(block, cut vertex) of the terminal block with the smallest index
     that oracle_lemma_blocks peels off a connected graph; None when the
-    graph is one block."""
+    graph is at most one block."""
     bd = block_decomposition(comp_graph)
-    if len(bd.blocks) == 1:
+    if len(bd.blocks) <= 1:
         return None
     incident = {}
     for b_idx, cut in bd.block_tree:
@@ -509,21 +501,20 @@ def _terminal_block(comp_graph: Graph):
     return bd.blocks[terminal], incident[terminal][0]
 
 
-def _block_premise_graphs(g: Graph):
-    """The graphs oracle_lemma_blocks(g, ...) hands its two-guess premise:
-    each component that is one block, and in every other component the
-    terminal block it peels, minus the cut vertex (oracle_lemma_rus
-    part 2 without v)."""
+def _block_plan(g: Graph):
+    """(comp, its graph, its peel, its premise graph) for each component
+    oracle_lemma_blocks(g, ...) composes.  The two-guess premise is built
+    on the premise graph: a one-block component itself, else the peeled
+    block minus the cut vertex (oracle_lemma_rus part 2 without v), and
+    None for an isolated vertex."""
     for comp in connected_components(g):
-        if len(comp) == 1:
-            continue
         comp_graph, _ = induced_subgraph(g, comp)
         peel = _terminal_block(comp_graph)
-        if peel is None:
-            yield comp_graph
-        else:
+        premise = comp_graph if len(comp) > 1 else None
+        if peel is not None:
             block, cut = peel
-            yield induced_subgraph(comp_graph, tuple(u for u in sorted(block) if u != cut))[0]
+            premise = induced_subgraph(comp_graph, tuple(u for u in sorted(block) if u != cut))[0]
+        yield comp, comp_graph, peel, premise
 
 
 def oracle_lemma_blocks(
@@ -547,41 +538,38 @@ def oracle_lemma_blocks(
     premise_factory = premise2 or _exhaustive_premise(ell, guards)
     plans = []
     lines = [f"block-composition n={g.vertex_count} ell={ell}"]
-    for comp in connected_components(g):
-        comp_graph, _ = induced_subgraph(g, comp)
-        if len(comp) == 1:
+    for comp, comp_graph, peel, premise in _block_plan(g):
+        if premise is None:
             inner = oracle_exhaustive(
                 comp_graph, ColorBudget.uniform(1, ell + 1), 1, guards
             )
             lines.append(f"  component {comp}: isolated vertex")
+        elif peel is None:
+            inner = premise_factory(premise)
+            _expect(
+                inner, comp_graph, ColorBudget.uniform(len(comp), ell + 1), 2,
+                "block premise oracle",
+            )
+            lines.append(f"  component {comp}: single block")
         else:
-            peel = _terminal_block(comp_graph)
-            if peel is None:
-                inner = premise_factory(comp_graph)
-                _expect(
-                    inner, comp_graph, ColorBudget.uniform(len(comp), ell + 1), 2,
-                    "block premise oracle",
-                )
-                lines.append(f"  component {comp}: single block")
-                lines.extend("  " + ln for ln in _indent(inner.construction))
-            else:
-                block, cut = peel
-                rest = tuple(
-                    u for u in comp_graph.vertices() if u not in block or u == cut
-                )
-                inner = oracle_lemma_rus(
-                    comp_graph,
-                    cut,
-                    rest,
-                    block,
-                    ell,
-                    guards,
-                    premise2=premise_factory,
-                )
-                lines.append(
-                    f"  component {comp}: peel block {block} at cut {cut}"
-                )
-                lines.extend("  " + ln for ln in _indent(inner.construction))
+            block, cut = peel
+            rest = tuple(
+                u for u in comp_graph.vertices() if u not in block or u == cut
+            )
+            inner = oracle_lemma_rus(
+                comp_graph,
+                cut,
+                rest,
+                block,
+                ell,
+                guards,
+                premise2=premise_factory,
+            )
+            lines.append(
+                f"  component {comp}: peel block {block} at cut {cut}"
+            )
+        if premise is not None:
+            lines.extend("  " + ln for ln in _indent(inner.construction))
         plans.append((comp, inner))
 
     def engine(strategy, log):
@@ -663,17 +651,13 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
 # pipeline: bounded circumference
 # ---------------------------------------------------------------------------
 
-def _hosts(need, ell: int) -> bool:
-    """Whether ell + 1 colors reach the closure budget need = a(depth)."""
-    return need.is_exact and need.exact <= ell + 1
-
-
 def circ_block_depth(g: Graph) -> int:
     """The depth of the deepest block certificate of oracle_theorem_circ(g),
     1 when it has none: ell + 1 colors host the closure adversary on
     every block, the premise it otherwise refuses with ValueError,
     exactly when they reach a(depth)."""
-    return max((dfs_treedepth_certificate(sub).depth for sub in _block_premise_graphs(g)), default=1)
+    depths = (dfs_treedepth_certificate(sub).depth for *_, sub in _block_plan(g) if sub is not None)
+    return max(depths, default=1)
 
 
 def oracle_theorem_circ(
@@ -700,17 +684,14 @@ def oracle_theorem_circ(
     except ValueError:
         # d is past the sequence cap (c >= 12), and a(d) past any guard
         return None, circ_bound(c)
-    if ell is None:
-        if not bound.is_exact:
-            return None, bound
-        ell_val = int(bound.exact) - 1
-    else:
-        ell_val = ell
+    if ell is None and not bound.is_exact:
+        return None, bound
+    ell_val = int(bound.exact) - 1 if ell is None else ell
 
     def closure_premise(sub_g: Graph) -> AdversaryOracle:
         cert = dfs_treedepth_certificate(sub_g)
         need = two_guess_seq(cert.depth)
-        if not _hosts(need, ell_val):
+        if not (need.is_exact and need.exact <= ell_val + 1):
             raise ValueError(
                 f"budget {ell_val + 1} cannot host a depth-{cert.depth} certificate (needs {need.to_text()})"
             )
@@ -731,7 +712,7 @@ def oracle_theorem_circ(
     except GuardExceededError:
         return None, bound
     header = (
-        f"bounded-circumference pipeline: c={c} depth-cap={d} budget={_int_brief(ell_val + 1)}",
+        f"bounded-circumference pipeline: c={c} depth-cap={d} budget={int_brief(ell_val + 1)}",
     )
     oracle = replace(core, construction=header + _indent(core.construction))
     return oracle, bound
@@ -744,12 +725,7 @@ def oracle_theorem_circ(
 def _tary_build(g_cur: Graph, t: int, h_cur: int, guards: Guards):
     """Recursive assembly; returns (oracle, exact budget threshold)."""
     base = ceil_e_times(t)
-    if g_cur.vertex_count == 0:
-        return (
-            oracle_exhaustive(g_cur, ColorBudget.uniform(0, base), 1, guards),
-            base,
-        )
-    if h_cur == 1:
+    if h_cur == 1 or g_cur.vertex_count == 0:
         for v in g_cur.vertices():
             if g_cur.degree(v) >= t:
                 raise PremiseViolationError(
@@ -821,7 +797,7 @@ def oracle_theorem_tary(g: Graph, t: int, h: int, guards: Guards = DEFAULT_GUARD
     except GuardExceededError:
         return None, bound
     header = (
-        f"forbidden-{t}-ary-height-{h} pipeline: budget={_int_brief(threshold)}",
+        f"forbidden-{t}-ary-height-{h} pipeline: budget={int_brief(threshold)}",
     )
     oracle = replace(oracle, construction=header + _indent(oracle.construction))
     return oracle, bound

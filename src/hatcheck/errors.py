@@ -36,17 +36,24 @@ class DisconnectedGraphError(HatcheckError):
     """Raised by operations that require a connected input."""
 
 
+def int_brief(x: int) -> str:
+    """x in decimal up to 60 bits, else ~2^k with k = floor(log2 x)."""
+    return str(x) if x.bit_length() <= 60 else f"~2^{x.bit_length() - 1}"
+
+
 class GuardExceededError(HatcheckError):
     """An instance-size guard refused the computation.
 
     Attributes:
         guard: name of the guard that tripped.
-        needed: size the computation would have required.
+        needed: size the computation would have required (the message
+            shows an int past 60 bits as ~2^k).
         limit: configured limit.
     """
 
     def __init__(self, guard: str, needed, limit) -> None:
-        super().__init__(f"guard '{guard}' exceeded: needed {needed}, limit {limit}")
+        shown = int_brief(needed) if isinstance(needed, int) else needed
+        super().__init__(f"guard '{guard}' exceeded: needed {shown}, limit {limit}")
         self.guard = guard
         self.needed = needed
         self.limit = limit

@@ -170,8 +170,11 @@ class SolveOutcome:
     winner: str
     certificate: Optional[Strategy] = None
     transcript: tuple = ()
-    transcript_truncated: bool = False
     refuted: int = 0
+
+    @property
+    def transcript_truncated(self) -> bool:
+        return self.refuted > len(self.transcript)
 
 
 def outcome_to_text(outcome: SolveOutcome) -> str:
@@ -403,7 +406,7 @@ def players_win(
     # there are lose, as the exact search would find at its first step
     if sum(min(guess_count, q) * (a_count // q) for q in budget.sizes) < a_count:
         root = ((0, (0,) * n),) if max_transcript > 0 else ()
-        return SolveOutcome(g, budget, guess_count, ADVERSARY, transcript=root, transcript_truncated=not root, refuted=1)
+        return SolveOutcome(g, budget, guess_count, ADVERSARY, transcript=root, refuted=1)
 
     # vertex v is canonical vertex perm[v]; max keeps the first greatest
     # permutation
@@ -694,17 +697,14 @@ def _exact_search(layout: _Layout, max_transcript: int):
             return None, a, viable_options(a, blocked)
 
     transcript = []
-    truncated = False
     branch_counter = 0
     # decision stack: (options, next option index, trail length before)
     decisions = []
 
     def record_conflict(a: int) -> None:
-        nonlocal branch_counter, truncated
+        nonlocal branch_counter
         if len(transcript) < max_transcript:
             transcript.append((branch_counter, assigns[a]))
-        else:
-            truncated = True
         branch_counter += 1
 
     while True:
@@ -742,7 +742,6 @@ def _exact_search(layout: _Layout, max_transcript: int):
                 guess_count,
                 ADVERSARY,
                 transcript=tuple(transcript),
-                transcript_truncated=truncated,
                 refuted=branch_counter,
             )
 

@@ -18,8 +18,8 @@ from hatcheck.bounds import (
     _STR_BITS,
     _WORK_BITS,
     BigBound,
-    _decimal_text,
     circ_bound,
+    decimal_text,
     lll_degree_bound,
     n_h_t_closed,
     n_h_t_recursive,
@@ -117,8 +117,10 @@ def test_enclosure_straddling_the_guard_raises(monkeypatch):
     # a guard inside the walked enclosure of sylvester(24) leaves the
     # exact/log switch undecided
     lo, hi = sylvester(24).log2_interval()
-    with mpmath.workprec(200):
-        mid = (lo + hi) / 2
+    # the ends are 40-digit Decimals; a context that traps Inexact holds
+    # their half-sum exactly or raises
+    exact = decimal.Context(prec=100, traps=[decimal.Inexact])
+    mid = exact.divide(exact.add(lo, hi), 2)
     assert lo < mid < hi
     monkeypatch.setattr(bounds, "GUARD_BITS", mid)
     with pytest.raises(IndeterminateComparisonError):
@@ -429,7 +431,7 @@ def test_decimal_text_matches_str(v):
         expected = str(v)
     finally:
         sys.set_int_max_str_digits(saved)
-    assert _decimal_text(v) == expected
+    assert decimal_text(v) == expected
 
 
 @functools.lru_cache(maxsize=None)

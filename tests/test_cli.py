@@ -1,12 +1,14 @@
 """Command line surface: subcommands, formats, exit codes, determinism."""
 
 import hashlib
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
 from hatcheck import construct
+from hatcheck.bounds import two_guess_seq
 from hatcheck.cli import _DERIVERS, _load_graph, build_parser, entry
 from hatcheck.construct import AdversaryOracle
 from hatcheck.game import ColorBudget, is_defeating, random_strategy, strategy_from_text
@@ -15,7 +17,7 @@ from hatcheck.guards import DEFAULT_GUARDS
 from hatcheck.rng import SplitMix64
 from hatcheck.solver import find_defeating_assignment
 
-from conftest import complete
+from conftest import complete, cycle
 
 GRAPHS = Path(__file__).resolve().parent.parent / "scripts" / "graphs"
 
@@ -27,6 +29,16 @@ def graph_path(name: str) -> str:
 def run(capsys, *argv):
     code = entry(list(argv))
     return code, capsys.readouterr().out
+
+
+def unlimited_str(x: int) -> str:
+    """str(x) with CPython's int-to-str digit limit lifted."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def strip_timing(text: str) -> str:
@@ -392,6 +404,26 @@ def test_verify_tary_chain_past_guard_bits_is_a_guard_refusal(capsys, tmp_path):
     assert "error: guard 'assignment' exceeded: needed subtree-pipeline budget" in out
 
 
+def test_verify_tary_budget_past_the_int_str_limit_is_a_guard_refusal(capsys, tmp_path):
+    # the K5 oracle at t=2, h=2 builds; its budget prints past the
+    # int-to-str limit, and the first defeat's enumeration guard refuses
+    # with the needed size in short form
+    path = tmp_path / "k5.graph"
+    path.write_text(graph_to_text(complete(5)))
+    code, out = run(
+        capsys, "verify", str(path), "--lemma", "tary", "--branching", "2", "--height", "2",
+        "--trials", "3",
+    )
+    assert code == 3
+    oracle, _ = construct.oracle_theorem_tary(complete(5), 2, 2)
+    (q,) = set(oracle.budget.sizes)
+    assert q.bit_length() == 43446
+    digits = unlimited_str(q)
+    assert len(digits) == 13079
+    assert f"\nbudget: {' '.join([digits] * 5)}\n" in out
+    assert "\nerror: guard 'enumeration' exceeded: needed ~2^24825, limit 10000000\n" in out
+
+
 def test_verify_dump_shows_construction(capsys):
     code, out = run(
         capsys, "verify", graph_path("bowtie"), "--lemma", "rus", "--trials", "5",
@@ -596,6 +628,19 @@ def test_verify_circ_past_the_sequence_cap_is_a_guard_refusal(capsys, tmp_path):
     assert "value: 2^3.2021040376794865e+21\n" in value
 
 
+def test_verify_circ_prints_a_derived_ell_past_the_int_str_limit(capsys, tmp_path):
+    # a 15-cycle's block certificate has depth 15, so the derived ell is
+    # a(15) - 1, 6,671 digits; the report prints it before the refusal
+    c15 = tmp_path / "c15.graph"
+    c15.write_text(graph_to_text(cycle(15)))
+    code, out = run(capsys, "verify", str(c15), "--lemma", "circ", "--trials", "3")
+    assert code == 3
+    digits = unlimited_str(int(two_guess_seq(15).exact) - 1)
+    assert len(digits) == 6671
+    assert f"\nell: {digits}\n" in out
+    assert "error: guard 'assignment' exceeded: needed circumference-pipeline budget" in out
+
+
 def test_verify_circ_does_not_retry_other_value_errors(capsys, monkeypatch):
     import hatcheck.cli as cli_mod
 
@@ -688,3 +733,23 @@ def test_seed_changes_sampled_strategies(capsys):
     _, out_a = run(capsys, *base, "--seed", "1")
     _, out_b = run(capsys, *base, "--seed", "2")
     assert strip_timing(out_a) != strip_timing(out_b)
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    # every `hatcheck ...` line of the sh block under README "CLI", run
+    # from the repository root as the README shows, exits 0
+    root = GRAPHS.parent.parent
+    section = (root / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 8
+    monkeypatch.chdir(root)
+    for argv in commands:
+        assert argv[0] == "hatcheck"
+        code, out = run(capsys, *argv[1:])
+        assert code == 0, (argv, out)
