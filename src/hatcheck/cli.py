@@ -254,8 +254,8 @@ def _derive_is(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"u_set: {_ints(u_set)}")
     lines.append(f"r: {r}")
     lines.append(f"ell: {ell}")
-    sub = oracle_exhaustive(rest_graph, ColorBudget.uniform(len(rest), ell), 1, guards)
-    orc = oracle_lemma_is(g, u_set, r, ell, sub, guards)
+    sub = oracle_exhaustive(rest_graph, ColorBudget.uniform(len(rest), ell), 1)
+    orc = oracle_lemma_is(g, u_set, r, ell, sub)
     return orc, ()
 
 
@@ -273,7 +273,7 @@ def _derive_two(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"v: {v}")
     lines.append(f"two_colors: {_ints(pair)}")
     lines.append(f"ell: {ell}")
-    sub2 = oracle_exhaustive(h_graph, ColorBudget.uniform(len(rest), ell + 1), 2, guards)
+    sub2 = oracle_exhaustive(h_graph, ColorBudget.uniform(len(rest), ell + 1), 2)
     return oracle_lemma_two_at_v(g, v, pair, ell, sub2), ()
 
 
@@ -304,7 +304,7 @@ def _derive_rus(g: Graph, args, guards: Guards, lines: list):
     lines.append(f"part1: {_ints(part1)}")
     lines.append(f"part2: {_ints(part2)}")
     lines.append(f"ell: {ell}")
-    orc = oracle_lemma_rus(g, v, part1, part2, ell, guards)
+    orc = oracle_lemma_rus(g, v, part1, part2, ell)
     return orc, ()
 
 
@@ -318,7 +318,7 @@ def _derive_blocks(g: Graph, args, guards: Guards, lines: list):
             blk_graph, _ = induced_subgraph(g, blk)
             ell = max(ell, hg2_exact(blk_graph, guards))
     lines.append(f"ell: {ell}")
-    orc = oracle_lemma_blocks(g, ell, guards)
+    orc = oracle_lemma_blocks(g, ell)
     return orc, ()
 
 
@@ -403,9 +403,9 @@ def cmd_verify(args, lines: list, guards: Guards) -> int:
     first_trace = None
     for strategy in strategies:
         if args.dump and first_trace is None:
-            assignment, first_trace = oracle.defeat_traced(strategy)
+            assignment, first_trace = oracle.defeat_traced(strategy, guards)
         else:
-            assignment = oracle.defeat(strategy)
+            assignment = oracle.defeat(strategy, guards)
         if not budget.contains(assignment) or not is_defeating(strategy, assignment):
             raise VerificationFailureError(
                 "claimed defeat does not check out",

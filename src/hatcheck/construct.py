@@ -24,9 +24,13 @@ lookup per coloring and vertex.
 Oracles are immutable after construction and their engines are pure
 (the split's masks are a cache filled by its first defeat).
 
-Scope (graph, guess count, budget) is checked once, where a strategy
-enters through defeat or defeat_traced, and a composing oracle checks
-each sub-oracle's shape when it is built.  Its engine hands the
+Scope (graph, guess count, budget) and the enumeration guard are
+checked once, where a strategy enters through defeat or defeat_traced:
+each builder fixes the oracle's enumeration from sizes it holds, the
+largest over its own steps and its sub-oracles, and no engine checks a
+guard.  Only oracle_closure, oracle_theorem_circ and oracle_theorem_tary
+take guards, for what they check while building.  A composing oracle
+checks each sub-oracle's shape when it is built.  Its engine hands the
 sub-oracle a game.reindex view of exactly that graph and budget, and
 no internal hop, view included, checks again.  What makes views valid:
 
@@ -59,12 +63,12 @@ from .errors import GuardExceededError, InternalError, PremiseViolationError, in
 from .game import (
     ColorBudget,
     Strategy,
-    enumerate_assignments,
     guesses_at,
     is_defeating,
     lex_masks,
     merge_two_guess,
     reindex,
+    table_size,
 )
 from .graphs import (
     Graph,
@@ -91,8 +95,11 @@ class AdversaryOracle:
     within budget; when log is a list it also appends one line per color
     choice.  It trusts its input: defeat and defeat_traced, the two ways
     to call it from outside, raise ValueError for a strategy out of
-    scope first.  construction describes the argument tree the oracle
-    was assembled from.
+    scope first, and GuardExceededError when enumeration is over the
+    guards' limit.  enumeration is the largest number of items any
+    defeat enumerates, sub-oracles included, fixed by the builder (0
+    for an engine that enumerates nothing).  construction describes the
+    argument tree the oracle was assembled from.
     """
 
     graph: Graph
@@ -100,14 +107,17 @@ class AdversaryOracle:
     guess_count: int
     construction: tuple
     engine: Callable
+    enumeration: int = 0
 
-    def defeat(self, strategy: Strategy) -> tuple:
+    def defeat(self, strategy: Strategy, guards: Guards = DEFAULT_GUARDS) -> tuple:
         _expect(strategy, self.graph, self.budget, self.guess_count, "strategy")
+        guards.check("enumeration", self.enumeration)
         return self.engine(strategy, None)
 
-    def defeat_traced(self, strategy: Strategy):
+    def defeat_traced(self, strategy: Strategy, guards: Guards = DEFAULT_GUARDS):
         """The defeat plus the log of per-step color choices."""
         _expect(strategy, self.graph, self.budget, self.guess_count, "strategy")
+        guards.check("enumeration", self.enumeration)
         log = []
         out = self.engine(strategy, log)
         return out, tuple(log)
@@ -157,9 +167,7 @@ def _budget_brief(budget: ColorBudget) -> str:
 # base case: enumerate assignments
 # ---------------------------------------------------------------------------
 
-def oracle_exhaustive(
-    g: Graph, budget: ColorBudget, guess_count: int, guards: Guards = DEFAULT_GUARDS
-) -> AdversaryOracle:
+def oracle_exhaustive(g: Graph, budget: ColorBudget, guess_count: int) -> AdversaryOracle:
     """Defeat by scanning the assignment space in lexicographic order.
 
     Raises PremiseViolationError if no defeating assignment exists; the
@@ -172,7 +180,7 @@ def oracle_exhaustive(
     )
 
     def engine(strategy, log):
-        for assignment in enumerate_assignments(budget, guards):
+        for assignment in product(*[range(q) for q in budget.sizes]):
             if is_defeating(strategy, assignment):
                 _note(log, f"exhaustive hit {assignment}")
                 return assignment
@@ -181,7 +189,7 @@ def oracle_exhaustive(
             witness=strategy,
         )
 
-    return AdversaryOracle(g, budget, guess_count, construction, engine)
+    return AdversaryOracle(g, budget, guess_count, construction, engine, budget.product())
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,6 @@ def oracle_lemma_is(
     r: int,
     ell: int,
     sub: AdversaryOracle,
-    guards: Guards = DEFAULT_GUARDS,
 ) -> AdversaryOracle:
     """Peel an independent set U of degrees <= r off the game.
 
@@ -233,7 +240,6 @@ def oracle_lemma_is(
         qs = strategy.budget.sizes
         for u in u_tuple:
             nbrs, table = g.neighbors(u), strategy.tables[u]
-            guards.check("enumeration", ell ** len(nbrs))
             guessed = set()
             for sigma in product(range(ell), repeat=len(nbrs)):
                 idx = 0
@@ -251,7 +257,9 @@ def oracle_lemma_is(
             out[v] = tail[i]
         return tuple(out)
 
-    return AdversaryOracle(g, budget, 1, construction, engine)
+    # each u enumerates the ell^deg(u) colorings of its neighbors
+    peel = ell ** max(map(g.degree, u_tuple)) if u_tuple else 0
+    return AdversaryOracle(g, budget, 1, construction, engine, max(peel, sub.enumeration))
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +323,16 @@ def oracle_lemma_two_at_v(
     construction = (
         f"two-colors v={v} colors={pair} ell={ell}",
     ) + _indent(sub2.construction)
-    return AdversaryOracle(g, budget, 1, construction, engine)
+    return AdversaryOracle(g, budget, 1, construction, engine, sub2.enumeration)
 
 
 # ---------------------------------------------------------------------------
 # cut-vertex split
 # ---------------------------------------------------------------------------
 
-def _exhaustive_premise(ell: int, guards: Guards):
+def _exhaustive_premise(ell: int):
     def factory(sub_g: Graph) -> AdversaryOracle:
-        return oracle_exhaustive(
-            sub_g, ColorBudget.uniform(sub_g.vertex_count, ell + 1), 2, guards
-        )
+        return oracle_exhaustive(sub_g, ColorBudget.uniform(sub_g.vertex_count, ell + 1), 2)
 
     return factory
 
@@ -337,7 +343,6 @@ def oracle_lemma_rus(
     g1_vertices,
     g2_vertices,
     ell: int,
-    guards: Guards = DEFAULT_GUARDS,
     premise2=None,
 ) -> AdversaryOracle:
     """Split the game at a cut vertex v into parts that only share v.
@@ -380,7 +385,7 @@ def oracle_lemma_rus(
     g2_graph, kept2 = induced_subgraph(g, part2)
     h2_vertices = tuple(u for u in part2 if u != v)
     h2_graph, _ = induced_subgraph(g, h2_vertices)
-    premise_factory = premise2 or _exhaustive_premise(ell, guards)
+    premise_factory = premise2 or _exhaustive_premise(ell)
     sub2 = premise_factory(h2_graph)
     v2 = kept2.index(v)
     # checks the part-2 premise oracle's shape
@@ -414,7 +419,6 @@ def oracle_lemma_rus(
     masks = []  # part 1's lex masks, built by the first defeat
 
     def engine(strategy, log):
-        guards.check("enumeration", budget1.product())
         if not masks:
             masks.append(lex_masks(g1_graph, budget1))
         lex = masks[0]
@@ -480,7 +484,9 @@ def oracle_lemma_rus(
             )
         return tuple(out)
 
-    return AdversaryOracle(g, budget, 1, construction, engine)
+    # a defeat reads every part-1 coloring, as bits of the lex masks
+    need = max(budget1.product(), sub2.enumeration)
+    return AdversaryOracle(g, budget, 1, construction, engine, need)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +526,6 @@ def _block_plan(g: Graph):
 def oracle_lemma_blocks(
     g: Graph,
     ell: int,
-    guards: Guards = DEFAULT_GUARDS,
     premise2=None,
 ) -> AdversaryOracle:
     """Compose block-level two-guess adversaries into one for the graph.
@@ -535,14 +540,12 @@ def oracle_lemma_blocks(
     if ell < 1:
         raise ValueError("need ell >= 1")
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
-    premise_factory = premise2 or _exhaustive_premise(ell, guards)
+    premise_factory = premise2 or _exhaustive_premise(ell)
     plans = []
     lines = [f"block-composition n={g.vertex_count} ell={ell}"]
     for comp, comp_graph, peel, premise in _block_plan(g):
         if premise is None:
-            inner = oracle_exhaustive(
-                comp_graph, ColorBudget.uniform(1, ell + 1), 1, guards
-            )
+            inner = oracle_exhaustive(comp_graph, ColorBudget.uniform(1, ell + 1), 1)
             lines.append(f"  component {comp}: isolated vertex")
         elif peel is None:
             inner = premise_factory(premise)
@@ -556,15 +559,7 @@ def oracle_lemma_blocks(
             rest = tuple(
                 u for u in comp_graph.vertices() if u not in block or u == cut
             )
-            inner = oracle_lemma_rus(
-                comp_graph,
-                cut,
-                rest,
-                block,
-                ell,
-                guards,
-                premise2=premise_factory,
-            )
+            inner = oracle_lemma_rus(comp_graph, cut, rest, block, ell, premise2=premise_factory)
             lines.append(
                 f"  component {comp}: peel block {block} at cut {cut}"
             )
@@ -584,7 +579,8 @@ def oracle_lemma_blocks(
                 out[u] = colors[i]
         return tuple(out)
 
-    return AdversaryOracle(g, budget, 1, tuple(lines), engine)
+    need = max((inner.enumeration for _, inner in plans), default=0)
+    return AdversaryOracle(g, budget, 1, tuple(lines), engine, need)
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +611,16 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
     # remaining game, once
     steps = []
     cur_tree, orig = tree, list(range(tree.vertex_count))
+    cur_graph, cur_budget, need = cl_graph, budget, 0
     while cur_tree.vertex_count > 1:
         leaf = min(cur_tree.leaves())
         label = orig[leaf]
+        # a leaf's table lists one entry per coloring of its ancestors
+        need = max(need, table_size(cur_graph, cur_budget, leaf))
         cur_tree, kept = cur_tree.remove_leaf(leaf)
         orig = [orig[i] for i in kept]
-        steps.append((leaf, label, induced_subgraph(cl_graph, orig)[0], budget.restrict(orig), kept))
+        cur_graph, cur_budget = induced_subgraph(cl_graph, orig)[0], budget.restrict(orig)
+        steps.append((leaf, label, cur_graph, cur_budget, kept))
     root = orig[0]
 
     def engine(strategy, log):
@@ -628,9 +628,7 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
         cur = strategy
         for leaf, label, sub_graph, sub_budget, kept in steps:
             # a leaf sees only its ancestors, so its table lists every view
-            table = cur.tables[leaf]
-            guards.check("enumeration", len(table))
-            gamma = _smallest_missing(set().union(*table))
+            gamma = _smallest_missing(set().union(*cur.tables[leaf]))
             if gamma >= cur.budget[leaf]:
                 # the budget a(k+1) = 1 + 2P always leaves a color
                 raise InternalError(
@@ -644,7 +642,7 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
         _note(log, f"closure root {root}: assign {gamma}")
         return tuple(out)
 
-    return AdversaryOracle(cl_graph, budget, 2, construction, engine)
+    return AdversaryOracle(cl_graph, budget, 2, construction, engine, need)
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +703,10 @@ def oracle_theorem_circ(
         lines = (
             f"embed block into closure: certificate depth {cert.depth}",
         ) + _indent(inner.construction)
-        return AdversaryOracle(sub_g, target, 2, lines, engine)
+        return AdversaryOracle(sub_g, target, 2, lines, engine, inner.enumeration)
 
     try:
-        core = oracle_lemma_blocks(g, ell_val, guards, premise2=closure_premise)
+        core = oracle_lemma_blocks(g, ell_val, premise2=closure_premise)
     except GuardExceededError:
         return None, bound
     header = (
@@ -732,12 +730,7 @@ def _tary_build(g_cur: Graph, t: int, h_cur: int, guards: Guards):
                     f"maximum degree at most {t - 1} in the base case",
                     witness=(v,) + g_cur.neighbors(v)[:t],
                 )
-        return (
-            oracle_exhaustive(
-                g_cur, ColorBudget.uniform(g_cur.vertex_count, base), 1, guards
-            ),
-            base,
-        )
+        return oracle_exhaustive(g_cur, ColorBudget.uniform(g_cur.vertex_count, base), 1), base
     k = 2 * t**h_cur
     low = [v for v in g_cur.vertices() if g_cur.degree(v) < k]
     if not low:
@@ -766,7 +759,7 @@ def _tary_build(g_cur: Graph, t: int, h_cur: int, guards: Guards):
             raise GuardExceededError(
                 "enumeration", threshold.bit_length() * (k - 1), GUARD_BITS
             )
-        oracle = oracle_lemma_is(g_step, u_local, k - 1, threshold, oracle, guards)
+        oracle = oracle_lemma_is(g_step, u_local, k - 1, threshold, oracle)
         threshold = threshold ** (k - 1) + 1
     return oracle, threshold
 

@@ -102,8 +102,13 @@ class Strategy:
     tables: tuple
 
     def __post_init__(self) -> None:
-        self._check_shape()
         g, b = self.graph, self.budget
+        if len(b.sizes) != g.vertex_count:
+            raise ValueError("budget length must match vertex count")
+        if self.guess_count not in (1, 2):
+            raise ValueError("guess_count must be 1 or 2")
+        if len(self.tables) != g.vertex_count:
+            raise ValueError("one table per vertex required")
         for v in range(g.vertex_count):
             expect = table_size(g, b, v)
             if len(self.tables[v]) != expect:
@@ -116,17 +121,9 @@ class Strategy:
                 if any(not 0 <= c < b[v] for c in entry):
                     raise ValueError(f"guess color out of budget at vertex {v}")
 
-    def _check_shape(self) -> None:
-        if len(self.budget.sizes) != self.graph.vertex_count:
-            raise ValueError("budget length must match vertex count")
-        if self.guess_count not in (1, 2):
-            raise ValueError("guess_count must be 1 or 2")
-        if len(self.tables) != self.graph.vertex_count:
-            raise ValueError("one table per vertex required")
-
     @classmethod
     def _unchecked(cls, graph: Graph, budget: ColorBudget, guess_count: int, tables: tuple) -> "Strategy":
-        """Shape checks only: for producers whose entries are valid by construction."""
+        """No checks: for producers whose tables are valid by construction."""
         strategy = object.__new__(cls)
         # one attribute at a time, as __init__ does: touching __dict__
         # would give every instance a full dict instead of inline values
@@ -134,7 +131,6 @@ class Strategy:
         object.__setattr__(strategy, "budget", budget)
         object.__setattr__(strategy, "guess_count", guess_count)
         object.__setattr__(strategy, "tables", tables)
-        strategy._check_shape()
         return strategy
 
     def entry_index(self, v: int, assignment) -> int:

@@ -477,13 +477,9 @@ def circumference(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     best = 0
     on_path = [False] * n
 
-    def extend(start: int, v: int, length: int, free: int, cap: int) -> bool:
+    def extend(start: int, v: int, length: int, cap: int) -> bool:
         """Search paths from v; True once a cycle of length cap is found."""
         nonlocal best
-        # free = vertices still allowed; cycle through start can't beat
-        # length + free + 1 edges
-        if length + free + 1 <= best:
-            return False
         for w in g.neighbors(v):
             if w == start and length >= 2:
                 if length + 1 > best:
@@ -492,7 +488,7 @@ def circumference(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
                         return True
             elif w > start and not on_path[w]:
                 on_path[w] = True
-                done = extend(start, w, length + 1, free - 1, cap)
+                done = extend(start, w, length + 1, cap)
                 on_path[w] = False
                 if done:
                     return True
@@ -505,7 +501,7 @@ def circumference(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
         if g.degree(start) < 2 or cap <= best:
             continue
         on_path[start] = True
-        extend(start, start, 0, n - start - 1, cap)
+        extend(start, start, 0, cap)
         on_path[start] = False
     return best
 

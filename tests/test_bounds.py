@@ -314,6 +314,10 @@ def test_n_h_t_domain():
         n_h_t_recursive(0, 2)
     with pytest.raises(ValueError):
         n_h_t_recursive(1, 1)
+    with pytest.raises(ValueError, match="height must be >= 1"):
+        n_h_t_closed(0, 2)
+    with pytest.raises(ValueError, match="arity must be >= 2"):
+        n_h_t_closed(1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,13 @@ def test_verify_is_path4(capsys):
     assert "defeated: 100/100" in out
 
 
+def test_verify_is_single_vertex(capsys):
+    # nothing is left after the peel, so ell takes its floor of 2
+    code, out = run(capsys, "verify", graph_path("k1"), "--lemma", "is", "--trials", "5")
+    assert code == 0
+    assert "\nell: 2\nbudget: 3\ndefeated: 5/5\n" in out
+
+
 def test_verify_two_endpoint(capsys):
     code, out = run(
         capsys, "verify", graph_path("p3"), "--lemma", "two", "--trials", "100"
@@ -659,7 +666,10 @@ def test_verify_circ_does_not_retry_other_value_errors(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "lemma, ell, budget",
-    [("is", "3", "10 10 10 10"), ("two", "6", "2 7 7 7"), ("rus", "3", "4 4 4 4")],
+    [
+        ("is", "3", "10 10 10 10"), ("two", "6", "2 7 7 7"), ("rus", "3", "4 4 4 4"),
+        ("blocks", "3", "4 4 4 4"),
+    ],
 )
 def test_verify_takes_a_given_ell(capsys, monkeypatch, lemma, ell, budget):
     # an ell at or above the derived one is used as given, and the hat

@@ -348,10 +348,10 @@ def test_rus_guard_refuses_at_defeat_and_builds_no_masks(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(construct, "lex_masks", counting)
-    refused = oracle_lemma_rus(bowtie(), 2, (0, 1, 2), (2, 3, 4), 6, guards=Guards(enumeration=342))
+    refused = oracle_lemma_rus(bowtie(), 2, (0, 1, 2), (2, 3, 4), 6)
     rng = SplitMix64(5)
     with pytest.raises(GuardExceededError):
-        refused.defeat(random_strategy(refused.graph, refused.budget, 1, rng))
+        refused.defeat(random_strategy(refused.graph, refused.budget, 1, rng), Guards(enumeration=342))
     assert built == []
     # at the default guards the masks are built once, by the first defeat
     orc = oracle_lemma_rus(bowtie(), 2, (0, 1, 2), (2, 3, 4), 6)
@@ -579,6 +579,42 @@ def test_tary_free_graphs_have_a_small_degree_vertex():
 
 
 # ---------------------------------------------------------------------------
+# enumeration needs: fixed at build time, checked once per defeat
+# ---------------------------------------------------------------------------
+
+def test_enumeration_needs_are_sound_and_tight():
+    # the verify benchmark's reference instances: at the limit every
+    # defeat runs; one below it, every defeat is refused with the
+    # oracle's need, before its engine starts
+    oracles = {
+        "is": oracle_lemma_is(star(2), (1, 2), 1, 2, _sub(1, 2, 1)),
+        "two": oracle_lemma_two_at_v(
+            path(3), 0, (0, 1), 4, oracle_exhaustive(complete(2), ColorBudget.uniform(2, 5), 2)
+        ),
+        "rus": oracle_lemma_rus(bowtie(), 2, (0, 1, 2), (2, 3, 4), 6),
+        "blocks": oracle_lemma_blocks(cactus(), 6),
+        "closure": oracle_closure(RootedTree((None, 0, 1), 0)),
+        "circ": oracle_theorem_circ(complete(3), ell=42)[0],
+        "tary": oracle_theorem_tary(cycle(4), 3, 1)[0],
+    }
+    assert {lemma: orc.enumeration for lemma, orc in oracles.items()} == {
+        "is": 2, "two": 25, "rus": 343, "blocks": 343, "closure": 21, "circ": 21, "tary": 6561,
+    }
+    rng = SplitMix64(83)
+    for lemma, orc in oracles.items():
+        for _ in range(5):
+            strategy = random_strategy(orc.graph, orc.budget, orc.guess_count, rng)
+            at_limit = Guards(enumeration=orc.enumeration)
+            assert is_defeating(strategy, orc.defeat(strategy, at_limit))
+            assert is_defeating(strategy, orc.defeat_traced(strategy, at_limit)[0])
+            below = Guards(enumeration=orc.enumeration - 1)
+            for defeat in (orc.defeat, orc.defeat_traced):
+                with pytest.raises(GuardExceededError) as info:
+                    defeat(strategy, below)
+                assert info.value.needed == orc.enumeration, lemma
+
+
+# ---------------------------------------------------------------------------
 # per-defeat traces
 # ---------------------------------------------------------------------------
 
@@ -611,6 +647,8 @@ def _sub(n: int, q: int, k: int):
         (lambda: oracle_lemma_is(star(2), (1, 2), 1, 1, _sub(1, 1, 1)), "need ell >= 2"),
         (lambda: oracle_lemma_is(star(2), (1, 3), 1, 2, _sub(1, 2, 1)), "peel vertex 3 out of range"),
         (lambda: oracle_lemma_is(star(2), (0,), 1, 2, _sub(2, 2, 1)), "peel vertex 0 has degree 2 > 1"),
+        (lambda: oracle_lemma_is(star(2), (0, 1), 2, 2, _sub(1, 2, 1)), r"peel set is not independent: edge \(0, 1\)"),
+        (lambda: oracle_exhaustive(path(2), ColorBudget.uniform(3, 2), 1), "budget length must match the vertex count"),
         (lambda: oracle_lemma_two_at_v(complete(2), 2, (0, 1), 2, _sub(1, 3, 2)), "v out of range"),
         (lambda: oracle_lemma_two_at_v(complete(2), 0, (0, 1), 0, _sub(1, 1, 2)), "need ell >= 1"),
         (lambda: oracle_lemma_rus(path(3), 1, (0, 1, 2), (1, 2), 2), "parts must intersect exactly in v"),
@@ -622,7 +660,8 @@ def _sub(n: int, q: int, k: int):
         (lambda: oracle_theorem_tary(path(3), 2, 0), "need t >= 2 and h >= 1"),
     ],
     ids=[
-        "is-degree-cap", "is-ell", "is-vertex-range", "is-degree", "two-vertex-range", "two-ell",
+        "is-degree-cap", "is-ell", "is-vertex-range", "is-degree", "is-independent", "exhaustive-budget-length",
+        "two-vertex-range", "two-ell",
         "rus-intersection", "rus-cover", "rus-part1-size", "rus-ell", "blocks-ell", "tary-arity",
         "tary-height",
     ],

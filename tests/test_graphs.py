@@ -443,11 +443,12 @@ def test_connectivity_helpers():
         (lambda: RootedTree((None,), 0).remove_leaf(0), "cannot remove the only vertex"),
         (lambda: dfs_treedepth_certificate(Graph(0, frozenset())), "empty graph has no certificate"),
         (lambda: dfs_treedepth_certificate(path(2), root=2), "root out of range"),
+        (lambda: contains_tary_tree(path(3), 1, 1), "need t >= 2 and h >= 1"),
     ],
     ids=[
         "negative-count", "unordered-edge", "edge-out-of-range", "tree-root-range",
         "tree-root-parent", "tree-two-roots", "tree-cycle", "remove-inner", "remove-only",
-        "certificate-empty", "certificate-root-range",
+        "certificate-empty", "certificate-root-range", "tary-tree-arity",
     ],
 )
 def test_structures_reject_bad_arguments(call, message):

@@ -107,3 +107,29 @@ def test_runtime_needs_no_mpmath():
     holders = [name for name, reqs in project["optional-dependencies"].items()
                if any(re.match(r"mpmath\b", req) for req in reqs)]
     assert holders == ["test"]
+
+
+def test_construct_engines_check_no_guards():
+    # an oracle's enumeration is fixed when it is built and checked once,
+    # where a strategy enters (defeat, defeat_traced); an engine or other
+    # function nested in a builder checks no guard on a defeat's hops
+    path = SRC / "construct.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = [
+        inner
+        for builder in tree.body if isinstance(builder, ast.FunctionDef)
+        for inner in ast.walk(builder)
+        if inner is not builder and isinstance(inner, (ast.FunctionDef, ast.Lambda))
+    ]
+    assert len(nested) >= 7
+    found = sorted({
+        node.lineno
+        for inner in nested
+        for node in ast.walk(inner)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "check")
+            or (isinstance(node.func, ast.Name) and node.func.id == "enumerate_assignments")
+        )
+    })
+    assert not found, f"functions nested in construct builders check guards at lines {found}"
