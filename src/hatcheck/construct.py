@@ -38,10 +38,11 @@ no internal hop, view included, checks again.  What makes views valid:
   the builder checks U, and a dodge color, the smallest missing of at
   most ell^r guesses, is <= ell^r < ell^r + 1;
 - two colors: _expect fits sub2 to g minus v at ell + 1, the builder
-  checks v, the pair is below v's budget (max(pair) + 1, or ell + 1 in
-  the split), and merge_two_guess unites two 1-guess views of sub2's game;
-- rus: by the builder's checks the pinned rest of part 1 is disjoint
-  from part 2 and holds all its outside neighbors; pins are digits < ell + 1;
+  checks v and that the pair is non-negative, v's budget is max(pair) + 1,
+  each view pins only v, and merge_two_guess unites the two 1-guess views;
+- rus: the two-color views are built straight from the split's strategy
+  on g: no edge crosses the split, so every neighbor of part 2 minus v is
+  kept or is v, pinned to a digit < ell + 1; _expect fits sub2 at ell + 1;
 - blocks: a component is closed under neighbors, and its oracle is
   built on, or fitted by _expect to, induced_subgraph(g, comp);
 - closure: a step keeps remove_leaf's vertices, restricts the budget
@@ -54,7 +55,6 @@ no internal hop, view included, checks again.  What makes views valid:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import combinations, product
 from typing import Callable, Optional
 
@@ -132,14 +132,18 @@ def _indent(lines) -> tuple:
     return tuple("  " + ln for ln in lines)
 
 
-def _sub_defeat(oracle: AdversaryOracle, strategy: Strategy, log):
-    """Delegate to a sub-oracle's engine, nesting its per-defeat trace."""
+def _delegate(oracle: AdversaryOracle, view: Strategy, kept, out: list, log) -> None:
+    """Run a sub-oracle's engine on view, a strategy on its graph, and
+    write its colors into out at kept (view vertex i plays kept[i]),
+    nesting its per-defeat trace."""
     if log is None:
-        return oracle.engine(strategy, None)
-    lines = []
-    out = oracle.engine(strategy, lines)
-    log.extend(_indent(lines))
-    return out
+        colors = oracle.engine(view, None)
+    else:
+        lines = []
+        colors = oracle.engine(view, lines)
+        log.extend(_indent(lines))
+    for u, c in zip(kept, colors):
+        out[u] = c
 
 
 def _expect(x, graph: Graph, budget: ColorBudget, guess_count: int, what: str) -> None:
@@ -236,7 +240,7 @@ def oracle_lemma_is(
     ) + _indent(sub.construction)
 
     def engine(strategy, log):
-        fixed = {}
+        out = [0] * g.vertex_count
         qs = strategy.budget.sizes
         for u in u_tuple:
             nbrs, table = g.neighbors(u), strategy.tables[u]
@@ -246,15 +250,10 @@ def oracle_lemma_is(
                 for w, c in zip(nbrs, sigma):
                     idx = idx * qs[w] + c
                 guessed.update(table[idx])
-            fixed[u] = _smallest_missing(guessed)
-            _note(log, f"dodge u={u} color={fixed[u]} (saw {len(guessed)} guesses)")
-        view = reindex(strategy, sub.graph, sub.budget, rest, fixed)
-        tail = _sub_defeat(sub, view, log)
-        out = [0] * g.vertex_count
-        for u, c in fixed.items():
-            out[u] = c
-        for i, v in enumerate(rest):
-            out[v] = tail[i]
+            out[u] = _smallest_missing(guessed)
+            _note(log, f"dodge u={u} color={out[u]} (saw {len(guessed)} guesses)")
+        fixed = {u: out[u] for u in u_tuple}
+        _delegate(sub, reindex(strategy, sub.graph, sub.budget, rest, fixed), rest, out, log)
         return tuple(out)
 
     # each u enumerates the ell^deg(u) colorings of its neighbors
@@ -266,36 +265,24 @@ def oracle_lemma_is(
 # two colors at one vertex
 # ---------------------------------------------------------------------------
 
-def _two_at_v_engine(g, v, ell, sub2):
-    """Shared core of the two-color argument at v: engine(strategy, log, pair).
+def _two_colors(strategy, v, pair, rest, sub2, out: list, log, name) -> None:
+    """The two-color argument at v: write the colors of rest and v into out.
 
-    The incoming strategy plays one guess on g, at budget ell + 1 off v
-    and at least max(pair) + 1 at v; the adversary commits to one of two
-    colors at v, so every other vertex effectively guesses from a
-    two-element set.  sub2, a two-guess adversary for g minus v at
-    uniform ell + 1, dodges all of those at once; v's guess is then
-    determined and v takes the member of pair that differs from it.
+    The one-guess strategy may color v from pair; every neighbor of a
+    vertex in rest is in rest or is v, and out holds the colors of v's
+    neighbors outside rest.  With v committed to pair, each vertex of
+    rest guesses from a two-element set, which sub2, a two-guess
+    adversary on the game rest induces, dodges at once; v's guess is then
+    determined and v takes the member of pair that differs from it,
+    traced as vertex name.
     """
-    rest = tuple(u for u in g.vertices() if u != v)
-    expect_h, _ = induced_subgraph(g, rest)
-    _expect(sub2, expect_h, ColorBudget.uniform(len(rest), ell + 1), 2, "two-color sub-oracle")
-
-    def engine(strategy, log, pair):
-        branches = [reindex(strategy, sub2.graph, sub2.budget, rest, {v: c}) for c in pair]
-        merged = merge_two_guess(branches[0], branches[1])
-        tail = _sub_defeat(sub2, merged, log)
-        out = [0] * g.vertex_count
-        for i, u in enumerate(rest):
-            out[u] = tail[i]
-        out[v] = pair[0]
-        # v's entry depends only on its neighbors, all of which are set
-        vguess = guesses_at(strategy, v, tuple(out))[0]
-        choice = pair[1] if vguess == pair[0] else pair[0]
-        out[v] = choice
-        _note(log, f"two-color vertex {v}: determined guess {vguess}, assign {choice}")
-        return tuple(out)
-
-    return engine
+    views = [reindex(strategy, sub2.graph, sub2.budget, rest, {v: c}) for c in pair]
+    _delegate(sub2, merge_two_guess(*views), rest, out, log)
+    out[v] = pair[0]
+    # v's entry depends only on its neighbors, all of which are set
+    vguess = guesses_at(strategy, v, out)[0]
+    out[v] = pair[1] if vguess == pair[0] else pair[0]
+    _note(log, f"two-color vertex {name}: determined guess {vguess}, assign {out[v]}")
 
 
 def oracle_lemma_two_at_v(
@@ -316,9 +303,19 @@ def oracle_lemma_two_at_v(
     pair = tuple(sorted(set(two_colors)))
     if len(pair) != 2:
         raise ValueError("need two distinct colors at v")
+    if pair[0] < 0:
+        raise ValueError("colors at v must be non-negative")
     if ell < 1:
         raise ValueError("need ell >= 1")
-    engine = partial(_two_at_v_engine(g, v, ell, sub2), pair=pair)
+    rest = tuple(u for u in g.vertices() if u != v)
+    _expect(sub2, induced_subgraph(g, rest)[0], ColorBudget.uniform(len(rest), ell + 1), 2,
+            "two-color sub-oracle")
+
+    def engine(strategy, log):
+        out = [0] * g.vertex_count
+        _two_colors(strategy, v, pair, rest, sub2, out, log, v)
+        return tuple(out)
+
     budget = ColorBudget(tuple(pair[1] + 1 if u == v else ell + 1 for u in g.vertices()))
     construction = (
         f"two-colors v={v} colors={pair} ell={ell}",
@@ -381,23 +378,17 @@ def oracle_lemma_rus(
     if ell < 1:
         raise ValueError("need ell >= 1")
 
-    g1_graph, kept1 = induced_subgraph(g, part1)
-    g2_graph, kept2 = induced_subgraph(g, part2)
-    h2_vertices = tuple(u for u in part2 if u != v)
-    h2_graph, _ = induced_subgraph(g, h2_vertices)
-    premise_factory = premise2 or _exhaustive_premise(ell)
-    sub2 = premise_factory(h2_graph)
-    v2 = kept2.index(v)
-    # checks the part-2 premise oracle's shape
-    play2 = _two_at_v_engine(g2_graph, v2, ell, sub2)
+    g1_graph, _ = induced_subgraph(g, part1)
+    rest2 = tuple(u for u in part2 if u != v)
+    h2_graph, _ = induced_subgraph(g, rest2)
+    sub2 = (premise2 or _exhaustive_premise(ell))(h2_graph)
+    _expect(sub2, h2_graph, ColorBudget.uniform(len(rest2), ell + 1), 2, "two-color sub-oracle")
 
-    others1 = tuple(u for u in part1 if u != v)
     nv1 = tuple(u for u in g.neighbors(v) if u in s1)
     pos1 = {u: i for i, u in enumerate(part1)}
-    vpos = pos1[v]
+    vpos, v2 = pos1[v], part2.index(v)
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
-    budget1 = budget.restrict(kept1)
-    budget2 = budget.restrict(kept2)
+    budget1 = budget.restrict(part1)
     construction = (
         f"cut-split v={v} part1={part1} part2={part2} ell={ell}",
     ) + _indent(sub2.construction)
@@ -412,7 +403,7 @@ def oracle_lemma_rus(
         """
         tables = [
             tuple((c,) for c in v_guesses) if old_u == v else strategy.tables[old_u]
-            for old_u in kept1
+            for old_u in part1
         ]
         return Strategy(g1_graph, budget1, 1, tuple(tables))
 
@@ -463,25 +454,24 @@ def oracle_lemma_rus(
         phis = [tuple(r // stride[i] % (ell + 1) for i in range(len(part1))) for r in firsts.values()]
         star = tuple(phis[0][pos1[u]] for u in nv1)
         _note(log, f"cut-split view {star} at {v} extends to colors {tuple(gammas)}")
-        fixed = {u: phis[0][pos1[u]] for u in others1}
-        induced2 = reindex(strategy, g2_graph, budget2, kept2, fixed)
+        # v's part-1 neighbors see the star under either coloring
+        out = [0] * g.vertex_count
+        for u, c in zip(nv1, star):
+            out[u] = c
         try:
-            psi = play2(induced2, log, tuple(gammas))
+            # the trace names v by its label in part 2
+            _two_colors(strategy, v, gammas, rest2, sub2, out, log, v2)
         except PremiseViolationError as exc:
             raise PremiseViolationError(
                 f"adversary wins the two-guess game on part 2 minus the cut vertex at {ell + 1} colors",
                 witness=exc.witness,
             ) from exc
-        pick = gammas.index(psi[v2])
-        out = [0] * g.vertex_count
-        for u in part1:
-            out[u] = phis[pick][pos1[u]]
-        for j, u in enumerate(kept2):
-            out[u] = psi[j]
-        if out[v] != gammas[pick]:
-            raise InternalError(
-                f"cut-split gave cut vertex {v} color {out[v]}, not the picked {gammas[pick]}"
-            )
+        # part 1's coloring must agree with the color the step gave v
+        phi = phis[gammas.index(out[v])]
+        if phi[vpos] != out[v]:
+            raise InternalError(f"cut-split colored cut vertex {v} {out[v]}, part 1 {phi[vpos]}")
+        for u, c in zip(part1, phi):
+            out[u] = c
         return tuple(out)
 
     # a defeat reads every part-1 coloring, as bits of the lex masks
@@ -574,9 +564,7 @@ def oracle_lemma_blocks(
             if inner.guess_count == 2:
                 # a one-guess table is a two-guess table of singletons
                 part = Strategy._unchecked(part.graph, part.budget, 2, part.tables)
-            colors = _sub_defeat(inner, part, log)
-            for i, u in enumerate(comp):
-                out[u] = colors[i]
+            _delegate(inner, part, comp, out, log)
         return tuple(out)
 
     need = max((inner.enumeration for _, inner in plans), default=0)
@@ -697,8 +685,10 @@ def oracle_theorem_circ(
         target = ColorBudget.uniform(sub_g.vertex_count, ell_val + 1)
 
         def engine(strategy, log):
+            out = [0] * sub_g.vertex_count
             view = reindex(strategy, inner.graph, inner.budget, sub_g.vertices())
-            return _sub_defeat(inner, view, log)
+            _delegate(inner, view, sub_g.vertices(), out, log)
+            return tuple(out)
 
         lines = (
             f"embed block into closure: certificate depth {cert.depth}",

@@ -252,6 +252,8 @@ _SPLITS = {
     "bowtie": (bowtie(), 2, (0, 1, 2), (2, 3, 4)),
     "p3-middle": (path(3), 1, (0, 1), (1, 2)),
     "degenerate-part2": (complete(2), 0, (0, 1), (0,)),
+    # v's label in part 2 (1) is neither its label in g (2) nor 0
+    "interleaved": (Graph.from_edges(5, [(0, 2), (2, 4), (0, 4), (1, 2), (2, 3), (1, 3)]), 2, (1, 2, 3), (0, 2, 4)),
 }
 
 
@@ -266,6 +268,10 @@ _SPLITS = {
         ("p3-middle", 2, 60),
         ("degenerate-part2", 1, 60),
         ("degenerate-part2", 2, 60),
+        ("interleaved", 1, 60),
+        ("interleaved", 2, 60),
+        ("interleaved", 3, 20),
+        ("interleaved", 6, 20),
     ],
 )
 def test_rus_matches_naive_cut_split(name, ell, trials):
@@ -651,6 +657,7 @@ def _sub(n: int, q: int, k: int):
         (lambda: oracle_exhaustive(path(2), ColorBudget.uniform(3, 2), 1), "budget length must match the vertex count"),
         (lambda: oracle_lemma_two_at_v(complete(2), 2, (0, 1), 2, _sub(1, 3, 2)), "v out of range"),
         (lambda: oracle_lemma_two_at_v(complete(2), 0, (0, 1), 0, _sub(1, 1, 2)), "need ell >= 1"),
+        (lambda: oracle_lemma_two_at_v(complete(2), 0, (-1, 0), 2, _sub(1, 3, 2)), "colors at v must be non-negative"),
         (lambda: oracle_lemma_rus(path(3), 1, (0, 1, 2), (1, 2), 2), "parts must intersect exactly in v"),
         (lambda: oracle_lemma_rus(path(3), 1, (0, 1), (1,), 2), "parts must cover the graph"),
         (lambda: oracle_lemma_rus(path(3), 1, (1,), (0, 1, 2), 2), "part 1 needs a vertex besides v"),
@@ -661,7 +668,7 @@ def _sub(n: int, q: int, k: int):
     ],
     ids=[
         "is-degree-cap", "is-ell", "is-vertex-range", "is-degree", "is-independent", "exhaustive-budget-length",
-        "two-vertex-range", "two-ell",
+        "two-vertex-range", "two-ell", "two-negative-color",
         "rus-intersection", "rus-cover", "rus-part1-size", "rus-ell", "blocks-ell", "tary-arity",
         "tary-height",
     ],
