@@ -30,32 +30,32 @@ each builder fixes the oracle's enumeration from sizes it holds, the
 largest over its own steps and its sub-oracles, and no engine checks a
 guard.  Only oracle_closure, oracle_theorem_circ and oracle_theorem_tary
 take guards, for what they check while building.  A composing oracle
-checks each sub-oracle's shape when it is built.  Its engine hands the
-sub-oracle a game.reindex view of exactly that graph and budget, and
-no internal hop, view included, checks again.  What makes views valid:
+checks each sub-oracle's shape, and plans the view of each sub-game it
+hands on (game.view_plan, which refuses a neighbor neither pinned nor
+kept), when it is built; its engine applies the plans (game.view), and
+no internal hop checks again.  What makes the views valid:
 
 - is: _expect fits sub to induced_subgraph(g, rest) at ell < ell^r + 1,
   the builder checks U, and a dodge color, the smallest missing of at
   most ell^r guesses, is <= ell^r < ell^r + 1;
 - two colors: _expect fits sub2 to g minus v at ell + 1, the builder
-  checks v and that the pair is non-negative, v's budget is max(pair) + 1,
-  each view pins only v, and merge_two_guess unites the two 1-guess views;
-- rus: the two-color views are built straight from the split's strategy
-  on g: no edge crosses the split, so every neighbor of part 2 minus v is
-  kept or is v, pinned to a digit < ell + 1; _expect fits sub2 at ell + 1;
-- blocks: a component is closed under neighbors, and its oracle is
-  built on, or fitted by _expect to, induced_subgraph(g, comp);
-- closure: a step keeps remove_leaf's vertices, restricts the budget
-  alike and pins the leaf below its budget (the InternalError check);
-- circ premise: the closure of sub_g's DFS certificate contains sub_g,
-  and closure_premise checks every closure budget, <= a(depth), against ell + 1;
+  checks that the pair is non-negative, v's budget is max(pair) + 1, and
+  merge_two_guess unites the two 1-guess views;
+- rus: the split's plan pins v of g itself to a digit < ell + 1, and
+  _expect fits sub2 to part 2 minus v at ell + 1;
+- blocks: each component's oracle is built on, or fitted by _expect
+  to, induced_subgraph(g, comp);
+- closure: a step restricts the budget to remove_leaf's vertices and
+  pins the leaf below its budget (the InternalError check);
+- circ premise: closure_premise checks every closure budget, <= a(depth),
+  against ell + 1;
 - solver._in_labels: a permutation; the game is the canonical one relabelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Optional
 
 from .bounds import GUARD_BITS, ceil_e_times, circ_bound, n_h_t_recursive, two_guess_seq
@@ -67,8 +67,9 @@ from .game import (
     is_defeating,
     lex_masks,
     merge_two_guess,
-    reindex,
     table_size,
+    view,
+    view_plan,
 )
 from .graphs import (
     Graph,
@@ -132,15 +133,15 @@ def _indent(lines) -> tuple:
     return tuple("  " + ln for ln in lines)
 
 
-def _delegate(oracle: AdversaryOracle, view: Strategy, kept, out: list, log) -> None:
-    """Run a sub-oracle's engine on view, a strategy on its graph, and
-    write its colors into out at kept (view vertex i plays kept[i]),
+def _delegate(oracle: AdversaryOracle, part: Strategy, kept, out: list, log) -> None:
+    """Run a sub-oracle's engine on part, a strategy on its graph, and
+    write its colors into out at kept (part's vertex i plays kept[i]),
     nesting its per-defeat trace."""
     if log is None:
-        colors = oracle.engine(view, None)
+        colors = oracle.engine(part, None)
     else:
         lines = []
-        colors = oracle.engine(view, lines)
+        colors = oracle.engine(part, lines)
         log.extend(_indent(lines))
     for u, c in zip(kept, colors):
         out[u] = c
@@ -228,32 +229,26 @@ def oracle_lemma_is(
     for u, w in combinations(u_tuple, 2):
         if g.has_edge(u, w):
             raise ValueError(f"peel set is not independent: edge ({u}, {w})")
-    u_members = set(u_tuple)
-    rest = tuple(v for v in g.vertices() if v not in u_members)
-    expect_sub, _ = induced_subgraph(g, rest)
-    _expect(sub, expect_sub, ColorBudget.uniform(len(rest), ell), 1, "peel sub-oracle")
+    rest = tuple(sorted(set(g.vertices()).difference(u_tuple)))
+    _expect(sub, induced_subgraph(g, rest)[0], ColorBudget.uniform(len(rest), ell), 1, "peel sub-oracle")
 
     cap = ell**r + 1
     budget = ColorBudget.uniform(g.vertex_count, cap)
+    plan = view_plan(g, budget, sub.graph, sub.budget, rest, u_tuple)
+    # u's entries where every neighbor wears a color < ell: one digit range per neighbor, first slowest
+    dodges = [(u, [range(0, ell * cap**k, cap**k) for k in reversed(range(g.degree(u)))]) for u in u_tuple]
     construction = (
         f"peel-independent-set U={u_tuple} r={r} ell={int_brief(ell)} budget={int_brief(cap)}",
     ) + _indent(sub.construction)
 
     def engine(strategy, log):
         out = [0] * g.vertex_count
-        qs = strategy.budget.sizes
-        for u in u_tuple:
-            nbrs, table = g.neighbors(u), strategy.tables[u]
-            guessed = set()
-            for sigma in product(range(ell), repeat=len(nbrs)):
-                idx = 0
-                for w, c in zip(nbrs, sigma):
-                    idx = idx * qs[w] + c
-                guessed.update(table[idx])
+        for u, digits in dodges:
+            entries = map(strategy.tables[u].__getitem__, map(sum, product(*digits)))
+            guessed = set(chain.from_iterable(entries))
             out[u] = _smallest_missing(guessed)
             _note(log, f"dodge u={u} color={out[u]} (saw {len(guessed)} guesses)")
-        fixed = {u: out[u] for u in u_tuple}
-        _delegate(sub, reindex(strategy, sub.graph, sub.budget, rest, fixed), rest, out, log)
+        _delegate(sub, view(strategy, plan, out), rest, out, log)
         return tuple(out)
 
     # each u enumerates the ell^deg(u) colorings of its neighbors
@@ -265,19 +260,19 @@ def oracle_lemma_is(
 # two colors at one vertex
 # ---------------------------------------------------------------------------
 
-def _two_colors(strategy, v, pair, rest, sub2, out: list, log, name) -> None:
-    """The two-color argument at v: write the colors of rest and v into out.
+def _two_colors(strategy, v, pair, plan, sub2, out: list, log, name) -> None:
+    """The two-color argument at v: write the colors of v and of rest,
+    plan's kept vertices, into out.
 
-    The one-guess strategy may color v from pair; every neighbor of a
-    vertex in rest is in rest or is v, and out holds the colors of v's
-    neighbors outside rest.  With v committed to pair, each vertex of
-    rest guesses from a two-element set, which sub2, a two-guess
-    adversary on the game rest induces, dodges at once; v's guess is then
-    determined and v takes the member of pair that differs from it,
-    traced as vertex name.
+    The one-guess strategy may color v from pair; plan pins only v, and
+    out holds the colors of v's neighbors outside rest.  With v committed
+    to pair, each vertex of rest guesses from a two-element set, which
+    sub2, a two-guess adversary on plan's game, dodges at once; v's guess
+    is then determined and v takes the other member of pair, traced as
+    vertex name.
     """
-    views = [reindex(strategy, sub2.graph, sub2.budget, rest, {v: c}) for c in pair]
-    _delegate(sub2, merge_two_guess(*views), rest, out, log)
+    views = [view(strategy, plan, {v: c}) for c in pair]
+    _delegate(sub2, merge_two_guess(*views), plan.kept, out, log)
     out[v] = pair[0]
     # v's entry depends only on its neighbors, all of which are set
     vguess = guesses_at(strategy, v, out)[0]
@@ -310,13 +305,14 @@ def oracle_lemma_two_at_v(
     rest = tuple(u for u in g.vertices() if u != v)
     _expect(sub2, induced_subgraph(g, rest)[0], ColorBudget.uniform(len(rest), ell + 1), 2,
             "two-color sub-oracle")
+    budget = ColorBudget(tuple(pair[1] + 1 if u == v else ell + 1 for u in g.vertices()))
+    plan = view_plan(g, budget, sub2.graph, sub2.budget, rest, (v,))
 
     def engine(strategy, log):
         out = [0] * g.vertex_count
-        _two_colors(strategy, v, pair, rest, sub2, out, log, v)
+        _two_colors(strategy, v, pair, plan, sub2, out, log, v)
         return tuple(out)
 
-    budget = ColorBudget(tuple(pair[1] + 1 if u == v else ell + 1 for u in g.vertices()))
     construction = (
         f"two-colors v={v} colors={pair} ell={ell}",
     ) + _indent(sub2.construction)
@@ -328,10 +324,7 @@ def oracle_lemma_two_at_v(
 # ---------------------------------------------------------------------------
 
 def _exhaustive_premise(ell: int):
-    def factory(sub_g: Graph) -> AdversaryOracle:
-        return oracle_exhaustive(sub_g, ColorBudget.uniform(sub_g.vertex_count, ell + 1), 2)
-
-    return factory
+    return lambda sub_g: oracle_exhaustive(sub_g, ColorBudget.uniform(sub_g.vertex_count, ell + 1), 2)
 
 
 def oracle_lemma_rus(
@@ -389,6 +382,7 @@ def oracle_lemma_rus(
     vpos, v2 = pos1[v], part2.index(v)
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
     budget1 = budget.restrict(part1)
+    plan2 = view_plan(g, budget, h2_graph, sub2.budget, rest2, (v,))
     construction = (
         f"cut-split v={v} part1={part1} part2={part2} ell={ell}",
     ) + _indent(sub2.construction)
@@ -460,7 +454,7 @@ def oracle_lemma_rus(
             out[u] = c
         try:
             # the trace names v by its label in part 2
-            _two_colors(strategy, v, gammas, rest2, sub2, out, log, v2)
+            _two_colors(strategy, v, gammas, plan2, sub2, out, log, v2)
         except PremiseViolationError as exc:
             raise PremiseViolationError(
                 f"adversary wins the two-guess game on part 2 minus the cut vertex at {ell + 1} colors",
@@ -539,32 +533,21 @@ def oracle_lemma_blocks(
             lines.append(f"  component {comp}: isolated vertex")
         elif peel is None:
             inner = premise_factory(premise)
-            _expect(
-                inner, comp_graph, ColorBudget.uniform(len(comp), ell + 1), 2,
-                "block premise oracle",
-            )
+            _expect(inner, comp_graph, ColorBudget.uniform(len(comp), ell + 1), 2, "block premise oracle")
             lines.append(f"  component {comp}: single block")
         else:
             block, cut = peel
-            rest = tuple(
-                u for u in comp_graph.vertices() if u not in block or u == cut
-            )
+            rest = tuple(u for u in comp_graph.vertices() if u not in block or u == cut)
             inner = oracle_lemma_rus(comp_graph, cut, rest, block, ell, premise2=premise_factory)
-            lines.append(
-                f"  component {comp}: peel block {block} at cut {cut}"
-            )
+            lines.append(f"  component {comp}: peel block {block} at cut {cut}")
         if premise is not None:
             lines.extend("  " + ln for ln in _indent(inner.construction))
-        plans.append((comp, inner))
+        plans.append((view_plan(g, budget, inner.graph, inner.budget, comp, (), inner.guess_count), inner))
 
     def engine(strategy, log):
         out = [0] * g.vertex_count
-        for comp, inner in plans:
-            part = reindex(strategy, inner.graph, inner.budget, comp)
-            if inner.guess_count == 2:
-                # a one-guess table is a two-guess table of singletons
-                part = Strategy._unchecked(part.graph, part.budget, 2, part.tables)
-            _delegate(inner, part, comp, out, log)
+        for plan, inner in plans:
+            _delegate(inner, view(strategy, plan), plan.kept, out, log)
         return tuple(out)
 
     need = max((inner.enumeration for _, inner in plans), default=0)
@@ -595,8 +578,8 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
     construction = (
         f"tree-closure n={tree.vertex_count} heights={tree.heights} budget={_budget_brief(budget)}",
     )
-    # the peel order does not depend on the strategy: fix it, and each
-    # remaining game, once
+    # the peel order does not depend on the strategy: fix it, and the plan
+    # of each step, a view of the step before's, once
     steps = []
     cur_tree, orig = tree, list(range(tree.vertex_count))
     cur_graph, cur_budget, need = cl_graph, budget, 0
@@ -607,24 +590,24 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
         need = max(need, table_size(cur_graph, cur_budget, leaf))
         cur_tree, kept = cur_tree.remove_leaf(leaf)
         orig = [orig[i] for i in kept]
-        cur_graph, cur_budget = induced_subgraph(cl_graph, orig)[0], budget.restrict(orig)
-        steps.append((leaf, label, cur_graph, cur_budget, kept))
+        sub_graph = induced_subgraph(cl_graph, orig)[0]
+        plan = view_plan(cur_graph, cur_budget, sub_graph, budget.restrict(orig), kept, (leaf,))
+        steps.append((leaf, label, plan))
+        cur_graph, cur_budget = plan.graph, plan.budget
     root = orig[0]
 
     def engine(strategy, log):
         out = [0] * tree.vertex_count
         cur = strategy
-        for leaf, label, sub_graph, sub_budget, kept in steps:
+        for leaf, label, plan in steps:
             # a leaf sees only its ancestors, so its table lists every view
             gamma = _smallest_missing(set().union(*cur.tables[leaf]))
             if gamma >= cur.budget[leaf]:
                 # the budget a(k+1) = 1 + 2P always leaves a color
-                raise InternalError(
-                    f"closure leaf {label}: no color left under budget {cur.budget[leaf]}"
-                )
+                raise InternalError(f"closure leaf {label}: no color left under budget {cur.budget[leaf]}")
             out[label] = gamma
             _note(log, f"closure leaf {label} height={tree.height_of(label)}: assign {gamma}")
-            cur = reindex(cur, sub_graph, sub_budget, kept, {leaf: gamma})
+            cur = view(cur, plan, {leaf: gamma})
         gamma = _smallest_missing(cur.tables[0][0])
         out[root] = gamma
         _note(log, f"closure root {root}: assign {gamma}")
@@ -683,11 +666,11 @@ def oracle_theorem_circ(
             )
         inner = oracle_closure(cert.tree, guards)
         target = ColorBudget.uniform(sub_g.vertex_count, ell_val + 1)
+        plan = view_plan(sub_g, target, inner.graph, inner.budget, sub_g.vertices())
 
         def engine(strategy, log):
             out = [0] * sub_g.vertex_count
-            view = reindex(strategy, inner.graph, inner.budget, sub_g.vertices())
-            _delegate(inner, view, sub_g.vertices(), out, log)
+            _delegate(inner, view(strategy, plan), plan.kept, out, log)
             return tuple(out)
 
         lines = (

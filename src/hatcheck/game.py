@@ -16,16 +16,18 @@ Representation choices, used everywhere downstream:
   2-guess strategy may have singleton entries.
 
 Every adversary argument pins some hat colors and plays the rest as a
-smaller or re-wired game.  reindex is the one view for that step: new
-vertex i plays old vertex kept[i], with pinned neighbors read from the
-fixed colors, unseen new neighbors ignored and out-of-budget guesses
-mapped to color 0.  Views read through: their tables, like sampled ones
-and merge_two_guess's, are LazyTables, which compute an entry on its
-first read, so a defeat pays only for the entries it reads.
+smaller or re-wired game, laid out by the graph alone.  view_plan fixes
+that layout once, in O(degree) per vertex: new vertex i plays old vertex
+kept[i], pinned neighbors are read from the fixed colors, unseen new
+neighbors ignored and out-of-budget guesses mapped to color 0.  view
+applies a plan to a strategy and the pinned colors at one base offset
+per vertex; reindex does both.  Views read through: their tables, like
+sampled ones and merge_two_guess's, are LazyTables, which compute an
+entry on its first read, so a defeat pays only for the entries it reads.
 
 Strategy(...) checks every table; that is the trust boundary, and
 strategy_from_text goes through it.  Producers whose tables are valid
-by construction (reindex, merge_two_guess, enumeration, sampling) build
+by construction (view, merge_two_guess, enumeration, sampling) build
 through the unchecked Strategy._unchecked instead, and views trust
 their callers' arguments, which construct's oracles fix when built.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 from math import prod
 from operator import index
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import Graph
 from .guards import DEFAULT_GUARDS, Guards
@@ -227,7 +229,7 @@ def lex_masks(g: Graph, budget: ColorBudget) -> LexMasks:
 class LazyTable(dict):
     """A guess table that computes entry i as _entry(i) on its first read.
 
-    SampledTable draws it, a reindex view clips a parent entry, a merge
+    SampledTable draws it, a view clips a parent entry, a merge
     view unites two.  Reads as the tuple of all entries: len, indexing
     (negative too), iteration, reversed, `in` and == against tuples and
     tables.  A dict, so that re-reading an entry costs one lookup and a
@@ -271,7 +273,7 @@ class LazyTable(dict):
 
 
 class _View(LazyTable):
-    """A reindex view's table: entry i is the parent entry rows[base + sum
+    """A view's table: entry i is the parent entry rows[base + sum
     of digit * stride] over the (radix, stride) digits of i, last neighbor
     first, seen under budget q (colors >= q become color 0)."""
 
@@ -301,44 +303,74 @@ class _Union(LazyTable):
         return tuple(sorted({*self._a[i], *self._b[i]}))
 
 
-def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=None) -> Strategy:
-    """View a strategy as one for a smaller or re-wired game.
+class ViewPlan(NamedTuple):
+    """A view's layout (see view_plan).  vertices: per new vertex, (old
+    vertex, (pinned vertex, place) pairs, (radix, stride) digits, budget,
+    table size); None where the layout is the old one."""
 
-    New vertex i plays old vertex kept[i] (kept: distinct old vertices,
-    one per new vertex).  Every old neighbor of kept[i] is either pinned
-    by fixed (an old vertex not kept -> a color in its old budget) or
-    kept as a new neighbor of i; new neighbors the old vertex never saw
-    are ignored.  budget must be pointwise <= the old budget of the kept
-    vertices; a guess outside it can never be right there and becomes
-    color 0.  So an assignment that defeats the view, extended by the
-    pinned colors, defeats the original strategy.  These preconditions
-    are the caller's; the one ValueError is for an old neighbor neither
-    fixed nor kept.  The identity view (same graph and budget, kept =
-    0..n-1, nothing fixed) is the strategy itself.  Other views cost
-    O(degree) per vertex to build and read an old entry on first read.
-    """
-    g, b = strategy.graph, strategy.budget
-    fixed = fixed or {}
-    if not fixed and graph == g and budget == b and tuple(kept) == tuple(range(graph.vertex_count)):
-        return strategy
+    graph: Graph
+    budget: ColorBudget
+    kept: tuple
+    guess_count: Optional[int]
+    vertices: Optional[tuple]
+
+
+def view_plan(graph: Graph, budget: ColorBudget, new_graph: Graph, new_budget: ColorBudget, kept, pinned=(),
+              guess_count=None) -> ViewPlan:
+    """Plan views of strategies on (graph, budget) as ones on (new_graph,
+    new_budget), in O(degree) per vertex.  New vertex i plays old vertex
+    kept[i] (distinct); each old neighbor of kept[i] is pinned or kept as
+    a new neighbor of i, and new neighbors it never saw are ignored.
+    new_budget is pointwise <= the kept vertices' old budget, and a guess
+    outside it becomes color 0.  So a defeat of the view, extended by the
+    pinned colors, defeats the strategy.  guess_count (default: the
+    strategy's) may read one guess as two.  Preconditions are the
+    caller's; the ValueError is for an old neighbor neither pinned nor kept."""
+    kept, pinned = tuple(kept), frozenset(pinned)
+    if not pinned and new_graph == graph and new_budget == budget and kept == tuple(range(graph.vertex_count)):
+        return ViewPlan(new_graph, new_budget, kept, guess_count, None)
     pos = {old: new for new, old in enumerate(kept)}
-    qs, old_qs = budget.sizes, b.sizes
-    tables = []
+    qs, old_qs = new_budget.sizes, budget.sizes
+    vertices = []
     for i, old in enumerate(kept):
-        # old entry index = base + sum over new neighbors j of stride[j] * color(j)
-        stride = dict.fromkeys(graph.neighbors(i), 0)
-        base, place = 0, 1
-        for u in reversed(g.neighbors(old)):
-            if u in fixed:
-                base += fixed[u] * place
+        # old entry index = sum over pins of place * color(u) + over new neighbors of stride[j] * color(j)
+        stride = dict.fromkeys(new_graph.neighbors(i), 0)
+        pins, place = [], 1
+        for u in reversed(graph.neighbors(old)):
+            if u in pinned:
+                pins.append((u, place))
             elif pos.get(u) in stride:
                 stride[pos[u]] = place
             else:
                 raise ValueError(f"vertex {old} sees vertex {u}, which is neither fixed nor a kept neighbor")
             place *= old_qs[u]
         digits = tuple((qs[j], stride[j]) for j in reversed(stride))
-        tables.append(_View(strategy.tables[old], base, digits, qs[i], prod(qs[j] for j in stride)))
-    return Strategy._unchecked(graph, budget, strategy.guess_count, tuple(tables))
+        vertices.append((old, tuple(pins), digits, qs[i], prod(qs[j] for j in stride)))
+    return ViewPlan(new_graph, new_budget, kept, guess_count, tuple(vertices))
+
+
+def view(strategy: Strategy, plan: ViewPlan, fixed=None) -> Strategy:
+    """The strategy on plan's game, pinned vertex u wearing fixed[u] (a
+    mapping or sequence by old vertex), at one base offset per vertex.
+    A plan that keeps the layout and guess count returns the strategy."""
+    guess_count = plan.guess_count or strategy.guess_count
+    if plan.vertices is None:
+        if guess_count == strategy.guess_count:
+            return strategy
+        return Strategy._unchecked(plan.graph, plan.budget, guess_count, strategy.tables)
+    parent, tables = strategy.tables, []
+    for old, pins, digits, q, size in plan.vertices:
+        base = 0
+        for u, place in pins:
+            base += fixed[u] * place
+        tables.append(_View(parent[old], base, digits, q, size))
+    return Strategy._unchecked(plan.graph, plan.budget, guess_count, tuple(tables))
+
+
+def reindex(strategy: Strategy, graph: Graph, budget: ColorBudget, kept, fixed=None) -> Strategy:
+    """A one-off view: its plan, O(degree) per vertex (see view_plan),
+    then the view, one base offset per vertex; fixed pins its keys."""
+    return view(strategy, view_plan(strategy.graph, strategy.budget, graph, budget, kept, fixed or ()), fixed)
 
 
 def merge_two_guess(a: Strategy, b: Strategy) -> Strategy:

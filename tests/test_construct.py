@@ -1,7 +1,10 @@
 """Constructive adversary builders: every argument defeats what it claims."""
 
+import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -124,6 +127,55 @@ def test_lemma_is_validation():
         oracle_lemma_is(g, (1, 2), 1, 2, oracle_exhaustive(
             Graph.from_edges(1, []), ColorBudget.uniform(1, 3), 1
         ))  # sub budget is not uniform ell
+
+
+def _dodge_by_colorings(strategy, g, u, ell):
+    """The peel's dodge at u by the loop over u's neighborhood colorings
+    below ell: (smallest unguessed color, guesses seen)."""
+    qs, guessed = strategy.budget.sizes, set()
+    for sigma in product(range(ell), repeat=g.degree(u)):
+        idx = 0
+        for w, c in zip(g.neighbors(u), sigma):
+            idx = idx * qs[w] + c
+        guessed.update(strategy.tables[u][idx])
+    return min(set(range(len(guessed) + 1)) - guessed), len(guessed)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_lemma_is_dodges_match_the_coloring_loop(degree, ell):
+    # the center of a star, last so that its leaves come first, and an
+    # isolated vertex, whose one index is 0
+    n = degree + 2
+    g = graph(n, *((i, degree) for i in range(degree)))
+    sub = oracle_exhaustive(Graph.from_edges(degree, []), ColorBudget.uniform(degree, ell), 1)
+    orc = oracle_lemma_is(g, (degree, n - 1), degree, ell, sub)
+    rng = SplitMix64(10 * ell + degree)
+    for _ in range(30):
+        s = random_strategy(g, orc.budget, 1, rng)
+        assignment, log = orc.defeat_traced(s)
+        expect = []
+        for u in (degree, n - 1):
+            color, seen = _dodge_by_colorings(s, g, u, ell)
+            assert assignment[u] == color
+            expect.append(f"dodge u={u} color={color} (saw {seen} guesses)")
+        assert list(log[:2]) == expect
+        assert is_defeating(s, assignment)
+
+
+def test_lemma_is_build_lists_no_colorings():
+    # the center of a 23-leaf star enumerates 2^23 colorings, near the
+    # guard; the build holds one index range per neighbor, not the list
+    sub = oracle_exhaustive(Graph.from_edges(23, []), ColorBudget.uniform(23, 2), 1)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    orc = oracle_lemma_is(star(23), (0,), 23, 2, sub)
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert orc.enumeration == 2**23 <= Guards().enumeration
+    assert elapsed < 1.0
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

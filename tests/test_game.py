@@ -29,6 +29,8 @@ from hatcheck.game import (
     strategy_to_text,
     table_size,
     total_table_size,
+    view,
+    view_plan,
 )
 from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import Guards
@@ -302,6 +304,10 @@ def test_reindex_identity_view_is_the_strategy():
     s = random_strategy(g, b, 1, SplitMix64(9))
     assert reindex(s, s.graph, s.budget, range(3)) is s
     assert reindex(s, Graph(3, frozenset(g.edges)), ColorBudget((2, 3, 2)), (0, 1, 2), {}) is s
+    assert view(s, view_plan(g, b, g, b, range(3))) is s
+    # the same layout read as two guesses shares the tables
+    wide = view(s, view_plan(g, b, g, b, range(3), (), 2))
+    assert wide.guess_count == 2 and wide.tables is s.tables
     # any other view is a new strategy
     assert reindex(s, g, ColorBudget((2, 2, 2)), range(3)) is not s
     assert reindex(s, g, b, (0, 1, 2)[::-1]) is not s
@@ -315,6 +321,9 @@ def test_reindex_rejects_dropped_neighbor_that_is_not_fixed():
     sub, kept = induced_subgraph(g, (0, 1))
     with pytest.raises(ValueError, match="neither fixed nor a kept neighbor"):
         reindex(s, sub, b.restrict(kept), kept)
+    # the plan refuses it before any strategy is seen
+    with pytest.raises(ValueError, match="neither fixed nor a kept neighbor"):
+        view_plan(g, b, sub, b.restrict(kept), kept)
 
 
 @st.composite
@@ -347,22 +356,32 @@ def assert_same_entries(view, referee):
 @given(_small_games(min_vertices=1, min_colors=2), st.integers(1, 2), st.integers(0, 2 ** 64 - 1), st.data())
 def test_views_match_the_eager_referee(game, guess_count, seed, data):
     # views over a fresh SampledTable (nothing drawn yet), over plain
-    # tuples, a view of a view (as oracle_closure builds), and the merge
-    # of two views that pin different colors (as the two-color lemma does)
+    # tuples, a view of a view (as oracle_closure builds), one plan
+    # applied to two colorings of its pins, a plan that reads one guess
+    # as two, and the merge of two views that pin different colors (as
+    # the two-color lemma does)
     g, budget = game
     sampled = random_strategy(g, budget, guess_count, SplitMix64(seed))
     twin = random_strategy(g, budget, guess_count, SplitMix64(seed))
     plain = Strategy(g, budget, guess_count, tuple(tuple(t) for t in twin.tables))
     args = data.draw(_views(g, budget))
-    view, referee = reindex(sampled, *args), eager_reindex(plain, *args)
-    assert_same_entries(view, referee)
+    graph_, budget_, kept, fixed = args
+    viewed, referee = reindex(sampled, *args), eager_reindex(plain, *args)
+    assert_same_entries(viewed, referee)
     assert_same_entries(reindex(plain, *args), referee)
-    inner = data.draw(_views(view.graph, view.budget))
+    inner = data.draw(_views(viewed.graph, viewed.budget))
     nested = reindex(reindex(random_strategy(g, budget, guess_count, SplitMix64(seed)), *args), *inner)
     assert_same_entries(nested, eager_reindex(referee, *inner))
-    if guess_count == 1 and args[3]:
-        graph_, budget_, kept, fixed = args
-        other = {u: data.draw(st.integers(0, budget[u] - 1)) for u in fixed}
+    plan = view_plan(g, budget, graph_, budget_, kept, fixed)
+    other = {u: data.draw(st.integers(0, budget[u] - 1)) for u in fixed}
+    fresh = random_strategy(g, budget, guess_count, SplitMix64(seed))
+    assert_same_entries(view(fresh, plan, fixed), referee)
+    assert_same_entries(view(fresh, plan, other), eager_reindex(plain, graph_, budget_, kept, other))
+    assert_same_entries(view(plain, plan, fixed), referee)
+    if guess_count == 1:
+        wide = view(fresh, view_plan(g, budget, graph_, budget_, kept, fixed, 2), fixed)
+        assert_same_entries(wide, Strategy(graph_, budget_, 2, referee.tables))
+    if guess_count == 1 and fixed:
         fresh = random_strategy(g, budget, 1, SplitMix64(seed))
         merged = merge_two_guess(reindex(fresh, *args), reindex(fresh, graph_, budget_, kept, other))
         expect = eager_merge_two_guess(referee, eager_reindex(plain, graph_, budget_, kept, other))

@@ -133,25 +133,46 @@ def _own_nodes(fn):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _callee(call) -> str:
+    """The name a call calls: f(...) and x.f(...) both call f."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _construct_calls(names, allowed) -> list:
+    """name:line of each call to one of names in the own body of a
+    construct function, nested ones included, that allowed(name, fn)
+    does not allow."""
+    path = SRC / "construct.py"
+    functions = list(_functions(ast.parse(path.read_text(), filename=str(path))))
+    # the walk reaches module-level steps and the engines nested in builders
+    assert {"_two_colors", "_delegate", "oracle_lemma_rus.engine"} <= {name for name, _ in functions}
+    return sorted(
+        f"{name}:{node.lineno}"
+        for name, fn in functions
+        if not allowed(name, fn)
+        for node in _own_nodes(fn)
+        if isinstance(node, ast.Call) and _callee(node) in names
+    )
+
+
 def test_construct_engines_check_no_guards():
     # an oracle's enumeration is fixed when it is built and checked once,
     # where a strategy enters (defeat, defeat_traced); oracle_closure
     # checks its assignment guard while building; no other function, an
     # engine, a nested helper or a module-level step, checks a guard
-    path = SRC / "construct.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    functions = list(_functions(tree))
-    assert {"_two_colors", "_delegate", "oracle_lemma_rus.engine"} <= {name for name, _ in functions}
     allowed = {"AdversaryOracle.defeat", "AdversaryOracle.defeat_traced", "oracle_closure"}
-    found = sorted(
-        f"{name}:{node.lineno}"
-        for name, fn in functions
-        if name not in allowed
-        for node in _own_nodes(fn)
-        if isinstance(node, ast.Call)
-        and (
-            (isinstance(node.func, ast.Attribute) and node.func.attr == "check")
-            or (isinstance(node.func, ast.Name) and node.func.id == "enumerate_assignments")
-        )
-    )
+    found = _construct_calls({"check", "enumerate_assignments"}, lambda name, fn: name in allowed)
     assert not found, f"construct functions check guards outside defeat and oracle_closure: {found}"
+
+
+def test_construct_engines_derive_no_views():
+    # a sub-game's layout depends on the graph alone, so the builder that
+    # delegates to it plans its view once; an engine, a nested helper or
+    # a module-level step only applies plans (game.view).  A builder is a
+    # function whose own body makes an AdversaryOracle
+    def builder(name, fn):
+        return any(isinstance(node, ast.Call) and _callee(node) == "AdversaryOracle" for node in _own_nodes(fn))
+
+    found = _construct_calls({"reindex", "view_plan"}, builder)
+    assert not found, f"construct functions outside a builder's body derive a view: {found}"
