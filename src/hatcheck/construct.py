@@ -29,27 +29,20 @@ checked once, where a strategy enters through defeat or defeat_traced:
 each builder fixes the oracle's enumeration from sizes it holds, the
 largest over its own steps and its sub-oracles, and no engine checks a
 guard.  Only oracle_closure, oracle_theorem_circ and oracle_theorem_tary
-take guards, for what they check while building.  A composing oracle
-checks each sub-oracle's shape, and plans the view of each sub-game it
-hands on (game.view_plan, which refuses a neighbor neither pinned nor
-kept), when it is built; its engine applies the plans (game.view), and
-no internal hop checks again.  What makes the views valid:
+take guards, for what they check while building.
 
-- is: _expect fits sub to induced_subgraph(g, rest) at ell < ell^r + 1,
-  the builder checks U, and a dodge color, the smallest missing of at
-  most ell^r guesses, is <= ell^r < ell^r + 1;
-- two colors: _expect fits sub2 to g minus v at ell + 1, the builder
-  checks that the pair is non-negative, v's budget is max(pair) + 1, and
-  merge_two_guess unites the two 1-guess views;
-- rus: the split's plan pins v of g itself to a digit < ell + 1, and
-  _expect fits sub2 to part 2 minus v at ell + 1;
-- blocks: each component's oracle is built on, or fitted by _expect
-  to, induced_subgraph(g, comp);
-- closure: a step restricts the budget to remove_leaf's vertices and
-  pins the leaf below its budget (the InternalError check);
-- circ premise: closure_premise checks every closure budget, <= a(depth),
-  against ell + 1;
-- solver._in_labels: a permutation; the game is the canonical one relabelled.
+A composing builder accepts a sub-oracle that hosts its sub-game
+(_hosts): as many vertices, every edge of the sub-game, at most the
+lemma's colors at each vertex (ell for the is peel, whose dodges assume
+neighbors below ell; ell + 1 elsewhere) and its guess count.  It plans
+the view onto the sub-oracle's own game when it is built (game.view_plan
+ignores a neighbor the host adds and reads a guess at or past its budget
+as color 0, so a defeat of the view, extended by the pinned colors,
+defeats the strategy); its engine applies the plans (game.view), and no
+internal hop checks again.  So the closure adversary of a block's DFS
+tree, a supergraph at a(depth) <= ell + 1 colors, plays the block as it
+is.  A closure step restricts the budget to remove_leaf's vertices and
+pins the leaf below its budget (the InternalError check).
 """
 
 from __future__ import annotations
@@ -111,13 +104,13 @@ class AdversaryOracle:
     enumeration: int = 0
 
     def defeat(self, strategy: Strategy, guards: Guards = DEFAULT_GUARDS) -> tuple:
-        _expect(strategy, self.graph, self.budget, self.guess_count, "strategy")
+        _expect(strategy, self)
         guards.check("enumeration", self.enumeration)
         return self.engine(strategy, None)
 
     def defeat_traced(self, strategy: Strategy, guards: Guards = DEFAULT_GUARDS):
         """The defeat plus the log of per-step color choices."""
-        _expect(strategy, self.graph, self.budget, self.guess_count, "strategy")
+        _expect(strategy, self)
         guards.check("enumeration", self.enumeration)
         log = []
         out = self.engine(strategy, log)
@@ -147,14 +140,30 @@ def _delegate(oracle: AdversaryOracle, part: Strategy, kept, out: list, log) -> 
         out[u] = c
 
 
-def _expect(x, graph: Graph, budget: ColorBudget, guess_count: int, what: str) -> None:
-    """Raise ValueError unless x (a strategy or an oracle) has this scope."""
-    if x.graph != graph:
-        raise ValueError(f"{what} is for a different graph than expected")
-    if x.guess_count != guess_count:
+def _expect(strategy: Strategy, oracle: AdversaryOracle) -> None:
+    """Raise ValueError unless strategy is in oracle's scope."""
+    if strategy.graph != oracle.graph:
+        raise ValueError("strategy is for a different graph than expected")
+    if strategy.guess_count != oracle.guess_count:
+        raise ValueError(f"strategy must play the {oracle.guess_count}-guess game")
+    if strategy.budget != oracle.budget:
+        raise ValueError(f"strategy budget must be {_budget_brief(oracle.budget)}")
+
+
+def _hosts(sub: AdversaryOracle, g: Graph, kept, cap: int, guess_count: int, what: str) -> None:
+    """Raise ValueError unless sub hosts the sub-game g induces on kept:
+    as many vertices, every edge of it (sub's vertex i plays kept[i]),
+    at most cap colors at each vertex, and guess_count guesses."""
+    game, _ = induced_subgraph(g, kept)
+    if sub.graph.vertex_count != game.vertex_count:
+        raise ValueError(f"{what} has {sub.graph.vertex_count} vertices, its sub-game {game.vertex_count}")
+    missing = sorted(game.edges - sub.graph.edges)
+    if missing:
+        raise ValueError(f"{what} lacks edge {missing[0]} of its sub-game")
+    if sub.guess_count != guess_count:
         raise ValueError(f"{what} must play the {guess_count}-guess game")
-    if x.budget != budget:
-        raise ValueError(f"{what} budget must be {_budget_brief(budget)}")
+    if max(sub.budget.sizes, default=1) > cap:
+        raise ValueError(f"{what} budget must be at most {int_brief(cap)} at each vertex")
 
 
 def _smallest_missing(taken) -> int:
@@ -212,9 +221,9 @@ def oracle_lemma_is(
 
     Each u in U sees at most ell^r neighborhood colorings once the rest
     of the graph is committed to colors < ell, so with ell^r + 1 colors
-    u gets a hat it never guesses.  The rest is delegated to sub, an
-    adversary for g minus U at uniform budget ell, and its output stays
-    below ell by construction.
+    u gets a hat it never guesses.  The rest is delegated to sub, a
+    one-guess adversary hosting g minus U with at most ell colors at each
+    vertex, so its output stays below ell.
     """
     u_tuple = tuple(sorted(set(u_set)))
     if r < 1:
@@ -230,7 +239,7 @@ def oracle_lemma_is(
         if g.has_edge(u, w):
             raise ValueError(f"peel set is not independent: edge ({u}, {w})")
     rest = tuple(sorted(set(g.vertices()).difference(u_tuple)))
-    _expect(sub, induced_subgraph(g, rest)[0], ColorBudget.uniform(len(rest), ell), 1, "peel sub-oracle")
+    _hosts(sub, g, rest, ell, 1, "peel sub-oracle")
 
     cap = ell**r + 1
     budget = ColorBudget.uniform(g.vertex_count, cap)
@@ -291,7 +300,7 @@ def oracle_lemma_two_at_v(
 
     The oracle's budget is max(two_colors) + 1 at v and ell + 1
     elsewhere, and the output always colors v within two_colors.  sub2
-    is a two-guess adversary for g minus v at uniform ell + 1.
+    is a two-guess adversary hosting g minus v at ell + 1 colors.
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError("v out of range")
@@ -303,8 +312,7 @@ def oracle_lemma_two_at_v(
     if ell < 1:
         raise ValueError("need ell >= 1")
     rest = tuple(u for u in g.vertices() if u != v)
-    _expect(sub2, induced_subgraph(g, rest)[0], ColorBudget.uniform(len(rest), ell + 1), 2,
-            "two-color sub-oracle")
+    _hosts(sub2, g, rest, ell + 1, 2, "two-color sub-oracle")
     budget = ColorBudget(tuple(pair[1] + 1 if u == v else ell + 1 for u in g.vertices()))
     plan = view_plan(g, budget, sub2.graph, sub2.budget, rest, (v,))
 
@@ -333,7 +341,7 @@ def oracle_lemma_rus(
     g1_vertices,
     g2_vertices,
     ell: int,
-    premise2=None,
+    sub2: Optional[AdversaryOracle] = None,
 ) -> AdversaryOracle:
     """Split the game at a cut vertex v into parts that only share v.
 
@@ -349,8 +357,8 @@ def oracle_lemma_rus(
     Either premise failing surfaces as PremiseViolationError whose
     witness is a winning player strategy for the corresponding part.
 
-    premise2 optionally replaces the exhaustive two-guess sub-oracle
-    factory for part 2 minus v (used by the pipeline builders).
+    sub2, a two-guess adversary hosting part 2 minus v at ell + 1 colors,
+    plays that premise; by default it is the exhaustive one.
     """
     part1 = tuple(sorted(set(g1_vertices)))
     part2 = tuple(sorted(set(g2_vertices)))
@@ -373,16 +381,15 @@ def oracle_lemma_rus(
 
     g1_graph, _ = induced_subgraph(g, part1)
     rest2 = tuple(u for u in part2 if u != v)
-    h2_graph, _ = induced_subgraph(g, rest2)
-    sub2 = (premise2 or _exhaustive_premise(ell))(h2_graph)
-    _expect(sub2, h2_graph, ColorBudget.uniform(len(rest2), ell + 1), 2, "two-color sub-oracle")
+    sub2 = sub2 or _exhaustive_premise(ell)(induced_subgraph(g, rest2)[0])
+    _hosts(sub2, g, rest2, ell + 1, 2, "two-color sub-oracle")
 
     nv1 = tuple(u for u in g.neighbors(v) if u in s1)
     pos1 = {u: i for i, u in enumerate(part1)}
     vpos, v2 = pos1[v], part2.index(v)
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
     budget1 = budget.restrict(part1)
-    plan2 = view_plan(g, budget, h2_graph, sub2.budget, rest2, (v,))
+    plan2 = view_plan(g, budget, sub2.graph, sub2.budget, rest2, (v,))
     construction = (
         f"cut-split v={v} part1={part1} part2={part2} ell={ell}",
     ) + _indent(sub2.construction)
@@ -533,12 +540,12 @@ def oracle_lemma_blocks(
             lines.append(f"  component {comp}: isolated vertex")
         elif peel is None:
             inner = premise_factory(premise)
-            _expect(inner, comp_graph, ColorBudget.uniform(len(comp), ell + 1), 2, "block premise oracle")
+            _hosts(inner, g, comp, ell + 1, 2, "block premise oracle")
             lines.append(f"  component {comp}: single block")
         else:
             block, cut = peel
             rest = tuple(u for u in comp_graph.vertices() if u not in block or u == cut)
-            inner = oracle_lemma_rus(comp_graph, cut, rest, block, ell, premise2=premise_factory)
+            inner = oracle_lemma_rus(comp_graph, cut, rest, block, ell, premise_factory(premise))
             lines.append(f"  component {comp}: peel block {block} at cut {cut}")
         if premise is not None:
             lines.extend("  " + ln for ln in _indent(inner.construction))
@@ -569,7 +576,10 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
     leaves (smallest index first) reduces to a single root with three
     colors against two guesses.
     """
-    top = two_guess_seq(tree.height + 1)
+    try:
+        top = two_guess_seq(tree.height + 1)
+    except ValueError:  # past the sequence cap, so past any guard
+        raise GuardExceededError("assignment", f"a({tree.height + 1})", guards.assignment) from None
     if not top.is_exact:
         raise GuardExceededError("assignment", top.to_text(), guards.assignment)
     budget = ColorBudget(tuple(int(two_guess_seq(k + 1).exact) for k in tree.heights))
@@ -665,18 +675,8 @@ def oracle_theorem_circ(
                 f"budget {ell_val + 1} cannot host a depth-{cert.depth} certificate (needs {need.to_text()})"
             )
         inner = oracle_closure(cert.tree, guards)
-        target = ColorBudget.uniform(sub_g.vertex_count, ell_val + 1)
-        plan = view_plan(sub_g, target, inner.graph, inner.budget, sub_g.vertices())
-
-        def engine(strategy, log):
-            out = [0] * sub_g.vertex_count
-            _delegate(inner, view(strategy, plan), plan.kept, out, log)
-            return tuple(out)
-
-        lines = (
-            f"embed block into closure: certificate depth {cert.depth}",
-        ) + _indent(inner.construction)
-        return AdversaryOracle(sub_g, target, 2, lines, engine, inner.enumeration)
+        lines = (f"embed block into closure: certificate depth {cert.depth}",) + _indent(inner.construction)
+        return replace(inner, construction=lines)
 
     try:
         core = oracle_lemma_blocks(g, ell_val, premise2=closure_premise)

@@ -534,7 +534,9 @@ def greedy_proper_coloring(g: Graph) -> tuple:
 # ---------------------------------------------------------------------------
 
 def tary_tree_size(t: int, h: int) -> int:
-    return sum(t**i for i in range(h + 1))
+    """Vertices of the complete t-ary tree of height h (t >= 2):
+    1 + t + ... + t^h, in closed form."""
+    return (t ** (h + 1) - 1) // (t - 1)
 
 
 def contains_tary_tree(

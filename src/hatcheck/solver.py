@@ -434,7 +434,9 @@ def players_win(
 
 def _in_labels(outcome: SolveOutcome, g: Graph, budget: ColorBudget, perm) -> SolveOutcome:
     """A canonical outcome in the labels of (g, budget), whose vertex v is
-    canonical vertex perm[v]."""
+    canonical vertex perm[v].  The certificate's view keeps no pins and
+    clips nothing: perm is a permutation, and (g, budget) is the
+    canonical game relabelled."""
     certificate = outcome.certificate
     if certificate is not None:
         # reindex reads through; a certificate stays plain, hashable tuples

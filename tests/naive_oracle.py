@@ -22,8 +22,9 @@ subset, so it shares nothing with the backtracking circumference search.
 The cut-split reference plays the cut-vertex split of
 construct.oracle_lemma_rus (with its default exhaustive part-2 premise)
 by looping over every part-1 coloring in lexicographic order and reading
-each player's guess from its table, so it shares nothing with the
-assignment masks the production engine uses.
+each player's guess from its table, and builds part 2's two-guess game
+with the eager view referees below, so it shares neither the assignment
+masks nor the read-through views the production engine uses.
 
 The layout referee builds the solver's covering layout one assignment,
 vertex and neighbor at a time, and finds each cell's lowest member by
@@ -41,7 +42,7 @@ from itertools import combinations, permutations, product
 from operator import and_
 
 from hatcheck.errors import PremiseViolationError
-from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, merge_two_guess, reindex, table_size
+from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, table_size
 from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import DEFAULT_GUARDS, Guards
 
@@ -229,11 +230,11 @@ def naive_cut_split_defeat(g: Graph, v: int, part1, part2, ell: int, strategy: S
     fixed = {u: c for u, c in phis[0].items() if u != v}
     g2, kept2 = induced_subgraph(g, part2)
     v2 = kept2.index(v)
-    on_part2 = reindex(strategy, g2, ColorBudget.uniform(len(part2), q), kept2, fixed)
+    on_part2 = eager_reindex(strategy, g2, ColorBudget.uniform(len(part2), q), kept2, fixed)
     rest = tuple(i for i in range(len(part2)) if i != v2)
     h2, _ = induced_subgraph(g2, rest)
     h2_budget = ColorBudget.uniform(len(rest), q)
-    merged = merge_two_guess(*(reindex(on_part2, h2, h2_budget, rest, {v2: c}) for c in gammas))
+    merged = eager_merge_two_guess(*(eager_reindex(on_part2, h2, h2_budget, rest, {v2: c}) for c in gammas))
     for tail in product(range(q), repeat=len(rest)):
         if all(tail[i] not in merged.tables[i][merged.entry_index(i, tail)] for i in range(len(rest))):
             break

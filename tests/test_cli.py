@@ -499,7 +499,7 @@ def test_defeat_checks_scope(lemma):
         ("rus", "73ffcbac5127ce635ab7c68db5b624b9d67719673badfa2b6b4e5a6e22669d6d"),
         ("blocks", "9aa382c5ba984cf6ce02980200b30629d4a8c6691aafccd942b16df2ce324936"),
         ("closure", "bfb329e985d04e5ee63b4ff8f7da2bd204ae0aa38736effb6d4a36989c0e485c"),
-        ("circ", "9cde9353dce40a74a4165c17ca300ba28214f8c139c1bd2bcef5dfca34ec6dbf"),
+        ("circ", "6a60438233e34a969686c807328f2cb8959fe8e6535791be3e548ccca86cfefb"),
         ("tary", "3cd88dadb504dd8663a779277eba4bfde4867f5a2012bb8cb928afa38d1fdc4f"),
     ],
 )
@@ -633,6 +633,18 @@ def test_verify_circ_past_the_sequence_cap_is_a_guard_refusal(capsys, tmp_path):
     assert "bound: 2^3.2021040376794865e+21\n" in out
     _, value = run(capsys, "bound", "--circ", "12")
     assert "value: 2^3.2021040376794865e+21\n" in value
+
+
+def test_verify_closure_past_the_sequence_cap_is_a_guard_refusal(capsys, tmp_path):
+    # a 70-vertex path rooted at an end has height 69: its root needs
+    # a(70) colors, past the sequence cap of 64, so the closure is refused
+    # as the assignment guard refuses a(30) on a 30-vertex path
+    p70 = tmp_path / "p70.graph"
+    p70.write_text(graph_to_text(Graph.from_edges(70, [(i, i + 1) for i in range(69)])))
+    code, out = run(capsys, "verify", str(p70), "--lemma", "closure", "--trials", "3")
+    assert code == 3
+    assert "sequence index" not in out
+    assert "error: guard 'assignment' exceeded: needed a(70), limit " in out
 
 
 def test_verify_circ_prints_a_derived_ell_past_the_int_str_limit(capsys, tmp_path):

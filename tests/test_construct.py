@@ -224,6 +224,19 @@ def test_two_at_v_rejects_misshaped_sub_oracle():
         oracle_lemma_two_at_v(complete(2), 0, (0, 1), 2, one_guess)
 
 
+def test_builders_accept_a_hosting_sub_oracle():
+    # a sub-oracle may play a supergraph of its sub-game with fewer colors:
+    # the peel's on K1 at 2 < ell = 3 colors, the two-color step's on K2,
+    # a supergraph of P3 minus its centre, at 5 = ell + 1 colors
+    peel = oracle_lemma_is(star(2), (1, 2), 1, 3, _sub(1, 2, 1))
+    assert peel.budget == ColorBudget.uniform(3, 4)
+    host = oracle_exhaustive(complete(2), ColorBudget.uniform(2, 5), 2)
+    two = oracle_lemma_two_at_v(path(3), 1, (0, 1), 4, host)
+    assert two.budget == ColorBudget((5, 2, 5))
+    for orc in (peel, two):
+        assert _assert_defeats_all(orc, trials=200) == 200
+
+
 # ---------------------------------------------------------------------------
 # cut-vertex split
 # ---------------------------------------------------------------------------
@@ -706,22 +719,29 @@ def _sub(n: int, q: int, k: int):
         (lambda: oracle_lemma_is(star(2), (1, 3), 1, 2, _sub(1, 2, 1)), "peel vertex 3 out of range"),
         (lambda: oracle_lemma_is(star(2), (0,), 1, 2, _sub(2, 2, 1)), "peel vertex 0 has degree 2 > 1"),
         (lambda: oracle_lemma_is(star(2), (0, 1), 2, 2, _sub(1, 2, 1)), r"peel set is not independent: edge \(0, 1\)"),
+        (lambda: oracle_lemma_is(star(2), (1, 2), 1, 2, _sub(2, 2, 1)), "peel sub-oracle has 2 vertices, its sub-game 1"),
+        (lambda: oracle_lemma_is(star(2), (1, 2), 1, 2, _sub(1, 3, 1)), "peel sub-oracle budget must be at most 2 at each"),
         (lambda: oracle_exhaustive(path(2), ColorBudget.uniform(3, 2), 1), "budget length must match the vertex count"),
         (lambda: oracle_lemma_two_at_v(complete(2), 2, (0, 1), 2, _sub(1, 3, 2)), "v out of range"),
         (lambda: oracle_lemma_two_at_v(complete(2), 0, (0, 1), 0, _sub(1, 1, 2)), "need ell >= 1"),
         (lambda: oracle_lemma_two_at_v(complete(2), 0, (-1, 0), 2, _sub(1, 3, 2)), "colors at v must be non-negative"),
+        (lambda: oracle_lemma_two_at_v(path(3), 0, (0, 1), 2, _sub(2, 3, 2)),
+         r"two-color sub-oracle lacks edge \(0, 1\) of its sub-game"),
         (lambda: oracle_lemma_rus(path(3), 1, (0, 1, 2), (1, 2), 2), "parts must intersect exactly in v"),
         (lambda: oracle_lemma_rus(path(3), 1, (0, 1), (1,), 2), "parts must cover the graph"),
         (lambda: oracle_lemma_rus(path(3), 1, (1,), (0, 1, 2), 2), "part 1 needs a vertex besides v"),
         (lambda: oracle_lemma_rus(path(3), 1, (0, 1), (1, 2), 0), "need ell >= 1"),
+        (lambda: oracle_lemma_rus(path(3), 1, (0, 1), (1, 2), 2, _sub(1, 4, 2)),
+         "two-color sub-oracle budget must be at most 3 at each"),
         (lambda: oracle_lemma_blocks(path(3), 0), "need ell >= 1"),
         (lambda: oracle_theorem_tary(path(3), 1, 2), "need t >= 2 and h >= 1"),
         (lambda: oracle_theorem_tary(path(3), 2, 0), "need t >= 2 and h >= 1"),
     ],
     ids=[
-        "is-degree-cap", "is-ell", "is-vertex-range", "is-degree", "is-independent", "exhaustive-budget-length",
-        "two-vertex-range", "two-ell", "two-negative-color",
-        "rus-intersection", "rus-cover", "rus-part1-size", "rus-ell", "blocks-ell", "tary-arity",
+        "is-degree-cap", "is-ell", "is-vertex-range", "is-degree", "is-independent", "is-sub-vertex-count",
+        "is-sub-color-cap", "exhaustive-budget-length", "two-vertex-range", "two-ell", "two-negative-color",
+        "two-sub-missing-edge", "rus-intersection", "rus-cover", "rus-part1-size", "rus-ell", "rus-sub-color-cap",
+        "blocks-ell", "tary-arity",
         "tary-height",
     ],
 )

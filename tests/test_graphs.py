@@ -382,6 +382,10 @@ def test_tary_size():
     assert tary_tree_size(2, 1) == 3
     assert tary_tree_size(2, 2) == 7
     assert tary_tree_size(3, 2) == 13
+    # the closed form agrees with the term-by-term sum
+    for t in range(2, 6):
+        for h in range(31):
+            assert tary_tree_size(t, h) == sum(t**i for i in range(h + 1))
 
 
 # ---------------------------------------------------------------------------

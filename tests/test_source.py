@@ -176,3 +176,12 @@ def test_construct_engines_derive_no_views():
 
     found = _construct_calls({"reindex", "view_plan"}, builder)
     assert not found, f"construct functions outside a builder's body derive a view: {found}"
+
+
+def test_construct_checks_only_strategies_for_an_exact_scope():
+    # a composing builder accepts any sub-oracle that hosts its sub-game
+    # (_hosts); the exact scope check, _expect, is for a strategy entering
+    # through defeat or defeat_traced
+    allowed = {"AdversaryOracle.defeat", "AdversaryOracle.defeat_traced"}
+    found = _construct_calls({"_expect"}, lambda name, fn: name in allowed)
+    assert not found, f"construct functions other than defeat and defeat_traced call _expect: {found}"
