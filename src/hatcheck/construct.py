@@ -41,14 +41,16 @@ as color 0, so a defeat of the view, extended by the pinned colors,
 defeats the strategy); its engine applies the plans (game.view), and no
 internal hop checks again.  So the closure adversary of a block's DFS
 tree, a supergraph at a(depth) <= ell + 1 colors, plays the block as it
-is.  A closure step restricts the budget to remove_leaf's vertices and
-pins the leaf below its budget (the InternalError check).
+is.  The closure makes no view: each leaf reads its own table at its
+descendants' colors and every coloring of its ancestors, and the color
+it takes stays below its budget (the InternalError check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
+from math import prod
 from typing import Callable, Optional
 
 from .bounds import GUARD_BITS, ceil_e_times, circ_bound, n_h_t_recursive, two_guess_seq
@@ -56,11 +58,12 @@ from .errors import GuardExceededError, InternalError, PremiseViolationError, in
 from .game import (
     ColorBudget,
     Strategy,
+    entry_places,
+    enumerate_assignments,
     guesses_at,
     is_defeating,
     lex_masks,
     merge_two_guess,
-    table_size,
     view,
     view_plan,
 )
@@ -194,7 +197,7 @@ def oracle_exhaustive(g: Graph, budget: ColorBudget, guess_count: int) -> Advers
     )
 
     def engine(strategy, log):
-        for assignment in product(*[range(q) for q in budget.sizes]):
+        for assignment in enumerate_assignments(budget):
             if is_defeating(strategy, assignment):
                 _note(log, f"exhaustive hit {assignment}")
                 return assignment
@@ -244,8 +247,8 @@ def oracle_lemma_is(
     cap = ell**r + 1
     budget = ColorBudget.uniform(g.vertex_count, cap)
     plan = view_plan(g, budget, sub.graph, sub.budget, rest, u_tuple)
-    # u's entries where every neighbor wears a color < ell: one digit range per neighbor, first slowest
-    dodges = [(u, [range(0, ell * cap**k, cap**k) for k in reversed(range(g.degree(u)))]) for u in u_tuple]
+    # u's entries where every neighbor wears a color < ell: one digit range per neighbor
+    dodges = [(u, [range(0, ell * p, p) for p in entry_places(g, budget, u)]) for u in u_tuple]
     construction = (
         f"peel-independent-set U={u_tuple} r={r} ell={int_brief(ell)} budget={int_brief(cap)}",
     ) + _indent(sub.construction)
@@ -588,37 +591,34 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
     construction = (
         f"tree-closure n={tree.vertex_count} heights={tree.heights} budget={_budget_brief(budget)}",
     )
-    # the peel order does not depend on the strategy: fix it, and the plan
-    # of each step, a view of the step before's, once
-    steps = []
-    cur_tree, orig = tree, list(range(tree.vertex_count))
-    cur_graph, cur_budget, need = cl_graph, budget, 0
-    while cur_tree.vertex_count > 1:
-        leaf = min(cur_tree.leaves())
-        label = orig[leaf]
-        # a leaf's table lists one entry per coloring of its ancestors
-        need = max(need, table_size(cur_graph, cur_budget, leaf))
-        cur_tree, kept = cur_tree.remove_leaf(leaf)
-        orig = [orig[i] for i in kept]
-        sub_graph = induced_subgraph(cl_graph, orig)[0]
-        plan = view_plan(cur_graph, cur_budget, sub_graph, budget.restrict(orig), kept, (leaf,))
-        steps.append((leaf, label, plan))
-        cur_graph, cur_budget = plan.graph, plan.budget
-    root = orig[0]
+    # the peel order does not depend on the strategy: fix it once.  A
+    # leaf's neighbors are its descendants, peeled before it and pinned at
+    # their colors, and its ancestors, one digit range each
+    steps, peeled = [], set()
+    while len(peeled) < tree.vertex_count:
+        leaf = min(v for v in range(tree.vertex_count) if v not in peeled and peeled.issuperset(tree.children[v]))
+        peeled.add(leaf)
+        places = dict(zip(cl_graph.neighbors(leaf), entry_places(cl_graph, budget, leaf)))
+        ancestors = tree.ancestors(leaf)
+        pins = [(u, p) for u, p in places.items() if u not in ancestors]
+        steps.append((leaf, pins, [range(0, budget[u] * places[u], places[u]) for u in ancestors]))
+    # the root, peeled last, sees every other vertex pinned
+    *steps, (root, root_pins, _) = steps
+    # a leaf's table lists one entry per coloring of its ancestors
+    need = max((prod(map(len, digits)) for *_, digits in steps), default=0)
 
     def engine(strategy, log):
         out = [0] * tree.vertex_count
-        cur = strategy
-        for leaf, label, plan in steps:
-            # a leaf sees only its ancestors, so its table lists every view
-            gamma = _smallest_missing(set().union(*cur.tables[leaf]))
-            if gamma >= cur.budget[leaf]:
+        for leaf, pins, digits in steps:
+            base = sum(out[u] * p for u, p in pins)
+            entries = map(strategy.tables[leaf].__getitem__, map(sum, product((base,), *digits)))
+            gamma = _smallest_missing(set(chain.from_iterable(entries)))
+            if gamma >= budget[leaf]:
                 # the budget a(k+1) = 1 + 2P always leaves a color
-                raise InternalError(f"closure leaf {label}: no color left under budget {cur.budget[leaf]}")
-            out[label] = gamma
-            _note(log, f"closure leaf {label} height={tree.height_of(label)}: assign {gamma}")
-            cur = view(cur, plan, {leaf: gamma})
-        gamma = _smallest_missing(cur.tables[0][0])
+                raise InternalError(f"closure leaf {leaf}: no color left under budget {budget[leaf]}")
+            out[leaf] = gamma
+            _note(log, f"closure leaf {leaf} height={tree.height_of(leaf)}: assign {gamma}")
+        gamma = _smallest_missing(strategy.tables[root][sum(out[u] * p for u, p in root_pins)])
         out[root] = gamma
         _note(log, f"closure root {root}: assign {gamma}")
         return tuple(out)

@@ -15,15 +15,18 @@ Representation choices, used everywhere downstream:
 * table entries are sorted tuples of at most guess_count colors.  A
   2-guess strategy may have singleton entries.
 
-Every adversary argument pins some hat colors and plays the rest as a
-smaller or re-wired game, laid out by the graph alone.  view_plan fixes
-that layout once, in O(degree) per vertex: new vertex i plays old vertex
-kept[i], pinned neighbors are read from the fixed colors, unseen new
-neighbors ignored and out-of-budget guesses mapped to color 0.  view
-applies a plan to a strategy and the pinned colors at one base offset
-per vertex; reindex does both.  Views read through: their tables, like
-sampled ones and merge_two_guess's, are LazyTables, which compute an
-entry on its first read, so a defeat pays only for the entries it reads.
+entry_places gives that encoding as place values, one per neighbor.
+An adversary argument that dodges at a vertex reads the vertex's own
+table at those places; one that delegates pins some hat colors and
+plays the rest as a smaller or re-wired game, laid out by the graph
+alone.  view_plan fixes that layout once, in O(degree) per vertex:
+new vertex i plays old vertex kept[i], pinned neighbors are read from
+the fixed colors, unseen new neighbors ignored and out-of-budget
+guesses mapped to color 0.  view applies a plan to a strategy and the
+pinned colors at one base offset per vertex; reindex does both.
+Views read through: their tables, like sampled ones and
+merge_two_guess's, are LazyTables, which compute an entry on its first
+read, so a defeat pays only for the entries it reads.
 
 Strategy(...) checks every table; that is the trust boundary, and
 strategy_from_text goes through it.  Producers whose tables are valid
@@ -50,7 +53,6 @@ from operator import index
 from typing import Iterator, NamedTuple, Optional
 
 from .graphs import Graph
-from .guards import DEFAULT_GUARDS, Guards
 from .rng import GAMMA, MASK, MUL1, MUL2, SplitMix64
 
 
@@ -84,9 +86,9 @@ class ColorBudget:
         return ColorBudget(tuple(self.sizes[v] for v in vertices))
 
 
-def enumerate_assignments(budget: ColorBudget, guards: Guards = DEFAULT_GUARDS) -> Iterator:
-    """All assignments within budget, in lexicographic order."""
-    guards.check("enumeration", budget.product())
+def enumerate_assignments(budget: ColorBudget) -> Iterator:
+    """All assignments within budget, in lexicographic order, generated
+    lazily; the enumeration guard is the caller's."""
     return product(*[range(q) for q in budget.sizes])
 
 
@@ -145,6 +147,16 @@ class Strategy:
 
 def table_size(g: Graph, budget: ColorBudget, v: int) -> int:
     return prod(map(budget.sizes.__getitem__, g.neighbors(v)))
+
+
+def entry_places(g: Graph, budget: ColorBudget, v: int) -> tuple:
+    """The place value of each neighbor of v, ascending, in v's entry
+    index: the product of the budgets of the neighbors after it."""
+    places, place = [], 1
+    for u in reversed(g.neighbors(v)):
+        places.append(place)
+        place *= budget.sizes[u]
+    return tuple(reversed(places))
 
 
 def total_table_size(g: Graph, budget: ColorBudget) -> int:
@@ -330,20 +342,19 @@ def view_plan(graph: Graph, budget: ColorBudget, new_graph: Graph, new_budget: C
     if not pinned and new_graph == graph and new_budget == budget and kept == tuple(range(graph.vertex_count)):
         return ViewPlan(new_graph, new_budget, kept, guess_count, None)
     pos = {old: new for new, old in enumerate(kept)}
-    qs, old_qs = new_budget.sizes, budget.sizes
+    qs = new_budget.sizes
     vertices = []
     for i, old in enumerate(kept):
         # old entry index = sum over pins of place * color(u) + over new neighbors of stride[j] * color(j)
         stride = dict.fromkeys(new_graph.neighbors(i), 0)
-        pins, place = [], 1
-        for u in reversed(graph.neighbors(old)):
+        pins = []
+        for u, place in zip(graph.neighbors(old), entry_places(graph, budget, old)):
             if u in pinned:
                 pins.append((u, place))
             elif pos.get(u) in stride:
                 stride[pos[u]] = place
             else:
                 raise ValueError(f"vertex {old} sees vertex {u}, which is neither fixed nor a kept neighbor")
-            place *= old_qs[u]
         digits = tuple((qs[j], stride[j]) for j in reversed(stride))
         vertices.append((old, tuple(pins), digits, qs[i], prod(qs[j] for j in stride)))
     return ViewPlan(new_graph, new_budget, kept, guess_count, tuple(vertices))

@@ -144,9 +144,6 @@ class RootedTree:
                 kids[p].append(v)
         return tuple(tuple(sorted(k)) for k in kids)
 
-    def leaves(self) -> tuple:
-        return tuple(v for v in range(self.vertex_count) if not self.children[v])
-
     def ancestors(self, v: int) -> tuple:
         """Proper ancestors of v, listed root first."""
         chain = []
@@ -155,20 +152,6 @@ class RootedTree:
             chain.append(u)
             u = self.parent[u]
         return tuple(reversed(chain))
-
-    def remove_leaf(self, v: int):
-        """Drop leaf v; returns (tree, kept) with kept[i] = old label of new i."""
-        if self.children[v]:
-            raise ValueError(f"{v} is not a leaf")
-        if self.vertex_count == 1:
-            raise ValueError("cannot remove the only vertex")
-        kept = tuple(u for u in range(self.vertex_count) if u != v)
-        relabel = {old: new for new, old in enumerate(kept)}
-        parent = tuple(
-            None if self.parent[old] is None else relabel[self.parent[old]]
-            for old in kept
-        )
-        return RootedTree(parent, relabel[self.root]), kept
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,7 @@ from typing import Optional
 from .game import (
     ColorBudget,
     Strategy,
+    entry_places,
     enumerate_assignments,
     is_defeating,
     lex_masks,
@@ -414,7 +415,7 @@ def players_win(
     if n <= _CANON_MAX_VERTICES:
         perm = max(permutations(perm), key=lambda p: _relabelled(g, budget, p))
     edges, sizes = _relabelled(g, budget, perm)
-    layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), guess_count, guards)
+    layout = _Layout(Graph(n, frozenset(edges)), ColorBudget(sizes), guess_count)
     exact = _exact_search(layout, max_transcript)
     local = _local_search(layout)
     while True:
@@ -474,11 +475,11 @@ class _Layout:
     game.lex_masks, with lowest flattened to cell ids.
     """
 
-    def __init__(self, g: Graph, budget: ColorBudget, guess_count: int, guards: Guards) -> None:
+    def __init__(self, g: Graph, budget: ColorBudget, guess_count: int) -> None:
         n = g.vertex_count
         qs = budget.sizes
         a_count = budget.product()
-        assigns = list(enumerate_assignments(budget, guards))
+        assigns = list(enumerate_assignments(budget))
 
         offsets, cell_owner, capacity, weight, columns = [], [], [], [], []
         for v in range(n):
@@ -487,12 +488,10 @@ class _Layout:
             cell_owner += [v] * size
             capacity += [min(guess_count, qs[v])] * size
             weight += [a_count // (qs[v] * size)] * size
-            radix = [0] * n  # mixed radix of the neighbors, last fastest
-            for u in g.neighbors(v):
-                radix[u] = size = size // qs[u]
+            radix = dict(zip(g.neighbors(v), entry_places(g, budget, v)))
             column = [offsets[v]]
             for w in range(n):
-                digits = [d * radix[w] for d in range(qs[w])]
+                digits = [d * radix.get(w, 0) for d in range(qs[w])]
                 column = [x + d for x in column for d in digits]
             columns.append(column)
         cells_of = list(zip(*columns))
@@ -755,7 +754,8 @@ def find_defeating_assignment(g: Graph, strategy: Strategy, guards: Guards = DEF
     if strategy.graph != g:
         raise ValueError("strategy is for a different graph")
     guards.check("assignment", strategy.budget.product())
-    for assignment in enumerate_assignments(strategy.budget, guards):
+    guards.check("enumeration", strategy.budget.product())
+    for assignment in enumerate_assignments(strategy.budget):
         if is_defeating(strategy, assignment):
             return assignment
     return None

@@ -26,6 +26,11 @@ each player's guess from its table, and builds part 2's two-guess game
 with the eager view referees below, so it shares neither the assignment
 masks nor the read-through views the production engine uses.
 
+The closure referee plays construct.oracle_closure: it peels leaves,
+smallest first, and reads each leaf's guesses with game.guesses_at over
+every coloring of its ancestors, so it shares neither the digit ranges
+nor game.entry_places with the production engine.
+
 The layout referee builds the solver's covering layout one assignment,
 vertex and neighbor at a time, and finds each cell's lowest member by
 scanning the assignments, so it shares neither the column build of
@@ -42,7 +47,7 @@ from itertools import combinations, permutations, product
 from operator import and_
 
 from hatcheck.errors import PremiseViolationError
-from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, table_size
+from hatcheck.game import ColorBudget, Strategy, enumerate_assignments, guesses_at, table_size
 from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import DEFAULT_GUARDS, Guards
 
@@ -57,8 +62,9 @@ def naive_players_win(
     n = g.vertex_count
     qs = budget.sizes
     guards.check("assignment", budget.product())
+    guards.check("enumeration", budget.product())
 
-    assigns = list(enumerate_assignments(budget, guards))
+    assigns = list(enumerate_assignments(budget))
 
     # flatten cells and fix the fill order: entry index, then vertex
     cells = []
@@ -334,3 +340,24 @@ def naive_layout(g: Graph, budget: ColorBudget, guess_count: int) -> dict:
         "cells_of": cells_of, "offsets": offsets, "cell_owner": cell_owner,
         "capacity": capacity, "weight": weight, "lowest": lowest,
     }
+
+
+def naive_closure_defeat(tree, strategy: Strategy) -> tuple:
+    """construct.oracle_closure's defeat of strategy, a two-guess strategy
+    on the closure of tree: each leaf in turn, smallest first, takes the
+    smallest color none of its guesses names over every coloring of its
+    ancestors, its descendants wearing the colors they already took."""
+    n = tree.vertex_count
+    out, peeled = [0] * n, set()
+    while len(peeled) < n:
+        leaf = min(v for v in range(n) if v not in peeled and peeled.issuperset(tree.children[v]))
+        ancestors = tree.ancestors(leaf)
+        guessed = set()
+        for colors in product(*[range(strategy.budget[u]) for u in ancestors]):
+            assignment = list(out)
+            for u, c in zip(ancestors, colors):
+                assignment[u] = c
+            guessed.update(guesses_at(strategy, leaf, assignment))
+        out[leaf] = min(c for c in range(len(guessed) + 1) if c not in guessed)
+        peeled.add(leaf)
+    return tuple(out)

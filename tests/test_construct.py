@@ -36,7 +36,7 @@ from hatcheck.rng import SplitMix64
 from hatcheck.solver import find_defeating_assignment
 
 from conftest import bowtie, cactus, complete, cycle, graph, path, star, winkler_strategy
-from naive_oracle import naive_cut_split_defeat
+from naive_oracle import naive_closure_defeat, naive_cut_split_defeat
 
 
 def _assert_defeats_all(oracle, trials=200, seed=2026):
@@ -517,6 +517,30 @@ def test_closure_leaf_color_ignores_ancestor_tables():
         a1 = orc.defeat(s1)
         a2 = orc.defeat(hybrid)
         assert a1[1] == a2[1]
+
+
+def _rooted_trees(n):
+    """Every rooted tree on vertices 0..n-1."""
+    for parent in product(*[[None, *(u for u in range(n) if u != v)] for v in range(n)]):
+        if parent.count(None) == 1:
+            try:
+                yield RootedTree(parent, parent.index(None))
+            except ValueError:  # a cycle off the root
+                pass
+
+
+def test_closure_defeats_match_the_referee():
+    # the same colors, not just some defeat, as the leaf-by-leaf referee
+    # picks, on every rooted tree on at most 4 vertices and the 5-star
+    trees = [tree for n in range(1, 5) for tree in _rooted_trees(n)]
+    assert len(trees) == 1 + 2 + 9 + 64
+    rng = SplitMix64(23)
+    for tree in trees + [RootedTree((None, 0, 0, 0, 0), 0)]:
+        # a path of 4 has 3 * 7 * 43 * 1807 assignments
+        orc = oracle_closure(tree, Guards(assignment=2 * 10**6))
+        for _ in range(3):
+            s = random_strategy(orc.graph, orc.budget, 2, rng)
+            assert orc.defeat(s) == naive_closure_defeat(tree, s)
 
 
 # ---------------------------------------------------------------------------

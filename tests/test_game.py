@@ -14,6 +14,7 @@ from hatcheck.game import (
     LazyTable,
     SampledTable,
     Strategy,
+    entry_places,
     enumerate_assignments,
     enumerate_strategies,
     guess_set_count,
@@ -35,6 +36,7 @@ from hatcheck.game import (
 from hatcheck.graphs import Graph, induced_subgraph
 from hatcheck.guards import Guards
 from hatcheck.rng import GAMMA, MASK, SplitMix64, mix
+from hatcheck.solver import find_defeating_assignment
 from naive_oracle import eager_merge_two_guess, eager_reindex
 
 
@@ -59,8 +61,17 @@ def test_enumerate_assignments_counts_and_order():
 
 
 def test_enumerate_assignments_guard():
-    with pytest.raises(GuardExceededError):
-        list(enumerate_assignments(ColorBudget((100, 100, 100, 100)), Guards()))
+    # the generator is lazy and checks no guard; the enumeration guard is
+    # checked where a caller hands in the game: the solver's entry points
+    # and an oracle's defeat
+    budget = ColorBudget((100, 100, 100, 100))
+    assert next(enumerate_assignments(budget)) == (0, 0, 0, 0)
+    g = Graph(4, frozenset())
+    s = random_strategy(g, budget, 1, SplitMix64(1))
+    with pytest.raises(GuardExceededError, match="enumeration"):
+        find_defeating_assignment(g, s, Guards(assignment=10**9))
+    with pytest.raises(GuardExceededError, match="enumeration"):
+        oracle_exhaustive(g, budget, 1).defeat(s)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +146,8 @@ def test_defeat_monotone_under_budget_extension():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _small_games(draw, min_vertices=0, min_colors=1):
-    n = draw(st.integers(min_vertices, 4))
+def _small_games(draw, min_vertices=0, min_colors=1, max_vertices=4):
+    n = draw(st.integers(min_vertices, max_vertices))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     sizes = draw(st.lists(st.integers(min_colors, 3), min_size=n, max_size=n))
@@ -165,6 +176,18 @@ def test_lex_masks_match_enumerated_ranks(game):
                 assert mask == members[v, i, col]
                 cell |= mask
             assert lex.cell_pattern[v] << low == cell
+
+
+@given(_small_games(max_vertices=6), st.data())
+def test_entry_places_define_the_entry_index(game, data):
+    # entry_places is the one definition of a table's layout: the place
+    # value of each neighbor, ascending, weighs its color in the entry index
+    g, budget = game
+    a = tuple(data.draw(st.integers(0, q - 1)) for q in budget.sizes)
+    reader = Strategy(g, budget, 1, tuple(((0,),) * table_size(g, budget, v) for v in range(g.vertex_count)))
+    for v in range(g.vertex_count):
+        places = entry_places(g, budget, v)
+        assert sum(a[u] * p for u, p in zip(g.neighbors(v), places, strict=True)) == reader.entry_index(v, a)
 
 
 def test_lex_masks_of_an_isolated_vertex_and_a_neighbor():
@@ -356,7 +379,7 @@ def assert_same_entries(view, referee):
 @given(_small_games(min_vertices=1, min_colors=2), st.integers(1, 2), st.integers(0, 2 ** 64 - 1), st.data())
 def test_views_match_the_eager_referee(game, guess_count, seed, data):
     # views over a fresh SampledTable (nothing drawn yet), over plain
-    # tuples, a view of a view (as oracle_closure builds), one plan
+    # tuples, a view of a view (as a nested delegation builds), one plan
     # applied to two colorings of its pins, a plan that reads one guess
     # as two, and the merge of two views that pin different colors (as
     # the two-color lemma does)

@@ -443,15 +443,13 @@ def test_connectivity_helpers():
         (lambda: RootedTree((1, None), 0), "root must have parent None"),
         (lambda: RootedTree((None, None), 0), "exactly one vertex may lack a parent"),
         (lambda: RootedTree((None, 2, 1), 0), "vertex 1 does not reach the root"),
-        (lambda: RootedTree((None, 0), 0).remove_leaf(0), "0 is not a leaf"),
-        (lambda: RootedTree((None,), 0).remove_leaf(0), "cannot remove the only vertex"),
         (lambda: dfs_treedepth_certificate(Graph(0, frozenset())), "empty graph has no certificate"),
         (lambda: dfs_treedepth_certificate(path(2), root=2), "root out of range"),
         (lambda: contains_tary_tree(path(3), 1, 1), "need t >= 2 and h >= 1"),
     ],
     ids=[
         "negative-count", "unordered-edge", "edge-out-of-range", "tree-root-range",
-        "tree-root-parent", "tree-two-roots", "tree-cycle", "remove-inner", "remove-only",
+        "tree-root-parent", "tree-two-roots", "tree-cycle",
         "certificate-empty", "certificate-root-range", "tary-tree-arity",
     ],
 )

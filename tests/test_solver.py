@@ -440,7 +440,7 @@ def _games(draw):
 @example((star(3), ColorBudget((2, 1, 3, 1))), 1)  # budget-1 leaves
 def test_layout_matches_the_per_assignment_build(game, guesses):
     g, budget = game
-    layout = solver._Layout(g, budget, guesses, Guards())
+    layout = solver._Layout(g, budget, guesses)
     naive = naive_layout(g, budget, guesses)
     assert [list(row) for row in layout.cells_of] == naive["cells_of"]
     for name in ("offsets", "cell_owner", "capacity", "weight", "lowest"):
@@ -744,7 +744,7 @@ def test_counting_before_the_layout_is_the_exact_search_at_its_root(g, sizes, gu
     # (its first resumption only yields), with the outcome players_win
     # returns without a layout
     budget = ColorBudget(sizes)
-    exact = solver._exact_search(solver._Layout(g, budget, guesses, Guards()), max_transcript)
+    exact = solver._exact_search(solver._Layout(g, budget, guesses), max_transcript)
     root = solver._advance(exact, 2)
     assert root is not None and root.winner == ADVERSARY
     assert players_win(g, budget, guesses, max_transcript=max_transcript) == root

@@ -160,10 +160,16 @@ def test_construct_engines_check_no_guards():
     # an oracle's enumeration is fixed when it is built and checked once,
     # where a strategy enters (defeat, defeat_traced); oracle_closure
     # checks its assignment guard while building; no other function, an
-    # engine, a nested helper or a module-level step, checks a guard
+    # engine, a nested helper or a module-level step, checks a guard.
+    # Engines may enumerate assignments, as game.enumerate_assignments
+    # checks no guard either
     allowed = {"AdversaryOracle.defeat", "AdversaryOracle.defeat_traced", "oracle_closure"}
-    found = _construct_calls({"check", "enumerate_assignments"}, lambda name, fn: name in allowed)
+    found = _construct_calls({"check"}, lambda name, fn: name in allowed)
     assert not found, f"construct functions check guards outside defeat and oracle_closure: {found}"
+    path = SRC / "game.py"
+    functions = dict(_functions(ast.parse(path.read_text(), filename=str(path))))
+    calls = {_callee(node) for node in ast.walk(functions["enumerate_assignments"]) if isinstance(node, ast.Call)}
+    assert "check" not in calls, "game.enumerate_assignments checks a guard"
 
 
 def test_construct_engines_derive_no_views():
@@ -176,6 +182,16 @@ def test_construct_engines_derive_no_views():
 
     found = _construct_calls({"reindex", "view_plan"}, builder)
     assert not found, f"construct functions outside a builder's body derive a view: {found}"
+
+
+def test_closure_makes_no_view():
+    # every kept vertex of the closure keeps its own budget, so a leaf's
+    # entries are read from its own table in the strategy's labels
+    found = _construct_calls(
+        {"view", "view_plan", "induced_subgraph"},
+        lambda name, fn: not (name == "oracle_closure" or name.startswith("oracle_closure.")),
+    )
+    assert not found, f"oracle_closure derives or applies a view: {found}"
 
 
 def test_construct_checks_only_strategies_for_an_exact_scope():
