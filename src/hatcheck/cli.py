@@ -4,15 +4,18 @@ Reports are line oriented ("key: value") and deterministic for a fixed
 input file, flags, and seed; the wall-time line always comes last so
 callers can drop it when comparing runs.  Exit codes: 0 success, 2
 parse/usage error, 3 guard refusal, 4 a claimed defeat failed to check,
-5 premise violation, 6 internal invariant failed.
+5 premise violation, 6 internal invariant failed.  A closed stdout drops
+the rest of the report and keeps the command's exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
+from functools import cache
 
 from .bounds import (
     BigBound,
@@ -424,7 +427,10 @@ def cmd_verify(args, lines: list, guards: Guards) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing reads the tree and never changes it."""
     parser = argparse.ArgumentParser(
         prog="hatcheck",
         description="exact solving, certified bounds, and adversary verification "
@@ -514,7 +520,12 @@ def entry(argv=None) -> int:
         lines.append(f"internal_error: {exc}")
         code = EXIT_INTERNAL
     lines.append(f"wall_time_s: {time.perf_counter() - started:.3f}")
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): the rest of the report,
+        # and the interpreter's flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

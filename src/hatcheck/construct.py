@@ -120,9 +120,11 @@ class AdversaryOracle:
         return out, tuple(log)
 
 
-def _note(log, line: str) -> None:
+def _note(log, fmt: str, *args) -> None:
+    """Append fmt.format(*args) to a defeat's trace; untraced defeats
+    (log None) skip the formatting."""
     if log is not None:
-        log.append(line)
+        log.append(fmt.format(*args))
 
 
 def _indent(lines) -> tuple:
@@ -199,7 +201,7 @@ def oracle_exhaustive(g: Graph, budget: ColorBudget, guess_count: int) -> Advers
     def engine(strategy, log):
         for assignment in enumerate_assignments(budget):
             if is_defeating(strategy, assignment):
-                _note(log, f"exhaustive hit {assignment}")
+                _note(log, "exhaustive hit {}", assignment)
                 return assignment
         raise PremiseViolationError(
             "some assignment within budget defeats the strategy",
@@ -259,7 +261,7 @@ def oracle_lemma_is(
             entries = map(strategy.tables[u].__getitem__, map(sum, product(*digits)))
             guessed = set(chain.from_iterable(entries))
             out[u] = _smallest_missing(guessed)
-            _note(log, f"dodge u={u} color={out[u]} (saw {len(guessed)} guesses)")
+            _note(log, "dodge u={} color={} (saw {} guesses)", u, out[u], len(guessed))
         _delegate(sub, view(strategy, plan, out), rest, out, log)
         return tuple(out)
 
@@ -289,7 +291,7 @@ def _two_colors(strategy, v, pair, plan, sub2, out: list, log, name) -> None:
     # v's entry depends only on its neighbors, all of which are set
     vguess = guesses_at(strategy, v, out)[0]
     out[v] = pair[1] if vguess == pair[0] else pair[0]
-    _note(log, f"two-color vertex {name}: determined guess {vguess}, assign {out[v]}")
+    _note(log, "two-color vertex {}: determined guess {}, assign {}", name, vguess, out[v])
 
 
 def oracle_lemma_two_at_v(
@@ -457,7 +459,7 @@ def oracle_lemma_rus(
         gammas = sorted(firsts)
         phis = [tuple(r // stride[i] % (ell + 1) for i in range(len(part1))) for r in firsts.values()]
         star = tuple(phis[0][pos1[u]] for u in nv1)
-        _note(log, f"cut-split view {star} at {v} extends to colors {tuple(gammas)}")
+        _note(log, "cut-split view {} at {} extends to colors {}", star, v, tuple(gammas))
         # v's part-1 neighbors see the star under either coloring
         out = [0] * g.vertex_count
         for u, c in zip(nv1, star):
@@ -617,10 +619,10 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
                 # the budget a(k+1) = 1 + 2P always leaves a color
                 raise InternalError(f"closure leaf {leaf}: no color left under budget {budget[leaf]}")
             out[leaf] = gamma
-            _note(log, f"closure leaf {leaf} height={tree.height_of(leaf)}: assign {gamma}")
+            _note(log, "closure leaf {} height={}: assign {}", leaf, tree.heights[leaf], gamma)
         gamma = _smallest_missing(strategy.tables[root][sum(out[u] * p for u, p in root_pins)])
         out[root] = gamma
-        _note(log, f"closure root {root}: assign {gamma}")
+        _note(log, "closure root {}: assign {}", root, gamma)
         return tuple(out)
 
     return AdversaryOracle(cl_graph, budget, 2, construction, engine, need)

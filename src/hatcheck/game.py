@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, product
-from math import prod
+from math import isqrt, prod
 from operator import index
 from typing import Iterator, NamedTuple, Optional
 
@@ -437,18 +437,20 @@ def guess_set_count(q: int, guess_count: int) -> int:
 def nth_guess_set(q: int, guess_count: int, i: int) -> tuple:
     """The i-th guess set: singletons first, then pairs (c1 < c2), both lex.
 
-    Pure arithmetic so budgets in the billions stay cheap to sample.
+    Decoded in O(1) by integer arithmetic, so budgets in the billions stay
+    cheap to sample.  Raises IndexError unless 0 <= i <
+    guess_set_count(q, guess_count).
     """
-    if i < q:
+    if 0 <= i < q:
         return (i,)
-    if guess_count != 2:
-        raise IndexError("guess set index out of range")
-    k = i - q
-    c1 = 0
-    while k >= q - 1 - c1:
-        k -= q - 1 - c1
-        c1 += 1
-    return (c1, c1 + 1 + k)
+    # r counts back from the last of the q(q+1)/2 two-guess sets: the j+1
+    # pairs with first color q-2-j hold r in [T(j), T(j+1)) for
+    # T(j) = j(j+1)/2, and T(j) <= r exactly when 2j+1 <= isqrt(8r+1)
+    r = q * (q + 1) // 2 - 1 - i
+    if i < 0 or r < 0 or guess_count != 2:
+        raise IndexError(f"guess set index {i} out of range for {guess_set_count(q, guess_count)} guess sets")
+    j = (isqrt(8 * r + 1) - 1) // 2
+    return (q - 2 - j, q - 1 - r + j * (j + 1) // 2)
 
 
 def guess_set_choices(q: int, guess_count: int) -> tuple:

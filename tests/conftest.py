@@ -1,5 +1,6 @@
 """Shared builders and a deterministic hypothesis profile."""
 
+import re
 from itertools import combinations
 
 from hypothesis import HealthCheck, settings
@@ -14,6 +15,13 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 settings.load_profile("repro")
+
+
+def documented_exit_codes(text: str) -> set:
+    """The codes of text's "Exit codes: 0 ..., 2 ..." paragraph, up to
+    the next blank line."""
+    para = text[text.index("Exit codes:"):].split("\n\n")[0]
+    return {int(code) for code in re.findall(r"(?:codes:|,)\s+(\d+)\s", para)}
 
 
 def graph(n: int, *edges) -> Graph:

@@ -1,7 +1,10 @@
 """Command line surface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,9 +20,10 @@ from hatcheck.guards import DEFAULT_GUARDS
 from hatcheck.rng import SplitMix64
 from hatcheck.solver import find_defeating_assignment
 
-from conftest import complete, cycle
+from conftest import complete, cycle, documented_exit_codes
 
-GRAPHS = Path(__file__).resolve().parent.parent / "scripts" / "graphs"
+ROOT = Path(__file__).resolve().parent.parent
+GRAPHS = ROOT / "scripts" / "graphs"
 
 
 def graph_path(name: str) -> str:
@@ -757,6 +761,74 @@ def test_seed_changes_sampled_strategies(capsys):
     assert strip_timing(out_a) != strip_timing(out_b)
 
 
+def run_fresh(*argv, **popen):
+    """`hatcheck argv` in a new interpreter, importing ./src."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.Popen([sys.executable, "-m", "hatcheck.cli", *argv], env=env, **popen)
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # a usage error and --help, each ending argparse with SystemExit, leave
+    # nothing behind for the next call in the process
+    assert entry(["bound", "--circ", "x"]) == 2
+    assert entry(["--help"]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "bound", "--circ", "5")
+    fresh = run_fresh("bound", "--circ", "5", stdout=subprocess.PIPE, text=True)
+    fresh_out, _ = fresh.communicate(timeout=120)
+    assert code == fresh.returncode == 0
+    assert strip_timing(out) == strip_timing(fresh_out)
+
+
+def test_entry_builds_the_parser_once(capsys, monkeypatch):
+    # one tree: the root parser and one parser per subcommand, built on
+    # the first call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    try:
+        for argv in (["bound", "--circ", "4"], ["bound", "--lll", "3"], ["bound"], ["analyze", graph_path("k3")]):
+            entry(argv)
+    finally:
+        build_parser.cache_clear()
+    capsys.readouterr()
+    assert built == ["hatcheck"] + [f"hatcheck {name}" for name in ("analyze", "solve", "bound", "verify")]
+
+
+def test_closed_stdout_ends_the_run_cleanly():
+    # the reader goes away before the report is written, as `| head` does
+    # once it has what it wants: the command's own exit code, no traceback
+    proc = run_fresh(
+        "bound", "--seq", "a", "--n", "19",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert code in documented_exit_codes((ROOT / "README.md").read_text())
+    assert code == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_run_without_stdout_keeps_its_exit_code():
+    # `hatcheck ... >&-`: the interpreter starts with sys.stdout None, and
+    # print drops the report
+    proc = run_fresh(
+        "bound", "--circ", "5",
+        stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
+    )
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # README
 # ---------------------------------------------------------------------------
@@ -764,13 +836,12 @@ def test_seed_changes_sampled_strategies(capsys):
 def test_readme_cli_examples_run(capsys, monkeypatch):
     # every `hatcheck ...` line of the sh block under README "CLI", run
     # from the repository root as the README shows, exits 0
-    root = GRAPHS.parent.parent
-    section = (root / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
     commands = [argv for argv in commands if argv]
     assert len(commands) == 8
-    monkeypatch.chdir(root)
+    monkeypatch.chdir(ROOT)
     for argv in commands:
         assert argv[0] == "hatcheck"
         code, out = run(capsys, *argv[1:])

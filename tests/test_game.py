@@ -472,6 +472,48 @@ def test_guess_sets_singletons_then_pairs():
     assert sets == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 
 
+def loop_nth_guess_set(q: int, guess_count: int, i: int) -> tuple:
+    """The referee: the pair index decoded by walking the first colors."""
+    if i < q:
+        return (i,)
+    k = i - q
+    c1 = 0
+    while k >= q - 1 - c1:
+        k -= q - 1 - c1
+        c1 += 1
+    return (c1, c1 + 1 + k)
+
+
+def test_nth_guess_set_matches_the_loop_on_every_small_index():
+    for q in range(1, 60):
+        for guess_count in (1, 2):
+            for i in range(guess_set_count(q, guess_count)):
+                assert nth_guess_set(q, guess_count, i) == loop_nth_guess_set(q, guess_count, i)
+
+
+@pytest.mark.parametrize("q, draws", [(1807, 400), (3263443, 4)])
+def test_nth_guess_set_matches_the_loop_on_sampled_indices(q, draws):
+    # the referee walks up to q first colors per index, so the larger
+    # budget gets fewer uniform draws
+    count = guess_set_count(q, 2)
+    rng = SplitMix64(q)
+    # the last singleton and the first pairs, and the first pair of a
+    # run of first color c1 with the last pair before it (c1 = q-2 runs
+    # to the last pair of all)
+    runs = [q + c1 * (2 * q - 1 - c1) // 2 for c1 in (1, 2, q // 2, q - 2)]
+    assert runs[-1] == count - 1
+    indices = [*range(q - 1, q + 3), *(i - 1 for i in runs), *runs]
+    indices += [rng.below(count) for _ in range(draws)]
+    for i in indices:
+        assert nth_guess_set(q, 2, i) == loop_nth_guess_set(q, 2, i)
+
+
+@pytest.mark.parametrize("q, guess_count, i", [(3, 2, 6), (3, 2, -1), (3, 1, 3), (3, 1, -1), (1, 2, 1)])
+def test_nth_guess_set_rejects_indices_out_of_range(q, guess_count, i):
+    with pytest.raises(IndexError, match="out of range"):
+        nth_guess_set(q, guess_count, i)
+
+
 def test_strategy_space_enumeration():
     g = complete(2)
     b = ColorBudget((2, 3))

@@ -8,6 +8,7 @@ import pytest
 
 import hatcheck
 import hatcheck.cli
+from conftest import documented_exit_codes
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hatcheck"
@@ -43,19 +44,13 @@ def test_benchmark_reads_only_public_names():
     assert not missing, f"perfbench/workloads.py reads names hatcheck does not export: {missing}"
 
 
-def _documented_exit_codes(text: str) -> set:
-    # the "Exit codes: 0 ..., 2 ..." paragraph, up to the next blank line
-    para = text[text.index("Exit codes:"):].split("\n\n")[0]
-    return {int(code) for code in re.findall(r"(?:codes:|,)\s+(\d+)\s", para)}
-
-
 def test_exit_codes_documented():
     # every EXIT_* code, and no other, is listed in the cli docstring and the README
     codes = {
         value for name, value in vars(hatcheck.cli).items() if name.startswith("EXIT_")
     }
-    assert _documented_exit_codes(hatcheck.cli.__doc__) == codes
-    assert _documented_exit_codes((ROOT / "README.md").read_text()) == codes
+    assert documented_exit_codes(hatcheck.cli.__doc__) == codes
+    assert documented_exit_codes((ROOT / "README.md").read_text()) == codes
 
 
 def test_no_private_names_imported_across_modules():
@@ -71,6 +66,24 @@ def test_no_private_names_imported_across_modules():
         if alias.name.startswith("_")
     ]
     assert not found, f"private names imported from other hatcheck modules: {found}"
+
+
+def test_trace_lines_are_formatted_lazily():
+    # _note formats its line only when the defeat is traced; an f-string
+    # argument would be formatted on every defeat, traced or not
+    calls = [
+        (path.name, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _callee(node) == "_note"
+    ]
+    assert len(calls) >= 6
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if any(isinstance(arg, ast.JoinedStr) for arg in node.args)
+    ]
+    assert not found, f"_note calls pass an f-string: {found}"
 
 
 def test_bound_lines_never_read_exact():
