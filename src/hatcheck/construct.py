@@ -8,6 +8,11 @@ independent set delegates to an oracle for the remainder, the cut-vertex
 split delegates to a two-guess oracle for one side, the block
 composition delegates to the split, and the two pipeline builders
 (bounded circumference, forbidden t-ary subtree) assemble everything.
+An oracle is a node of that tree: its step line, its parts (the
+sub-oracles its engine delegates to) and own, what its step enumerates;
+its construction lines and enumeration are read off the tree.  A block
+component, a closure embedded for a block and a pipeline header only
+label an oracle (_under).
 
 Premises of the form "the players cannot win game X" are the caller's
 responsibility; when one is false the defeat run does not misbehave but
@@ -25,11 +30,9 @@ Oracles are immutable after construction and their engines are pure
 (the split's masks are a cache filled by its first defeat).
 
 Scope (graph, guess count, budget) and the enumeration guard are
-checked once, where a strategy enters through defeat or defeat_traced:
-each builder fixes the oracle's enumeration from sizes it holds, the
-largest over its own steps and its sub-oracles, and no engine checks a
-guard.  Only oracle_closure, oracle_theorem_circ and oracle_theorem_tary
-take guards, for what they check while building.
+checked once, where a strategy enters through defeat or defeat_traced,
+and no engine checks a guard.  Only oracle_closure, oracle_theorem_circ
+and oracle_theorem_tary take guards, for what they check while building.
 
 A composing builder accepts a sub-oracle that hosts its sub-game
 (_hosts): as many vertices, every edge of the sub-game, at most the
@@ -49,6 +52,7 @@ it takes stays below its budget (the InternalError check).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, combinations, product
 from math import prod
 from typing import Callable, Optional
@@ -85,7 +89,8 @@ from .guards import DEFAULT_GUARDS, Guards
 
 @dataclass(frozen=True)
 class AdversaryOracle:
-    """A constructive win for the adversary at a fixed budget.
+    """A constructive win for the adversary at a fixed budget, a node of
+    the argument tree it was assembled from.
 
     engine(strategy, log) maps a strategy in scope (same graph, same
     guess count, budget equal to the oracle's) to a defeating assignment
@@ -93,18 +98,29 @@ class AdversaryOracle:
     choice.  It trusts its input: defeat and defeat_traced, the two ways
     to call it from outside, raise ValueError for a strategy out of
     scope first, and GuardExceededError when enumeration is over the
-    guards' limit.  enumeration is the largest number of items any
-    defeat enumerates, sub-oracles included, fixed by the builder (0
-    for an engine that enumerates nothing).  construction describes the
-    argument tree the oracle was assembled from.
+    guards' limit.  step is the node's construction line, parts the
+    sub-oracles its engine delegates to, and own the largest number of
+    items its own step enumerates (0 for a step that enumerates
+    nothing).
     """
 
     graph: Graph
     budget: ColorBudget
     guess_count: int
-    construction: tuple
+    step: str
     engine: Callable
-    enumeration: int = 0
+    parts: tuple = ()
+    own: int = 0
+
+    @property
+    def construction(self) -> tuple:
+        """step, then every part's lines indented two spaces."""
+        return (self.step,) + tuple("  " + ln for part in self.parts for ln in part.construction)
+
+    @cached_property
+    def enumeration(self) -> int:
+        """The most items any defeat enumerates, parts included."""
+        return max((self.own, *(part.enumeration for part in self.parts)))
 
     def defeat(self, strategy: Strategy, guards: Guards = DEFAULT_GUARDS) -> tuple:
         _expect(strategy, self)
@@ -127,22 +143,23 @@ def _note(log, fmt: str, *args) -> None:
         log.append(fmt.format(*args))
 
 
-def _indent(lines) -> tuple:
-    return tuple("  " + ln for ln in lines)
-
-
-def _delegate(oracle: AdversaryOracle, part: Strategy, kept, out: list, log) -> None:
-    """Run a sub-oracle's engine on part, a strategy on its graph, and
-    write its colors into out at kept (part's vertex i plays kept[i]),
+def _delegate(oracle: AdversaryOracle, played: Strategy, kept, out: list, log) -> None:
+    """Run a sub-oracle's engine on played, a strategy on its graph, and
+    write its colors into out at kept (played's vertex i plays kept[i]),
     nesting its per-defeat trace."""
     if log is None:
-        colors = oracle.engine(part, None)
+        colors = oracle.engine(played, None)
     else:
         lines = []
-        colors = oracle.engine(part, lines)
-        log.extend(_indent(lines))
+        colors = oracle.engine(played, lines)
+        log.extend("  " + ln for ln in lines)
     for u, c in zip(kept, colors):
         out[u] = c
+
+
+def _under(step: str, oracle: AdversaryOracle) -> AdversaryOracle:
+    """oracle, its game and engine, under a construction line of its own."""
+    return AdversaryOracle(oracle.graph, oracle.budget, oracle.guess_count, step, oracle.engine, (oracle,))
 
 
 def _expect(strategy: Strategy, oracle: AdversaryOracle) -> None:
@@ -194,9 +211,7 @@ def oracle_exhaustive(g: Graph, budget: ColorBudget, guess_count: int) -> Advers
     """
     if len(budget) != g.vertex_count:
         raise ValueError("budget length must match the vertex count")
-    construction = (
-        f"exhaustive n={g.vertex_count} guesses={guess_count} budget={_budget_brief(budget)}",
-    )
+    step = f"exhaustive n={g.vertex_count} guesses={guess_count} budget={_budget_brief(budget)}"
 
     def engine(strategy, log):
         for assignment in enumerate_assignments(budget):
@@ -208,7 +223,7 @@ def oracle_exhaustive(g: Graph, budget: ColorBudget, guess_count: int) -> Advers
             witness=strategy,
         )
 
-    return AdversaryOracle(g, budget, guess_count, construction, engine, budget.product())
+    return AdversaryOracle(g, budget, guess_count, step, engine, own=budget.product())
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +266,7 @@ def oracle_lemma_is(
     plan = view_plan(g, budget, sub.graph, sub.budget, rest, u_tuple)
     # u's entries where every neighbor wears a color < ell: one digit range per neighbor
     dodges = [(u, [range(0, ell * p, p) for p in entry_places(g, budget, u)]) for u in u_tuple]
-    construction = (
-        f"peel-independent-set U={u_tuple} r={r} ell={int_brief(ell)} budget={int_brief(cap)}",
-    ) + _indent(sub.construction)
+    step = f"peel-independent-set U={u_tuple} r={r} ell={int_brief(ell)} budget={int_brief(cap)}"
 
     def engine(strategy, log):
         out = [0] * g.vertex_count
@@ -267,7 +280,7 @@ def oracle_lemma_is(
 
     # each u enumerates the ell^deg(u) colorings of its neighbors
     peel = ell ** max(map(g.degree, u_tuple)) if u_tuple else 0
-    return AdversaryOracle(g, budget, 1, construction, engine, max(peel, sub.enumeration))
+    return AdversaryOracle(g, budget, 1, step, engine, (sub,), peel)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +339,7 @@ def oracle_lemma_two_at_v(
         _two_colors(strategy, v, pair, plan, sub2, out, log, v)
         return tuple(out)
 
-    construction = (
-        f"two-colors v={v} colors={pair} ell={ell}",
-    ) + _indent(sub2.construction)
-    return AdversaryOracle(g, budget, 1, construction, engine, sub2.enumeration)
+    return AdversaryOracle(g, budget, 1, f"two-colors v={v} colors={pair} ell={ell}", engine, (sub2,))
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +405,6 @@ def oracle_lemma_rus(
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
     budget1 = budget.restrict(part1)
     plan2 = view_plan(g, budget, sub2.graph, sub2.budget, rest2, (v,))
-    construction = (
-        f"cut-split v={v} part1={part1} part2={part2} ell={ell}",
-    ) + _indent(sub2.construction)
 
     def part1_witness(strategy, v_guesses):
         """Players-win certificate on part 1 implied by a failed search.
@@ -480,9 +487,9 @@ def oracle_lemma_rus(
             out[u] = c
         return tuple(out)
 
+    step = f"cut-split v={v} part1={part1} part2={part2} ell={ell}"
     # a defeat reads every part-1 coloring, as bits of the lex masks
-    need = max(budget1.product(), sub2.enumeration)
-    return AdversaryOracle(g, budget, 1, construction, engine, need)
+    return AdversaryOracle(g, budget, 1, step, engine, (sub2,), budget1.product())
 
 
 # ---------------------------------------------------------------------------
@@ -537,33 +544,31 @@ def oracle_lemma_blocks(
         raise ValueError("need ell >= 1")
     budget = ColorBudget.uniform(g.vertex_count, ell + 1)
     premise_factory = premise2 or _exhaustive_premise(ell)
-    plans = []
-    lines = [f"block-composition n={g.vertex_count} ell={ell}"]
+    parts, plans = [], []
     for comp, comp_graph, peel, premise in _block_plan(g):
         if premise is None:
-            inner = oracle_exhaustive(comp_graph, ColorBudget.uniform(1, ell + 1), 1)
-            lines.append(f"  component {comp}: isolated vertex")
+            # the scan of an isolated vertex's colors, under the component's line
+            scan = oracle_exhaustive(comp_graph, ColorBudget.uniform(1, ell + 1), 1)
+            part = replace(scan, step=f"component {comp}: isolated vertex")
         elif peel is None:
             inner = premise_factory(premise)
             _hosts(inner, g, comp, ell + 1, 2, "block premise oracle")
-            lines.append(f"  component {comp}: single block")
+            part = _under(f"component {comp}: single block", inner)
         else:
             block, cut = peel
             rest = tuple(u for u in comp_graph.vertices() if u not in block or u == cut)
             inner = oracle_lemma_rus(comp_graph, cut, rest, block, ell, premise_factory(premise))
-            lines.append(f"  component {comp}: peel block {block} at cut {cut}")
-        if premise is not None:
-            lines.extend("  " + ln for ln in _indent(inner.construction))
-        plans.append((view_plan(g, budget, inner.graph, inner.budget, comp, (), inner.guess_count), inner))
+            part = _under(f"component {comp}: peel block {block} at cut {cut}", inner)
+        parts.append(part)
+        plans.append(view_plan(g, budget, part.graph, part.budget, comp, (), part.guess_count))
 
     def engine(strategy, log):
         out = [0] * g.vertex_count
-        for plan, inner in plans:
-            _delegate(inner, view(strategy, plan), plan.kept, out, log)
+        for plan, part in zip(plans, parts):
+            _delegate(part, view(strategy, plan), plan.kept, out, log)
         return tuple(out)
 
-    need = max((inner.enumeration for _, inner in plans), default=0)
-    return AdversaryOracle(g, budget, 1, tuple(lines), engine, need)
+    return AdversaryOracle(g, budget, 1, f"block-composition n={g.vertex_count} ell={ell}", engine, tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +593,13 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
     if not top.is_exact:
         raise GuardExceededError("assignment", top.to_text(), guards.assignment)
     budget = ColorBudget(tuple(int(two_guess_seq(k + 1).exact) for k in tree.heights))
-    guards.check("assignment", budget.product())
+    # a leaf's table lists one entry per coloring of its ancestors, one at
+    # each smaller height, so a deepest vertex reads the most (the root,
+    # peeled last, reads one entry); checked before any digit range
+    deepest = tree.heights.index(tree.height)
+    need = prod(budget[u] for u in tree.ancestors(deepest)) if tree.height else 0
+    guards.check("enumeration", need)
     cl_graph = closure(tree)
-    construction = (
-        f"tree-closure n={tree.vertex_count} heights={tree.heights} budget={_budget_brief(budget)}",
-    )
     # the peel order does not depend on the strategy: fix it once.  A
     # leaf's neighbors are its descendants, peeled before it and pinned at
     # their colors, and its ancestors, one digit range each
@@ -606,8 +613,6 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
         steps.append((leaf, pins, [range(0, budget[u] * places[u], places[u]) for u in ancestors]))
     # the root, peeled last, sees every other vertex pinned
     *steps, (root, root_pins, _) = steps
-    # a leaf's table lists one entry per coloring of its ancestors
-    need = max((prod(map(len, digits)) for *_, digits in steps), default=0)
 
     def engine(strategy, log):
         out = [0] * tree.vertex_count
@@ -625,7 +630,8 @@ def oracle_closure(tree: RootedTree, guards: Guards = DEFAULT_GUARDS) -> Adversa
         _note(log, "closure root {}: assign {}", root, gamma)
         return tuple(out)
 
-    return AdversaryOracle(cl_graph, budget, 2, construction, engine, need)
+    step = f"tree-closure n={tree.vertex_count} heights={tree.heights} budget={_budget_brief(budget)}"
+    return AdversaryOracle(cl_graph, budget, 2, step, engine, own=need)
 
 
 # ---------------------------------------------------------------------------
@@ -676,19 +682,13 @@ def oracle_theorem_circ(
             raise ValueError(
                 f"budget {ell_val + 1} cannot host a depth-{cert.depth} certificate (needs {need.to_text()})"
             )
-        inner = oracle_closure(cert.tree, guards)
-        lines = (f"embed block into closure: certificate depth {cert.depth}",) + _indent(inner.construction)
-        return replace(inner, construction=lines)
+        return _under(f"embed block into closure: certificate depth {cert.depth}", oracle_closure(cert.tree, guards))
 
     try:
         core = oracle_lemma_blocks(g, ell_val, premise2=closure_premise)
     except GuardExceededError:
         return None, bound
-    header = (
-        f"bounded-circumference pipeline: c={c} depth-cap={d} budget={int_brief(ell_val + 1)}",
-    )
-    oracle = replace(core, construction=header + _indent(core.construction))
-    return oracle, bound
+    return _under(f"bounded-circumference pipeline: c={c} depth-cap={d} budget={int_brief(ell_val + 1)}", core), bound
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +764,4 @@ def oracle_theorem_tary(g: Graph, t: int, h: int, guards: Guards = DEFAULT_GUARD
         oracle, threshold = _tary_build(g, t, h, guards)
     except GuardExceededError:
         return None, bound
-    header = (
-        f"forbidden-{t}-ary-height-{h} pipeline: budget={int_brief(threshold)}",
-    )
-    oracle = replace(oracle, construction=header + _indent(oracle.construction))
-    return oracle, bound
+    return _under(f"forbidden-{t}-ary-height-{h} pipeline: budget={int_brief(threshold)}", oracle), bound

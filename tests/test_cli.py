@@ -495,28 +495,45 @@ def test_defeat_checks_scope(lemma):
             orc.defeat_traced(strategy)
 
 
-@pytest.mark.parametrize(
-    "lemma, digest",
-    [
-        ("is", "23b898b8264c399c9575fa9b9d99a53f5618452e61860520d434c608f6359f2e"),
-        ("two", "a7dda80dbe0809b9d245ae5c727298a4eedc63b8d2dbe5654248002263dd5546"),
-        ("rus", "73ffcbac5127ce635ab7c68db5b624b9d67719673badfa2b6b4e5a6e22669d6d"),
-        ("blocks", "9aa382c5ba984cf6ce02980200b30629d4a8c6691aafccd942b16df2ce324936"),
-        ("closure", "bfb329e985d04e5ee63b4ff8f7da2bd204ae0aa38736effb6d4a36989c0e485c"),
-        ("circ", "6a60438233e34a969686c807328f2cb8959fe8e6535791be3e548ccca86cfefb"),
-        ("tary", "3cd88dadb504dd8663a779277eba4bfde4867f5a2012bb8cb928afa38d1fdc4f"),
-    ],
-)
+PINNED_VERIFY_REPORTS = [
+    ("is", "23b898b8264c399c9575fa9b9d99a53f5618452e61860520d434c608f6359f2e"),
+    ("two", "a7dda80dbe0809b9d245ae5c727298a4eedc63b8d2dbe5654248002263dd5546"),
+    ("rus", "73ffcbac5127ce635ab7c68db5b624b9d67719673badfa2b6b4e5a6e22669d6d"),
+    ("blocks", "9aa382c5ba984cf6ce02980200b30629d4a8c6691aafccd942b16df2ce324936"),
+    ("closure", "bfb329e985d04e5ee63b4ff8f7da2bd204ae0aa38736effb6d4a36989c0e485c"),
+    ("circ", "6a60438233e34a969686c807328f2cb8959fe8e6535791be3e548ccca86cfefb"),
+    ("tary", "3cd88dadb504dd8663a779277eba4bfde4867f5a2012bb8cb928afa38d1fdc4f"),
+]
+
+
+def pinned_verify_argv(lemma: str) -> tuple:
+    return (
+        "verify", graph_path(REFERENCE_GRAPHS[lemma]), "--lemma", lemma,
+        "--trials", "30", "--seed", "17", "--dump",
+    )
+
+
+@pytest.mark.parametrize("lemma, digest", PINNED_VERIFY_REPORTS)
 def test_pinned_verify_reports(capsys, lemma, digest):
     # first_defeat_trace reads the first sampled strategy, so these
     # digests also pin the sampled stream
-    code, out = run(
-        capsys, "verify", graph_path(REFERENCE_GRAPHS[lemma]), "--lemma", lemma,
-        "--trials", "30", "--seed", "17", "--dump",
-    )
+    code, out = run(capsys, *pinned_verify_argv(lemma))
     assert code == 0
     assert "defeated: 30/30" in out
     assert hashlib.sha256(strip_timing(out).encode()).hexdigest() == digest
+
+
+def test_pinned_verify_reports_hold_under_O_and_another_hash_seed():
+    # python -O strips assert statements and PYTHONHASHSEED reorders
+    # string sets and dicts: neither may change a pinned report
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "98765"}
+    for lemma, digest in PINNED_VERIFY_REPORTS:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "hatcheck.cli", *pinned_verify_argv(lemma)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (lemma, proc.stderr)
+        assert hashlib.sha256(strip_timing(proc.stdout).encode()).hexdigest() == digest, lemma
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +616,7 @@ def test_exit_verify_on_bogus_defeat(capsys, monkeypatch):
         def engine(strategy, log):
             return tuple([0] * g.vertex_count)
 
-        return AdversaryOracle(g, budget, 1, (), engine), ()
+        return AdversaryOracle(g, budget, 1, "all zeros", engine), ()
 
     monkeypatch.setitem(cli_mod._DERIVERS, "rus", bogus)
     code, out = run(
@@ -614,12 +631,13 @@ def test_exit_verify_on_bogus_defeat(capsys, monkeypatch):
     assert digest == "12454077e655363957a9e2a9bd0dacbb0aed8d75d865715181ef5fa354e6eebd"
 
 
-def test_verify_circ_guard_refusal_at_the_derived_budget(capsys):
-    # C4 needs a(4) = 1807 colors; the pipeline at that budget is refused
-    # by the assignment guard, exactly as with --ell 1806 given
+def test_verify_circ_runs_at_the_derived_budget(capsys):
+    # C4 needs a(4) = 1807 colors; its block's closure reads at most
+    # 7 * 43 * 1807 table entries a defeat, so the pipeline at that
+    # budget runs, exactly as with --ell 1806 given
     derived = run(capsys, "verify", graph_path("c4"), "--lemma", "circ", "--trials", "3")
     given = run(capsys, "verify", graph_path("c4"), "--lemma", "circ", "--trials", "3", "--ell", "1806")
-    assert derived[0] == given[0] == 3
+    assert derived[0] == given[0] == 0
     assert strip_timing(derived[1]) == strip_timing(given[1])
     assert "ell: 1806" in derived[1]
 
@@ -640,15 +658,28 @@ def test_verify_circ_past_the_sequence_cap_is_a_guard_refusal(capsys, tmp_path):
 
 
 def test_verify_closure_past_the_sequence_cap_is_a_guard_refusal(capsys, tmp_path):
-    # a 70-vertex path rooted at an end has height 69: its root needs
-    # a(70) colors, past the sequence cap of 64, so the closure is refused
-    # as the assignment guard refuses a(30) on a 30-vertex path
+    # a 70-vertex path rooted at an end has height 69: its deepest vertex
+    # needs a(70) colors, past the sequence cap of 64, so the closure is
+    # refused as a guard refuses it
     p70 = tmp_path / "p70.graph"
     p70.write_text(graph_to_text(Graph.from_edges(70, [(i, i + 1) for i in range(69)])))
     code, out = run(capsys, "verify", str(p70), "--lemma", "closure", "--trials", "3")
     assert code == 3
     assert "sequence index" not in out
     assert "error: guard 'assignment' exceeded: needed a(70), limit " in out
+
+
+def test_verify_closure_refuses_its_enumeration_need_before_building(capsys, tmp_path):
+    # the deepest vertex of a 22-vertex path reads one table entry per
+    # coloring of its ancestors, a(1) * ... * a(21) ~ 2^2836130 of them;
+    # the closure is refused with that need before it lays out a digit
+    # range per ancestor, and before the report's budget line
+    p22 = tmp_path / "p22.graph"
+    p22.write_text(graph_to_text(Graph.from_edges(22, [(i, i + 1) for i in range(21)])))
+    code, out = run(capsys, "verify", str(p22), "--lemma", "closure", "--trials", "3")
+    assert code == 3
+    assert "\nerror: guard 'enumeration' exceeded: needed ~2^2836130, limit 10000000\n" in out
+    assert "\nbudget:" not in out
 
 
 def test_verify_circ_prints_a_derived_ell_past_the_int_str_limit(capsys, tmp_path):

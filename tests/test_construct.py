@@ -477,6 +477,17 @@ def test_blocks_construction_names_blocks():
     _assert_defeats_all(orc, trials=100)
 
 
+def test_blocks_construction_nests_each_component():
+    # each component's line, then its oracle's lines; an isolated vertex's
+    # component is the scan of its colors and shows its own line only
+    assert oracle_lemma_blocks(Graph(3, frozenset({(0, 1)})), 4).construction == (
+        "block-composition n=3 ell=4",
+        "  component (0, 1): single block",
+        "    exhaustive n=2 guesses=2 budget=(5,5)",
+        "  component (2,): isolated vertex",
+    )
+
+
 # ---------------------------------------------------------------------------
 # tree closure
 # ---------------------------------------------------------------------------
@@ -536,8 +547,7 @@ def test_closure_defeats_match_the_referee():
     assert len(trees) == 1 + 2 + 9 + 64
     rng = SplitMix64(23)
     for tree in trees + [RootedTree((None, 0, 0, 0, 0), 0)]:
-        # a path of 4 has 3 * 7 * 43 * 1807 assignments
-        orc = oracle_closure(tree, Guards(assignment=2 * 10**6))
+        orc = oracle_closure(tree)
         for _ in range(3):
             s = random_strategy(orc.graph, orc.budget, 2, rng)
             assert orc.defeat(s) == naive_closure_defeat(tree, s)
@@ -678,8 +688,9 @@ def test_tary_free_graphs_have_a_small_degree_vertex():
 # ---------------------------------------------------------------------------
 
 def test_enumeration_needs_are_sound_and_tight():
-    # the verify benchmark's reference instances: at the limit every
-    # defeat runs; one below it, every defeat is refused with the
+    # the verify benchmark's reference instances, and block compositions
+    # whose isolated vertices each scan ell + 1 = 5 colors: at the limit
+    # every defeat runs; one below it, every defeat is refused with the
     # oracle's need, before its engine starts
     oracles = {
         "is": oracle_lemma_is(star(2), (1, 2), 1, 2, _sub(1, 2, 1)),
@@ -691,9 +702,12 @@ def test_enumeration_needs_are_sound_and_tight():
         "closure": oracle_closure(RootedTree((None, 0, 1), 0)),
         "circ": oracle_theorem_circ(complete(3), ell=42)[0],
         "tary": oracle_theorem_tary(cycle(4), 3, 1)[0],
+        "blocks-edge-and-vertex": oracle_lemma_blocks(Graph(3, frozenset({(0, 1)})), 4),
+        "blocks-edgeless": oracle_lemma_blocks(Graph(2, frozenset()), 4),
     }
     assert {lemma: orc.enumeration for lemma, orc in oracles.items()} == {
         "is": 2, "two": 25, "rus": 343, "blocks": 343, "closure": 21, "circ": 21, "tary": 6561,
+        "blocks-edge-and-vertex": 25, "blocks-edgeless": 5,
     }
     rng = SplitMix64(83)
     for lemma, orc in oracles.items():

@@ -152,9 +152,9 @@ def _callee(call) -> str:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
 
 
-def _construct_calls(names, allowed) -> list:
-    """name:line of each call to one of names in the own body of a
-    construct function, nested ones included, that allowed(name, fn)
+def _construct_nodes(match, allowed) -> list:
+    """name:line of each node that match(node) accepts in the own body of
+    a construct function, nested ones included, that allowed(name, fn)
     does not allow."""
     path = SRC / "construct.py"
     functions = list(_functions(ast.parse(path.read_text(), filename=str(path))))
@@ -165,15 +165,21 @@ def _construct_calls(names, allowed) -> list:
         for name, fn in functions
         if not allowed(name, fn)
         for node in _own_nodes(fn)
-        if isinstance(node, ast.Call) and _callee(node) in names
+        if match(node)
     )
+
+
+def _construct_calls(names, allowed) -> list:
+    """_construct_nodes for calls to one of names."""
+    return _construct_nodes(lambda node: isinstance(node, ast.Call) and _callee(node) in names, allowed)
 
 
 def test_construct_engines_check_no_guards():
     # an oracle's enumeration is fixed when it is built and checked once,
     # where a strategy enters (defeat, defeat_traced); oracle_closure
-    # checks its assignment guard while building; no other function, an
-    # engine, a nested helper or a module-level step, checks a guard.
+    # checks its enumeration need while building, before it lays out its
+    # digit ranges; no other function, an engine, a nested helper or a
+    # module-level step, checks a guard.
     # Engines may enumerate assignments, as game.enumerate_assignments
     # checks no guard either
     allowed = {"AdversaryOracle.defeat", "AdversaryOracle.defeat_traced", "oracle_closure"}
@@ -214,3 +220,16 @@ def test_construct_checks_only_strategies_for_an_exact_scope():
     allowed = {"AdversaryOracle.defeat", "AdversaryOracle.defeat_traced"}
     found = _construct_calls({"_expect"}, lambda name, fn: name in allowed)
     assert not found, f"construct functions other than defeat and defeat_traced call _expect: {found}"
+
+
+def test_construct_reads_the_oracle_tree_in_one_place():
+    # an oracle's construction lines and enumeration are read off its
+    # argument tree by AdversaryOracle's own members (defeat and
+    # defeat_traced read self.enumeration); a builder gives its step,
+    # parts and own need, and neither nests a part's lines nor takes a
+    # max over its parts' needs
+    found = _construct_nodes(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in {"construction", "enumeration"},
+        lambda name, fn: name.startswith("AdversaryOracle."),
+    )
+    assert not found, f"construct functions outside AdversaryOracle read a construction or an enumeration: {found}"
